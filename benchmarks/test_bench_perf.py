@@ -380,22 +380,18 @@ def test_perf_checkpoint_overhead_and_resume_speedup(tmp_path):
 
 
 def test_perf_batched_vs_scalar_analyze(tmp_path):
-    """Column-batch execution vs record-at-a-time on the analyze path,
-    with the result snapshotted to ``BENCH_batch.json``.
+    """Column-batch execution vs record-at-a-time on the analyze path.
 
     Measures the full read→classify→fold pipeline over on-disk ELFF at
-    the default bench scale, asserting state equality and recording
+    the default bench scale, asserting state equality and printing
     records/sec, wall seconds and peak-RSS growth for both modes.  The
-    issue targeted ≥5x; the measured ceiling in pure Python is ~4x —
-    the pipeline is parse-bound (about a quarter of real log lines
-    carry a quoted user-agent field), the scalar fold is already >1M
-    rows/sec, and no C CSV parser (pandas/pyarrow) is available — so
-    the CI floor asserts the conservative 2.5x that survives machine
-    variance, while the JSON snapshot records the honest number.
+    measured ceiling in pure Python is ~4x — the pipeline is
+    parse-bound (about a quarter of real log lines carry a quoted
+    user-agent field) and no C CSV parser is available — so the floor
+    asserts the conservative 2.5x that survives machine variance.
+    Tracked end-to-end numbers come from ``python3 -m benchmarks.perf``.
     """
-    import json
     import resource
-    from pathlib import Path
 
     from repro.engine import analyze_logs, simulate_to_logs
     from repro.workload.config import (
@@ -437,37 +433,13 @@ def test_perf_batched_vs_scalar_analyze(tmp_path):
     assert batched_stats == scalar_stats
     total = scalar.total
     speedup = scalar_seconds / batched_seconds
-    snapshot = {
-        "schema": "repro.bench/1",
-        "bench": "batched_vs_scalar_analyze",
-        "records": total,
-        "batch_size": batch_size,
-        "scalar": {
-            "seconds": round(scalar_seconds, 4),
-            "records_per_sec": round(total / scalar_seconds),
-            "peak_rss_growth_kb": scalar_rss,
-        },
-        "batched": {
-            "seconds": round(batched_seconds, 4),
-            "records_per_sec": round(total / batched_seconds),
-            "peak_rss_growth_kb": batched_rss,
-        },
-        "speedup": round(speedup, 2),
-    }
-    out = Path(
-        os.environ.get(
-            "REPRO_BENCH_OUT",
-            Path(__file__).resolve().parent.parent / "BENCH_batch.json",
-        )
-    )
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
     print(
         f"\nbatched analyze @ {total:,} records: "
         f"scalar {scalar_seconds:.2f}s "
-        f"({total / scalar_seconds:,.0f} rec/s) vs "
-        f"batch-size {batch_size} {batched_seconds:.2f}s "
-        f"({total / batched_seconds:,.0f} rec/s) — {speedup:.2f}x "
-        f"-> {out}"
+        f"({total / scalar_seconds:,.0f} rec/s, peak-RSS growth "
+        f"{scalar_rss} KB) vs batch-size {batch_size} "
+        f"{batched_seconds:.2f}s ({total / batched_seconds:,.0f} rec/s, "
+        f"peak-RSS growth {batched_rss} KB) — {speedup:.2f}x"
     )
     if scale >= 100_000:
         assert speedup >= 2.5
@@ -475,15 +447,15 @@ def test_perf_batched_vs_scalar_analyze(tmp_path):
 
 def test_perf_distributed_lease_queue(tmp_path):
     """Lease-queue distributed execution at 1/2/4 workers plus the
-    cost of a lease reclaim, snapshotted to ``BENCH_distributed.json``.
+    cost of a lease reclaim.
 
     Every worker count must merge to the exact bytes of the serial
     ``simulate_to_logs`` baseline — that invariant is asserted, the
-    throughput numbers are recorded.  Distributed wall clock includes
+    throughput numbers are printed.  Distributed wall clock includes
     real worker-process startup (a ``python -m repro work`` interpreter
     per worker), so one worker is expected to trail the in-process
-    serial path; the snapshot makes that overhead visible instead of
-    hiding it.  The reclaim number times an otherwise identical
+    serial path; the printed line makes that overhead visible instead
+    of hiding it.  The reclaim number times an otherwise identical
     one-worker run whose first shard starts under an already-expired
     lease from a dead claimant, so the delta is the requeue-and-re-run
     detour alone.
@@ -570,33 +542,6 @@ def test_perf_distributed_lease_queue(tmp_path):
     assert churn.counters.get("dispatch.lease.reclaimed", 0) >= 1
     reclaim_overhead = churn_seconds - fleet["1"]["seconds"]
 
-    snapshot = {
-        "schema": "repro.bench/1",
-        "bench": "distributed_lease_queue",
-        "records": total,
-        "shards": len(churn.labels),
-        "serial": {
-            "seconds": round(serial_seconds, 4),
-            "records_per_sec": round(total / serial_seconds),
-        },
-        "workers": fleet,
-        "reclaim": {
-            "seconds": round(churn_seconds, 4),
-            "records_per_sec": round(total / churn_seconds),
-            "overhead_vs_one_worker_seconds": round(reclaim_overhead, 4),
-            "leases_reclaimed": churn.counters.get(
-                "dispatch.lease.reclaimed", 0
-            ),
-        },
-    }
-    out = Path(
-        os.environ.get(
-            "REPRO_BENCH_DISTRIBUTED_OUT",
-            Path(__file__).resolve().parent.parent
-            / "BENCH_distributed.json",
-        )
-    )
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
     lines = ", ".join(
         f"{spawn}w {entry['records_per_sec']:,} rec/s"
         for spawn, entry in fleet.items()
@@ -604,7 +549,7 @@ def test_perf_distributed_lease_queue(tmp_path):
     print(
         f"\ndistributed @ {total:,} records / {len(churn.labels)} shards: "
         f"serial {total / serial_seconds:,.0f} rec/s, {lines}; "
-        f"reclaim detour +{reclaim_overhead:.2f}s -> {out}"
+        f"reclaim detour +{reclaim_overhead:.2f}s"
     )
     if (os.cpu_count() or 1) >= 4:
         # More workers must not be slower end to end (startup included).
@@ -628,21 +573,15 @@ def test_perf_elff_roundtrip(benchmark):
 
 
 def test_perf_regime_throughput(tmp_path):
-    """Per-regime simulate→analyze throughput, snapshotted to
-    ``BENCH_regimes.json``.
+    """Per-regime simulate→analyze throughput.
 
     Every registered regime profile runs the same fused
     simulate→streaming-analyze pass over an identical workload spec, so
-    the snapshot shows what each appliance model costs relative to the
-    Syrian proxy baseline (the DNS injector and the DPI box skip the
-    cache/categorizer work, so they should be at least as fast).  The
-    assertion layer only pins invariants — same record volume per
-    regime and a sane positive rate — the honest numbers live in the
-    JSON for the benchmark report.
+    the printed line shows what each appliance model costs relative to
+    the Syrian proxy baseline.  The assertion layer only pins
+    invariants — same record volume per regime and a sane positive
+    rate.
     """
-    import json
-    from pathlib import Path
-
     from repro.engine import scenario_context, simulate_into
     from repro.pipeline import StreamingAnalysisSink
     from repro.regimes import available_regimes
@@ -683,21 +622,8 @@ def test_perf_regime_throughput(tmp_path):
     # Identical workload spec → identical record volume per regime.
     assert len(totals) == 1
     total = totals.pop()
-    snapshot = {
-        "schema": "repro.bench/1",
-        "bench": "regime_throughput",
-        "records": total,
-        "regimes": regimes,
-    }
-    out = Path(
-        os.environ.get(
-            "REPRO_BENCH_REGIMES_OUT",
-            Path(__file__).resolve().parent.parent / "BENCH_regimes.json",
-        )
-    )
-    out.write_text(json.dumps(snapshot, indent=2) + "\n")
     lines = ", ".join(
         f"{name} {entry['records_per_sec']:,} rec/s"
         for name, entry in regimes.items()
     )
-    print(f"\nregime throughput @ {total:,} records: {lines} -> {out}")
+    print(f"\nregime throughput @ {total:,} records: {lines}")

@@ -124,10 +124,13 @@ _PARTIAL_HELP = "quarantine shards that still fail after retries and " \
                 "--metrics report)"
 
 
-_BATCH_HELP = "process records in column batches of N rows " \
-              "(vectorized parse/classify/fold hot paths; output is " \
-              "byte-identical to the default record-at-a-time mode " \
-              "at every batch size and worker count)"
+#: Rows per column batch when --batch-size is not given.
+DEFAULT_BATCH_SIZE = 1024
+
+_BATCH_HELP = "process records in column batches of N rows (default " \
+              f"{DEFAULT_BATCH_SIZE}; vectorized fleet/parse/classify/" \
+              "fold hot paths; output is byte-identical at every batch " \
+              "size and worker count)"
 
 _CHECKPOINT_HELP = "journal every completed shard to a durable run " \
                    "ledger in DIR (manifest + fsync'd journal + " \
@@ -178,8 +181,9 @@ def _add_checkpoint_flags(command) -> None:
 
 def _add_batch_flag(command) -> None:
     """The shared --batch-size surface (column-batch execution)."""
-    command.add_argument("--batch-size", type=_positive_int, default=None,
-                         metavar="N", help=_BATCH_HELP)
+    command.add_argument("--batch-size", type=_positive_int,
+                         default=DEFAULT_BATCH_SIZE, metavar="N",
+                         help=_BATCH_HELP)
 
 
 def _checkpoint_for(args: argparse.Namespace, fingerprint):
@@ -538,7 +542,7 @@ def _analyze_fingerprint(mode: str, paths: list[Path], regime: str):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.engine import simulate_to_logs
+    from repro.engine import simulate_fingerprint, simulate_to_logs
     from repro.workload.config import DEFAULT_BOOSTS, ScenarioConfig
 
     _resolve_regime(args.regime)
@@ -553,20 +557,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"(seed {args.seed}{suffix})...")
     metrics, started = _start_metrics(args)
     retry, allow_partial, failures = _fault_args(args)
-    from repro.runstate import config_digest, run_fingerprint
-
-    # The output directory is deliberately not part of the fingerprint:
-    # shard artifacts are buffered sinks, so a resumed run may write the
-    # finished logs anywhere.  The flags that shape the shard results
-    # (grouping and compression) are.  The regime is named as its own
-    # facet (besides being folded into the config digest) so a
-    # cross-regime --resume refusal spells out the mismatched key.
-    checkpoint = _checkpoint_for(args, run_fingerprint(
-        "simulate",
-        config=config_digest(config),
-        regime=config.regime,
-        per_proxy=args.per_proxy,
-        per_day=args.per_day,
+    checkpoint = _checkpoint_for(args, simulate_fingerprint(
+        config, per_proxy=args.per_proxy, per_day=args.per_day,
         compress=args.compress,
     ))
     for path, count in simulate_to_logs(
@@ -728,6 +720,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
           "pipeline...")
     metrics, started = _start_metrics(args)
     retry, allow_partial, failures = _fault_args(args)
+    from repro.proxy.sg9000 import FLEET_STREAM
     from repro.runstate import config_digest, run_fingerprint
 
     config = ScenarioConfig(
@@ -736,6 +729,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     checkpoint = _checkpoint_for(args, run_fingerprint(
         "report", config=config_digest(config), regime=config.regime,
+        fleet_stream=FLEET_STREAM,
     ))
     datasets = build_scenario_sharded(
         config, workers=args.workers, metrics=metrics, retry=retry,

@@ -18,7 +18,10 @@ queue.  Its loop is deliberately thin:
    a local run can never stall on worker churn);
 5. verify every artifact's checksum, fold the stored per-shard
    registries and the queue's lease counters into the metrics
-   registry, and merge results in shard-plan order.
+   registry, and merge results in shard-plan order.  The lease
+   counters are read once every shard's ``complete`` event has landed
+   (:func:`settled_counters`), not at the first journal read that
+   lists every shard.
 
 Step 5 is where byte-identity comes from: the merge consumes verified
 artifacts in the same label order ``run_sharded`` returns results, so
@@ -169,7 +172,9 @@ def run_distributed(
                 f"verification: {', '.join(damaged)} — run "
                 f"'repro verify-run {directory}' for details"
             )
-        counters = queue.event_counters()
+        counters = settled_counters(
+            queue, [label for label in labels if label not in resumed]
+        )
         if metrics is not None:
             _fold_metrics(metrics, verified, labels, len(resumed), counters)
         output = job.merge([verified[label].result for label in labels])
@@ -192,6 +197,37 @@ def run_distributed(
             except subprocess.TimeoutExpired:
                 proc.kill()
         checkpoint.close()
+
+
+#: Upper bound on the wait for in-flight ``complete`` events once the
+#: journal lists every shard (normally they land within milliseconds),
+#: and the re-read interval.
+SETTLE_TIMEOUT = 5.0
+SETTLE_INTERVAL = 0.01
+
+
+def settled_counters(queue: WorkQueue, labels: list[str]) -> dict[str, int]:
+    """The queue's event counters once every shard in *labels* settled.
+
+    A worker journals a shard before it appends the ``complete`` event
+    that releases the lease, so the journal can list every shard while
+    the last ``complete`` is still in flight.  Re-read the event log
+    until each of *labels* has a ``complete`` (or ``lost``, for a
+    worker whose lease was reclaimed) event, for at most
+    :data:`SETTLE_TIMEOUT` seconds — never waiting for workers to exit,
+    which idle in ``poll_interval`` sleeps.
+    """
+    deadline = time.monotonic() + SETTLE_TIMEOUT
+    wanted = set(labels)
+    while True:
+        events = queue.read_events()
+        settled = {
+            event.get("shard_id") for event in events
+            if event.get("event") in ("complete", "lost")
+        }
+        if wanted <= settled or time.monotonic() >= deadline:
+            return queue.event_counters(events)
+        time.sleep(SETTLE_INTERVAL)
 
 
 def _fold_metrics(

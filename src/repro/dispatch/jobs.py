@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.dispatch.queue import DispatchError
-from repro.runstate import config_digest, run_fingerprint
+from repro.runstate import run_fingerprint
 from repro.workload.config import ScenarioConfig
 
 
@@ -49,12 +49,12 @@ class SimulateJob:
     kind = "simulate"
 
     def fingerprint(self) -> dict:
-        # Identical facets to the simulate CLI so the two ledgers are
+        # The simulate CLI's fingerprint, so the two ledgers are
         # interchangeable (distributed seed, serial resume, and back).
-        return run_fingerprint(
-            "simulate",
-            config=config_digest(self.config),
-            regime=self.config.regime,
+        from repro.engine.simulate import simulate_fingerprint
+
+        return simulate_fingerprint(
+            self.config,
             per_proxy=self.per_proxy,
             per_day=self.per_day,
             compress=self.compress,

@@ -474,10 +474,13 @@ class WorkQueue:
                 latest[shard_id] = int(event.get("attempt", 0))
         return latest
 
-    def event_counters(self) -> dict[str, int]:
-        """Aggregate the event log into ``dispatch.*`` counter values."""
+    def event_counters(
+        self, events: list[dict] | None = None
+    ) -> dict[str, int]:
+        """Aggregate the event log (or *events* read from it) into
+        ``dispatch.*`` counter values."""
         counters = {name: 0 for name in EVENT_COUNTERS.values()}
-        for event in self.read_events():
+        for event in self.read_events() if events is None else events:
             name = EVENT_COUNTERS.get(event.get("event"))
             if name is not None:
                 counters[name] += 1

@@ -55,6 +55,7 @@ from repro.engine.simulate import (
     day_pipeline,
     scenario_context,
     simulate_day_records,
+    simulate_fingerprint,
     simulate_into,
     simulate_shard,
     simulate_sink_shard,
@@ -80,6 +81,7 @@ __all__ = [
     "run_sharded",
     "scenario_context",
     "simulate_day_records",
+    "simulate_fingerprint",
     "simulate_into",
     "simulate_shard",
     "simulate_sink_shard",

@@ -56,8 +56,13 @@ from repro.pipeline import (
     RecordListSink,
     Sink,
 )
+from repro.proxy.sg9000 import FLEET_STREAM
 from repro.regimes import ApplianceFleet, RegimeProfile, get_regime
-from repro.runstate import RunCheckpoint
+from repro.runstate import (
+    RunCheckpoint,
+    config_digest,
+    run_fingerprint,
+)
 from repro.timeline import USER_SLICE_DAYS, day_span
 from repro.workload import TrafficGenerator
 from repro.workload.config import ScenarioConfig
@@ -104,6 +109,37 @@ def scenario_context(config: ScenarioConfig) -> SimContext:
     return context
 
 
+def simulate_fingerprint(
+    config: ScenarioConfig,
+    *,
+    per_proxy: bool = False,
+    per_day: bool = False,
+    compress: bool = False,
+) -> dict:
+    """The run-ledger fingerprint of a simulate run.
+
+    ``repro simulate`` and ``repro run-distributed`` share it, so a
+    ledger started by one resumes under the other.  The output
+    directory is deliberately not part of it: shard artifacts are
+    buffered sinks, so a resumed run may write the finished logs
+    anywhere.  The flags that shape the shard results (grouping and
+    compression) are, and so is the fleet's random-stream layout
+    (``fleet_stream``): a ledger written under another layout holds
+    other bytes.  The regime is named as its own facet (besides being
+    folded into the config digest) so a cross-regime ``--resume``
+    refusal spells out the mismatched key.
+    """
+    return run_fingerprint(
+        "simulate",
+        config=config_digest(config),
+        regime=config.regime,
+        per_proxy=per_proxy,
+        per_day=per_day,
+        compress=compress,
+        fleet_stream=FLEET_STREAM,
+    )
+
+
 def day_pipeline(
     config: ScenarioConfig, day: str, seed: np.random.SeedSequence
 ) -> Pipeline:
@@ -134,10 +170,10 @@ def simulate_sink_shard(
     """Run one log-day pipeline into a fresh copy of the payload sink.
 
     With a *batch_size* the pass runs in column-batch mode: the fleet
-    stage still draws its rng record-at-a-time (so the random stream is
-    untouched), the anonymize stage and the sink fold columns.  The
-    shipped sink state — and therefore every output byte — is identical
-    either way.
+    filters the request stream in chunks of that size (its random
+    stream does not depend on the chunking), the anonymize stage and
+    the sink fold columns.  The shipped sink state — and therefore
+    every output byte — is identical either way.
     """
     config, day, seed, prototype = payload
     pipeline = day_pipeline(config, day, seed)

@@ -144,6 +144,8 @@ def _registered_domain(host: str) -> str:
 
 def is_ip_like(host: str) -> bool:
     """Cheap check that *host* looks like a dotted-quad address."""
+    if not host[-1:].isdigit():  # the common case: a hostname
+        return False
     parts = host.split(".")
     return len(parts) == 4 and all(part.isdigit() for part in parts)
 

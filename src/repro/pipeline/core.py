@@ -84,6 +84,19 @@ class Stage:
                 return
             yield RecordBatch.from_records(chunk)
 
+    def batch_items(
+        self, stream: Iterator, batch_size: int
+    ) -> Iterator[RecordBatch]:
+        """Run this stage over a scalar item stream and hand the result
+        on as :class:`RecordBatch` chunks of *batch_size* rows.
+
+        :meth:`Pipeline.iter_batches` calls it on the last scalar-only
+        stage before the stream turns columnar.  The base
+        implementation chunks :meth:`process`'s output; a stage that
+        can emit columns directly from its input items overrides it.
+        """
+        return chunk_records(self.process(stream), batch_size)
+
     def __call__(self, stream: Iterable) -> Iterator:
         return self.process(iter(stream))
 
@@ -191,10 +204,11 @@ class Pipeline:
         Routing keeps each part of the chain in its natural
         representation: a batch-capable source yields columns directly;
         otherwise the leading run of scalar-only stages executes on the
-        record stream (no pointless record→batch→record bounce — the
-        fleet stage, which draws rng per record, stays scalar) and the
-        stream is chunked just before the first batch-native stage.
-        From there every stage sees batches, scalar-only stages via the
+        item stream (no pointless record→batch→record bounce) and its
+        last stage turns the stream into batches via
+        :meth:`Stage.batch_items` — the fleet stage, for one, is handed
+        the raw request stream and emits log columns directly.  From
+        there every stage sees batches, scalar-only stages via the
         automatic :meth:`Stage.process_batch` fallback.
         """
         if batch_size < 1:
@@ -204,11 +218,15 @@ class Pipeline:
         if hasattr(self.source, "iter_batches"):
             stream = self.source.iter_batches(batch_size)
         else:
-            scalar: Iterator = iter(self.source)
             while start < len(stages) and not is_batch_native(stages[start]):
-                scalar = stages[start](scalar)
                 start += 1
-            stream = chunk_records(scalar, batch_size)
+            scalar: Iterator = iter(self.source)
+            if not start:
+                stream = chunk_records(scalar, batch_size)
+            else:
+                for stage in stages[:start - 1]:
+                    scalar = stage(scalar)
+                stream = stages[start - 1].batch_items(scalar, batch_size)
         for stage in stages[start:]:
             stream = stage.process_batch(stream)
         return stream

@@ -2,23 +2,34 @@
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
 from repro.frame.batch import RecordBatch
 from repro.logmodel.anonymize import hash_client_ip, zero_client_ip
 from repro.logmodel.record import LogRecord
+from repro.metrics import current_registry
 from repro.pipeline.core import Stage
 
 
 class FleetStage(Stage):
-    """Map requests to log records through a proxy fleet.
+    """Map requests to log records through an appliance fleet.
 
-    Consumes the fleet's *rng* one request at a time in stream order —
-    exactly the draws the batch loop ``[fleet.process(r, rng) for r in
-    requests]`` makes, so fusing changes no output byte.
+    A fleet with ``process_batch`` (the Syrian
+    :class:`~repro.proxy.ProxyFleet`) filters the request stream a chunk
+    at a time — :data:`CHUNK` requests for the record-at-a-time
+    :meth:`process`, ``batch_size`` for :meth:`batch_items` — and its
+    stream layout makes every chunking draw the same *rng* values, so
+    both paths emit the same records.  Each chunk's filtering time
+    goes to the ``fleet.seconds`` metrics timer.  Any other fleet is
+    called once per request in stream order.
     """
+
+    #: Requests per fleet call on the record-at-a-time path.
+    CHUNK = 1024
 
     def __init__(self, fleet, rng: np.random.Generator):
         self.fleet = fleet
@@ -26,8 +37,36 @@ class FleetStage(Stage):
 
     def process(self, stream: Iterator) -> Iterator[LogRecord]:
         fleet, rng = self.fleet, self.rng
-        for request in stream:
-            yield fleet.process(request, rng)
+        if not hasattr(fleet, "process_batch"):
+            for request in stream:
+                yield fleet.process(request, rng)
+            return
+        for batch in self._filter_chunks(stream, self.CHUNK):
+            yield from batch.iter_records()
+
+    def batch_items(
+        self, stream: Iterator, batch_size: int
+    ) -> Iterator[RecordBatch]:
+        if not hasattr(self.fleet, "process_batch"):
+            return super().batch_items(stream, batch_size)
+        return self._filter_chunks(stream, batch_size)
+
+    def _filter_chunks(
+        self, stream: Iterator, size: int
+    ) -> Iterator[RecordBatch]:
+        fleet, rng = self.fleet, self.rng
+        while True:
+            chunk = list(islice(stream, size))
+            if not chunk:
+                return
+            started = time.perf_counter()
+            batch = fleet.process_batch(chunk, rng)
+            registry = current_registry()
+            if registry is not None:
+                registry.observe(
+                    "fleet.seconds", time.perf_counter() - started
+                )
+            yield batch
 
 
 class AnonymizeStage(Stage):

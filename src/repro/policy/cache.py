@@ -20,6 +20,7 @@ Two models are provided:
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +69,15 @@ class CacheModel:
             registry.inc("cache.hits" if cached else "cache.misses")
         return cached
 
+    def lookup_many(
+        self, columns: Mapping[str, Sequence], uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Hit mask for a chunk of requests: request *i* hits when
+        ``uniforms[i]`` falls below the calibrated rate."""
+        hits = uniforms < self.cache_rate
+        _count_lookups(int(hits.sum()), len(hits))
+        return hits
+
 
 #: Content types the "bandwidth gain profile" caches.
 _CACHEABLE_TYPES = (
@@ -112,35 +122,63 @@ class LruProxyCache:
 
     def lookup(self, key: str, rng: np.random.Generator) -> bool:
         """Query-and-update; returns True on a cache hit."""
-        registry = current_registry()
+        evictions = self.evictions
+        hit = self._touch(key)
+        _count_lookups(int(hit), 1, self.evictions - evictions)
+        return hit
+
+    def lookup_many(
+        self, columns: Mapping[str, Sequence], uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Hit mask for a chunk of requests, looked up one cacheable
+        request at a time in stream order (the LRU state depends on
+        it); the uniforms are not used."""
+        cached = np.zeros(len(uniforms), dtype=bool)
+        hits, misses, evictions = self.hits, self.misses, self.evictions
+        rows = zip(
+            columns["method"], columns["content_type"],
+            columns["host"], columns["path"], columns["query"],
+        )
+        for row, (method, content_type, host, path, query) in enumerate(rows):
+            if self.cacheable(method, content_type):
+                cached[row] = self._touch(f"{host}{path}?{query}")
+        _count_lookups(
+            self.hits - hits,
+            self.hits - hits + self.misses - misses,
+            self.evictions - evictions,
+        )
+        return cached
+
+    def _touch(self, key: str) -> bool:
         if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1
-            if registry is not None:
-                registry.inc("cache.hits")
             return True
         self.misses += 1
-        if registry is not None:
-            registry.inc("cache.misses")
         self._entries[key] = None
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-            if registry is not None:
-                registry.inc("cache.evictions")
         return False
-
-    def is_cached(self, rng: np.random.Generator) -> bool:
-        """Compatibility shim for callers without a key (never hits —
-        a behavioural cache needs the URL)."""
-        return False
-
-    def exception_cleared(self, rng: np.random.Generator) -> bool:
-        """Stale-decision draw (the missing-exception quirk)."""
-        return rng.random() < self.clear_exception_share
 
     @property
     def hit_rate(self) -> float:
         """Hits over lookups so far."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def _count_lookups(hits: int, lookups: int, evictions: int = 0) -> None:
+    """Report a run of cache lookups to the active metrics registry
+    (a counter appears only once it is non-zero, as with per-lookup
+    increments)."""
+    registry = current_registry()
+    if registry is None:
+        return
+    for name, amount in (
+        ("cache.hits", hits),
+        ("cache.misses", lookups - hits),
+        ("cache.evictions", evictions),
+    ):
+        if amount:
+            registry.inc(name, amount)

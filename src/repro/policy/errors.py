@@ -69,10 +69,13 @@ class ErrorModel:
 
     def sample_many(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Vectorized draws (object array of exception ids / None)."""
-        draws = rng.random(count)
+        return self.outcomes(rng.random(count))
+
+    def outcomes(self, uniforms: np.ndarray) -> np.ndarray:
+        """The outcome each uniform in [0, 1) selects (object array of
+        exception ids / None) — :meth:`sample` without the draw."""
         indices = np.minimum(
-            np.searchsorted(self._cumulative, draws, side="right"),
+            np.searchsorted(self._cumulative, uniforms, side="right"),
             len(self._outcomes) - 1,
         )
-        lookup = np.array(self._outcomes, dtype=object)
-        return lookup[indices]
+        return np.array(self._outcomes, dtype=object)[indices]

@@ -26,6 +26,8 @@ class CategoryRule:
     the rule stays decoupled from any specific database.
     """
 
+    reads = ("host", "path")
+
     def __init__(
         self,
         blocked_categories: Iterable[str],
@@ -46,6 +48,8 @@ class CategoryRule:
 class PortRule:
     """Deny connections to blacklisted destination ports (e.g. closing
     SOCKS or IRC egress)."""
+
+    reads = ("port",)
 
     def __init__(self, blocked_ports: Iterable[int], name: str = "port"):
         self.blocked = frozenset(int(port) for port in blocked_ports)
@@ -75,6 +79,11 @@ class TimeOfDayRule:
         self.end_hour = end_hour
         self.name = f"time:{start_hour:02d}-{end_hour:02d}"
 
+    @property
+    def reads(self) -> tuple[str, ...] | None:
+        inner = getattr(self.inner, "reads", None)
+        return None if inner is None else ("epoch", *inner)
+
     def _in_window(self, epoch: int) -> bool:
         hour = (epoch % 86400) // 3600
         if self.start_hour < self.end_hour:
@@ -95,6 +104,8 @@ class BrowserTypeRule:
     optional on :class:`RequestView`).
     """
 
+    reads = ("user_agent",)
+
     def __init__(self, blocked_markers: Iterable[str], name: str = "browser"):
         self.markers = tuple(marker.lower() for marker in blocked_markers)
         self.name = name
@@ -111,6 +122,8 @@ class BrowserTypeRule:
 class ExtensionRule:
     """Deny requests for blacklisted file extensions (``cs-uri-ext``),
     e.g. blocking executable downloads."""
+
+    reads = ("path",)
 
     def __init__(self, blocked_extensions: Iterable[str], name: str = "ext"):
         self.blocked = frozenset(ext.lower().lstrip(".") for ext in blocked_extensions)

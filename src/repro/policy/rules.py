@@ -4,6 +4,11 @@ Every rule inspects a :class:`RequestView` — the fields the SGOS policy
 layer can see — and either abstains (``None``) or returns a
 :class:`Verdict`.  Rules are pure and reusable; the per-country
 configuration lives in :mod:`repro.policy.syria`.
+
+Each rule declares the view fields its verdict depends on as
+``reads``; :meth:`~repro.policy.engine.PolicyEngine.evaluate_columns`
+memoizes verdicts on their union, so a chunk of requests costs one
+evaluation per distinct key rather than one per request.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.net.ip import IPv4Network, parse_ipv4
 from repro.net.url import is_ip_like, registered_domain
@@ -45,13 +51,15 @@ _DENIED = "policy_denied"
 _REDIRECTED = "policy_redirect"
 
 
-@dataclass(frozen=True, slots=True)
-class RequestView:
+class RequestView(NamedTuple):
     """The request attributes visible to the policy layer.
 
     For HTTPS CONNECT requests only the host and port are visible
     (Section 4 of the paper: path/query/ext are absent from HTTPS log
     entries), so ``path`` and ``query`` are empty there.
+
+    An immutable named tuple: cheap to build, since a policy engine
+    builds one per distinct request of every chunk it filters.
     """
 
     host: str
@@ -76,6 +84,8 @@ class KeywordRule:
     paper's collateral damage (Google toolbar, Facebook plugins, ads).
     """
 
+    reads = ("host", "path", "query")
+
     def __init__(self, keywords: Iterable[str], name: str = "keyword"):
         self.keywords = tuple(keyword.lower() for keyword in keywords)
         self.name = name
@@ -95,6 +105,8 @@ class DomainBlacklistRule:
     registered domain (e.g. ``metacafe.com``) or a blacklisted suffix
     (e.g. ``.il`` — the paper finds all Israeli domains blocked).
     """
+
+    reads = ("host",)
 
     def __init__(
         self,
@@ -126,6 +138,8 @@ class HostBlacklistRule:
     domain stays reachable but one service host is always censored.
     """
 
+    reads = ("host",)
+
     def __init__(self, hosts: Iterable[str], name: str = "host"):
         self.hosts = frozenset(host.lower() for host in hosts)
         self.name = name
@@ -139,6 +153,8 @@ class HostBlacklistRule:
 
 class RedirectHostRule:
     """Hosts whose requests are redirected rather than denied (Table 7)."""
+
+    reads = ("host",)
 
     def __init__(self, hosts: Iterable[str], name: str = "redirect"):
         self.hosts = frozenset(host.lower() for host in hosts)
@@ -162,6 +178,8 @@ class FacebookPageRule:
     """
 
     CATEGORY = "Blocked sites"
+
+    reads = ("host", "path", "query")
 
     def __init__(
         self,
@@ -193,6 +211,8 @@ class IPBlacklistRule:
     blacklisted subnets (the Israeli blocks of Table 12) and individual
     addresses (e.g. anonymizer endpoints).
     """
+
+    reads = ("host",)
 
     def __init__(
         self,
@@ -227,6 +247,8 @@ class TorOnionRule:
     behaviour of Fig. 9.  The probability draw is deterministic in the
     request (hash-based), keeping policy evaluation a pure function.
     """
+
+    reads = ("host", "port", "method", "epoch")
 
     def __init__(
         self,

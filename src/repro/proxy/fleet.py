@@ -7,14 +7,23 @@ and the proxies fall into similarity clusters (Table 6).  The fleet
 model reproduces this: uniform balancing by default, with per-domain
 routing overrides, per-proxy category naming, and day-dependent
 availability (July days exist only for SG-42).
+
+The fleet filters requests a chunk at a time (:meth:`ProxyFleet.
+process_batch`): routing is vectorized over the chunk, and each
+request's log fields are computed with its appliance's configuration
+in one columnar pass.  Every request consumes exactly ten uniforms of the
+fleet rng (fleet stream v2, see :mod:`repro.proxy.sg9000`), so the
+output does not depend on how the stream is chunked.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.frame.batch import RecordBatch
 from repro.logmodel.classify import NO_EXCEPTION
 from repro.logmodel.fields import PROXY_NAMES
 from repro.logmodel.record import LogRecord
@@ -27,7 +36,17 @@ from repro.policy.errors import (
     USER_SLICE_ERROR_RATES,
 )
 from repro.policy.syria import SyrianPolicy
-from repro.proxy.sg9000 import SG9000, CategoryNaming
+from repro.proxy.sg9000 import (
+    CACHE_U,
+    ROUTE_IDX,
+    ROUTE_U,
+    SG9000,
+    CategoryNaming,
+    draw_uniforms,
+    filter_requests,
+    identity_codes,
+    request_columns,
+)
 from repro.timeline import SG42_ONLY_DAYS, USER_SLICE_DAYS, day_span
 from repro.traffic import Request
 
@@ -64,6 +83,10 @@ class RoutingPolicy:
             total = sum(share for _, share in targets)
             if total > 1.0 + 1e-9:
                 raise ValueError(f"override shares for {domain} exceed 1: {total}")
+        self._target_index = {
+            domain: index for index, domain in enumerate(self.overrides)
+        }
+        self._targets = list(self.overrides.values())
 
     def route(
         self,
@@ -71,19 +94,53 @@ class RoutingPolicy:
         active: tuple[str, ...],
         rng: np.random.Generator,
     ) -> str:
-        """Pick the proxy that handles *request*."""
-        if len(active) == 1:
-            return active[0]
-        domain = registered_domain(request.host)
-        targets = self.overrides.get(domain)
-        if targets:
-            draw = rng.random()
+        """Pick the proxy that handles *request* (two uniforms)."""
+        share_u, index_u = rng.random(2)
+        index = self.assign(
+            np.array([request.host], dtype=object), active,
+            np.array([share_u]), np.array([index_u]),
+        )
+        return active[int(index[0])]
+
+    def assign(
+        self,
+        hosts: np.ndarray,
+        active: tuple[str, ...],
+        share_u: np.ndarray,
+        index_u: np.ndarray,
+    ) -> np.ndarray:
+        """The index into *active* of each request's proxy.
+
+        A request whose registered domain has overrides goes to the
+        first active target whose cumulative share exceeds its
+        *share_u*; every other request is balanced uniformly by
+        *index_u*.
+        """
+        choice = (index_u * len(active)).astype(np.intp)
+        if len(active) == 1 or not self.overrides:
+            return choice
+        host_list = hosts.tolist()
+        target_of = {
+            host: self._target_index.get(registered_domain(host), -1)
+            for host in dict.fromkeys(host_list)
+        }
+        targets = np.fromiter(
+            map(target_of.__getitem__, host_list), dtype=np.intp,
+            count=len(host_list),
+        )
+        for target in sorted(set(target_of.values()) - {-1}):
+            rows = np.flatnonzero(targets == target)
+            draws = share_u[rows]
+            chosen = np.full(len(rows), -1, dtype=np.intp)
             cumulative = 0.0
-            for proxy, share in targets:
+            for proxy, share in self._targets[target]:
                 cumulative += share
-                if draw < cumulative and proxy in active:
-                    return proxy
-        return active[int(rng.integers(len(active)))]
+                if proxy in active:
+                    chosen[(chosen < 0) & (draws < cumulative)] = (
+                        active.index(proxy)
+                    )
+            choice[rows] = np.where(chosen >= 0, chosen, choice[rows])
+        return choice
 
 
 class ProxyFleet:
@@ -131,6 +188,11 @@ class ProxyFleet:
             )
             for name, proxy in self.proxies.items()
         }
+        # Appliance codes: PROXY_NAMES order, then the user-slice
+        # variants in the same order.
+        self._appliances = [
+            *self.proxies.values(), *self._user_slice_proxies.values()
+        ]
         self._sg42_spans = [day_span(day) for day in SG42_ONLY_DAYS]
         self._user_spans = [day_span(day) for day in USER_SLICE_DAYS]
 
@@ -141,33 +203,97 @@ class ProxyFleet:
                 return ("SG-42",)
         return PROXY_NAMES
 
-    def _in_user_slice(self, epoch: int) -> bool:
-        return any(start <= epoch < end for start, end in self._user_spans)
-
     def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
-        """Route and filter one request."""
-        active = self.active_proxies(request.epoch)
-        name = self.routing.route(request, active, rng)
-        if self._in_user_slice(request.epoch) and request.component not in (
-            "tor-onion",
-            "tor-http",
-        ):
-            # The July 22-23 slice shows a distinct error mix
-            # (Table 3's D_user column); use the variant appliance with
-            # the user-slice error model.
-            record = self._user_slice_proxies[name].process(request, rng)
-        else:
-            record = self.proxies[name].process(request, rng)
-        registry = current_registry()
-        if registry is not None:
-            registry.inc("fleet.requests")
-            registry.inc("fleet.verdict." + record.sc_filter_result)
-            if record.x_exception_id != NO_EXCEPTION:
-                registry.inc("fleet.exception." + record.x_exception_id)
-        return record
+        """Route and filter one request (a one-row :meth:`process_batch`)."""
+        return self.process_batch([request], rng).to_records()[0]
 
     def process_all(
         self, requests: Iterable[Request], rng: np.random.Generator
     ) -> list[LogRecord]:
         """Filter a request stream."""
-        return [self.process(request, rng) for request in requests]
+        return self.process_batch(list(requests), rng).to_records()
+
+    def process_batch(
+        self, requests: Sequence[Request], rng: np.random.Generator
+    ) -> RecordBatch:
+        """Route and filter a chunk of requests, in stream order.
+
+        Draws ten uniforms per request.  Routing picks each request's
+        appliance; cache lookups then run per cache object in stream
+        order (the appliances share one cache), and
+        :func:`~repro.proxy.sg9000.filter_requests` emits the columns.
+        """
+        if not len(requests):
+            return RecordBatch.empty()
+        columns = request_columns(requests)
+        uniforms = draw_uniforms(rng, len(requests))
+        appliance = self._route(columns, uniforms)
+        cached = self._lookup_caches(appliance, columns, uniforms[:, CACHE_U])
+
+        batch = RecordBatch(filter_requests(
+            self._appliances, appliance, columns, uniforms, cached
+        ))
+        registry = current_registry()
+        if registry is not None:
+            registry.inc("fleet.requests", len(batch))
+            for name, count in Counter(
+                batch.col("sc_filter_result").tolist()
+            ).items():
+                registry.inc("fleet.verdict." + name, count)
+            for name, count in Counter(
+                batch.col("x_exception_id").tolist()
+            ).items():
+                if name != NO_EXCEPTION:
+                    registry.inc("fleet.exception." + name, count)
+        return batch
+
+    def _route(
+        self, columns: dict[str, np.ndarray], uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Each request's appliance code (index into ``_appliances``)."""
+        epochs = columns["epoch"]
+        code = self.routing.assign(
+            columns["host"], PROXY_NAMES,
+            uniforms[:, ROUTE_U], uniforms[:, ROUTE_IDX],
+        )
+        code[_within(epochs, self._sg42_spans)] = PROXY_NAMES.index("SG-42")
+        # The July 22-23 slice shows a distinct error mix (Table 3's
+        # D_user column): its non-Tor requests go to the variant
+        # appliances carrying the user-slice error model.
+        components = columns["component"]
+        user_slice = _within(epochs, self._user_spans) & ~(
+            (components == "tor-onion") | (components == "tor-http")
+        )
+        code[user_slice] += len(PROXY_NAMES)
+        return code
+
+    def _lookup_caches(
+        self,
+        appliance: np.ndarray,
+        columns: dict[str, np.ndarray],
+        uniforms: np.ndarray,
+    ) -> np.ndarray:
+        """Cache hits, looked up per cache object in stream order."""
+        caches: list[CacheModel] = []
+        cache_code = identity_codes(
+            [proxy.cache for proxy in self._appliances], caches, {}
+        )
+        if len(caches) == 1:
+            return caches[0].lookup_many(columns, uniforms)
+        cache_code = cache_code[appliance]
+        cached = np.zeros(len(appliance), dtype=bool)
+        for code, cache in enumerate(caches):
+            rows = np.flatnonzero(cache_code == code)
+            cached[rows] = cache.lookup_many(
+                {name: column[rows] for name, column in columns.items()},
+                uniforms[rows],
+            )
+        return cached
+
+
+def _within(epochs: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
+    """Mask of *epochs* inside any ``[start, end)`` span."""
+    mask = np.zeros(len(epochs), dtype=bool)
+    for start, end in spans:
+        mask |= (epochs >= start) & (epochs < end)
+    return mask

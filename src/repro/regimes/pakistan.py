@@ -63,6 +63,8 @@ class DnsInjectionRule:
     (the paper's evasion observation).
     """
 
+    reads = ("host",)
+
     def __init__(self, domains: Iterable[str], name: str = "dns"):
         self.domains = frozenset(domains)
         self.name = name
@@ -83,6 +85,8 @@ class BlockpageRule:
     stream, so CONNECT requests to these hosts pass (the paper's
     HTTPS-evasion finding).
     """
+
+    reads = ("host", "scheme", "method")
 
     def __init__(self, hosts: Iterable[str], name: str = "blockpage"):
         self.hosts = frozenset(hosts)

@@ -65,6 +65,8 @@ _ALLOWED_STATUS_CUMULATIVE = np.cumsum((0.82, 0.11, 0.04, 0.03))
 class DpiKeywordRule:
     """Substring blacklist enforced by RST injection."""
 
+    reads = ("host", "path", "query")
+
     def __init__(self, keywords: Iterable[str], name: str = "dpi"):
         self.keywords = tuple(keyword.lower() for keyword in keywords)
         self.name = name
@@ -81,6 +83,8 @@ class DpiKeywordRule:
 
 class SubnetRstRule:
     """Destination-prefix blacklist enforced by RST injection."""
+
+    reads = ("host",)
 
     def __init__(self, prefixes: Iterable[IPv4Network], name: str = "subnet"):
         self.prefixes = tuple(prefixes)

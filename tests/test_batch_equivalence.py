@@ -13,9 +13,10 @@ from four directions:
   reader's record stream (quoting, escapes, malformed rows, corrupted
   streams and all), and batches re-serialize to the original bytes;
 * **engine output** — ``simulate``/``analyze`` with ``--batch-size``
-  are byte-identical to scalar runs at every worker count;
+  are byte-identical to scalar runs at every worker count, and the
+  simulated bytes are pinned to fleet stream v2 by digest;
 * **CLI** — stdout and the ``--metrics`` JSON (modulo timers) do not
-  depend on the execution mode.
+  depend on the batch size.
 
 Batch sizes deliberately cover the degenerate (1), the awkward prime
 (7), the typical (64) and the larger-than-stream (10_000) cases.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
 import io
 import json
 
@@ -63,6 +65,13 @@ WORKER_COUNTS = (1, 2, 4)
 #: Same tiny scenario as test_engine/test_chaos_engine, so the cached
 #: per-process scenario context is shared across modules.
 TINY = small_config(6_000, seed=5)
+
+#: SHA-256 of TINY's ``proxies.log`` under fleet stream v2.  Every
+#: execution mode must write exactly these bytes; a change to the
+#: fleet's random-stream layout must bump ``FLEET_STREAM`` and re-pin.
+TINY_V2_DIGEST = (
+    "26db809f0ea63d999e65a4184dc32468c1a6ee809728a13943afe166bd8a7f42"
+)
 
 #: User agents chosen to exercise every ELFF quoting shape: unquoted,
 #: comma-bearing (csv wraps the field in quotes), embedded quote
@@ -368,6 +377,19 @@ def log_dir(tmp_path_factory):
 
 
 class TestEngineEquivalence:
+    def test_scalar_bytes_are_the_pinned_v2_stream(self, scalar_log_bytes):
+        assert hashlib.sha256(scalar_log_bytes).hexdigest() == TINY_V2_DIGEST
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_simulate_log_bytes_every_batch_size_and_worker_count(
+        self, tmp_path, scalar_log_bytes, batch_size, workers
+    ):
+        simulate_to_logs(
+            TINY, tmp_path, workers=workers, batch_size=batch_size
+        )
+        assert (tmp_path / "proxies.log").read_bytes() == scalar_log_bytes
+
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_simulate_log_bytes_per_batch_size(
         self, tmp_path, scalar_log_bytes, batch_size

@@ -309,6 +309,41 @@ class TestRunDistributed:
         assert metrics.counters["dispatch.lease.granted"] >= len(run.labels)
         assert metrics.total_records() > 0
 
+    def test_completion_counter_waits_for_late_complete_events(
+        self, tmp_path, monkeypatch
+    ):
+        """The counter race behind flaky spawned-worker runs, made
+        deterministic: each worker journals its shard, then appends
+        the ``complete`` event only after a delay.  The coordinator
+        must count every completion anyway."""
+        job = small_job(tmp_path)
+        release = WorkQueue.release
+
+        def late_release(self, lease, *, completed=True):
+            time.sleep(0.3)
+            return release(self, lease, completed=completed)
+
+        monkeypatch.setattr(WorkQueue, "release", late_release)
+        queue_dir = tmp_path / "queue"
+        worker = threading.Thread(
+            target=run_worker, args=(queue_dir,),
+            kwargs={"worker_id": "late", "poll_interval": 0.02,
+                    "startup_timeout": 30.0},
+        )
+        worker.start()
+        metrics = MetricsRegistry()
+        try:
+            run = run_distributed(
+                job, queue_dir, spawn=0, ttl=20.0, metrics=metrics,
+                poll_interval=0.02, wait_timeout=120.0,
+            )
+        finally:
+            worker.join(timeout=60.0)
+        assert run.counters["dispatch.shards.completed"] == len(run.labels)
+        assert metrics.counters["dispatch.shards.completed"] == len(
+            run.labels
+        )
+
     def test_zero_spawn_with_inline_worker_thread(self, tmp_path):
         """--spawn 0 plus an externally run worker (here: a thread in
         this process) completes and matches serial bytes."""
