@@ -379,72 +379,6 @@ def test_perf_checkpoint_overhead_and_resume_speedup(tmp_path):
     assert resumed_seconds < plain_seconds
 
 
-def test_perf_batched_vs_scalar_analyze(tmp_path):
-    """Column-batch execution vs record-at-a-time on the analyze path.
-
-    Measures the full read→classify→fold pipeline over on-disk ELFF at
-    the default bench scale, asserting state equality and printing
-    records/sec, wall seconds and peak-RSS growth for both modes.  The
-    measured ceiling in pure Python is ~4x — the pipeline is
-    parse-bound (about a quarter of real log lines carry a quoted
-    user-agent field) and no C CSV parser is available — so the floor
-    asserts the conservative 2.5x that survives machine variance.
-    Tracked end-to-end numbers come from ``python3 -m benchmarks.perf``.
-    """
-    import resource
-
-    from repro.engine import analyze_logs, simulate_to_logs
-    from repro.workload.config import (
-        DEFAULT_BOOSTS,
-        DEFAULT_USER_DAY_BOOST,
-        ScenarioConfig,
-    )
-
-    scale = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
-    batch_size = 1024
-    config = ScenarioConfig(
-        total_requests=scale,
-        seed=2014,
-        boosts=dict(DEFAULT_BOOSTS),
-        user_day_boost=DEFAULT_USER_DAY_BOOST,
-    )
-    paths = [
-        path for path, _ in simulate_to_logs(config, tmp_path, per_day=True)
-    ]
-
-    def peak_rss_kb():
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-    def timed(mode_batch_size):
-        best = float("inf")
-        rss_before = peak_rss_kb()
-        for _ in range(3):
-            start = time.perf_counter()
-            analysis, stats = analyze_logs(
-                paths, workers=1, batch_size=mode_batch_size
-            )
-            best = min(best, time.perf_counter() - start)
-        return analysis, stats, best, peak_rss_kb() - rss_before
-
-    scalar, scalar_stats, scalar_seconds, scalar_rss = timed(None)
-    batched, batched_stats, batched_seconds, batched_rss = timed(batch_size)
-
-    assert batched == scalar
-    assert batched_stats == scalar_stats
-    total = scalar.total
-    speedup = scalar_seconds / batched_seconds
-    print(
-        f"\nbatched analyze @ {total:,} records: "
-        f"scalar {scalar_seconds:.2f}s "
-        f"({total / scalar_seconds:,.0f} rec/s, peak-RSS growth "
-        f"{scalar_rss} KB) vs batch-size {batch_size} "
-        f"{batched_seconds:.2f}s ({total / batched_seconds:,.0f} rec/s, "
-        f"peak-RSS growth {batched_rss} KB) — {speedup:.2f}x"
-    )
-    if scale >= 100_000:
-        assert speedup >= 2.5
-
-
 def test_perf_distributed_lease_queue(tmp_path):
     """Lease-queue distributed execution at 1/2/4 workers plus the
     cost of a lease reclaim.

@@ -124,13 +124,10 @@ _PARTIAL_HELP = "quarantine shards that still fail after retries and " \
                 "--metrics report)"
 
 
-#: Rows per column batch when --batch-size is not given.
-DEFAULT_BATCH_SIZE = 1024
-
 _BATCH_HELP = "process records in column batches of N rows (default " \
-              f"{DEFAULT_BATCH_SIZE}; vectorized fleet/parse/classify/" \
-              "fold hot paths; output is byte-identical at every batch " \
-              "size and worker count)"
+              "%(default)s; vectorized fleet/parse/classify/fold hot " \
+              "paths; output is byte-identical at every batch size and " \
+              "worker count)"
 
 _CHECKPOINT_HELP = "journal every completed shard to a durable run " \
                    "ledger in DIR (manifest + fsync'd journal + " \
@@ -181,8 +178,10 @@ def _add_checkpoint_flags(command) -> None:
 
 def _add_batch_flag(command) -> None:
     """The shared --batch-size surface (column-batch execution)."""
+    from repro.pipeline import BATCH_SIZE
+
     command.add_argument("--batch-size", type=_positive_int,
-                         default=DEFAULT_BATCH_SIZE, metavar="N",
+                         default=BATCH_SIZE, metavar="N",
                          help=_BATCH_HELP)
 
 
@@ -507,18 +506,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_frames(paths: list[Path], workers: int = 1, metrics=None,
-                 retry=None, allow_partial=False, failures=None,
-                 checkpoint=None, batch_size=None):
+def _load_frames(paths: list[Path], **options):
     from repro.engine import load_frames
 
     for path in paths:
         if not path.exists():
             raise SystemExit(f"error: no such log file: {path}")
-    return load_frames(paths, workers=workers, metrics=metrics,
-                       retry=retry, allow_partial=allow_partial,
-                       failures=failures, checkpoint=checkpoint,
-                       batch_size=batch_size)
+    return load_frames(paths, **options)
 
 
 def _analyze_fingerprint(mode: str, paths: list[Path], regime: str):

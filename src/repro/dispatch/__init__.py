@@ -37,11 +37,9 @@ from repro.dispatch.queue import (
     heartbeat_interval_from_env,
     lease_ttl_from_env,
 )
-from repro.dispatch.sizing import AdaptiveChunker
 from repro.dispatch.worker import WorkerSummary, run_worker
 
 __all__ = [
-    "AdaptiveChunker",
     "AnalyzeJob",
     "DEFAULT_LEASE_TTL",
     "DispatchError",

@@ -46,6 +46,7 @@ from repro.dispatch.queue import (
     lease_ttl_from_env,
 )
 from repro.metrics import MetricsRegistry, ShardMetrics
+from repro.pipeline import BATCH_SIZE
 from repro.runstate import JOURNAL_NAME, RunCheckpoint, read_journal
 
 
@@ -265,7 +266,7 @@ def simulate_job_for(
     per_proxy: bool = False,
     per_day: bool = False,
     compress: bool = False,
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> SimulateJob:
     """Convenience constructor the CLI and tests share."""
     return SimulateJob(

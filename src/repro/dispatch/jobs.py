@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.dispatch.queue import DispatchError
+from repro.pipeline import BATCH_SIZE
 from repro.runstate import run_fingerprint
 from repro.workload.config import ScenarioConfig
 
@@ -44,7 +45,7 @@ class SimulateJob:
     per_proxy: bool = False
     per_day: bool = False
     compress: bool = False
-    batch_size: int | None = None
+    batch_size: int = BATCH_SIZE
 
     kind = "simulate"
 
@@ -82,8 +83,6 @@ class SimulateJob:
     def task(self):
         from repro.engine.simulate import simulate_sink_shard
 
-        if self.batch_size is None:
-            return simulate_sink_shard
         return partial(simulate_sink_shard, batch_size=self.batch_size)
 
     def merge(self, results: list) -> list[tuple[Path, int]]:
@@ -119,7 +118,7 @@ class AnalyzeJob:
 
     logs: tuple[str, ...]
     regime: str = "syria"
-    batch_size: int | None = None
+    batch_size: int = BATCH_SIZE
 
     kind = "analyze"
 
@@ -141,8 +140,6 @@ class AnalyzeJob:
     def task(self):
         from repro.engine.analyze import analyze_shard
 
-        if self.batch_size is None:
-            return analyze_shard
         return partial(analyze_shard, batch_size=self.batch_size)
 
     def merge(self, results: list):
@@ -197,13 +194,13 @@ def job_from_spec(spec: dict) -> "SimulateJob | AnalyzeJob":
             per_proxy=bool(spec.get("per_proxy", False)),
             per_day=bool(spec.get("per_day", False)),
             compress=bool(spec.get("compress", False)),
-            batch_size=spec.get("batch_size"),
+            batch_size=spec.get("batch_size") or BATCH_SIZE,
         )
     if kind == "analyze":
         return AnalyzeJob(
             logs=tuple(str(log) for log in spec.get("logs", ())),
             regime=str(spec.get("regime", "syria")),
-            batch_size=spec.get("batch_size"),
+            batch_size=spec.get("batch_size") or BATCH_SIZE,
         )
     raise DispatchError(
         f"unknown job kind {kind!r} in queue manifest — "

@@ -402,18 +402,16 @@ class WorkQueue:
         self._event("reclaim", shard_id, attempt=lease.attempt)
         return True
 
-    def claim_chunk(self, shard_ids, limit: int) -> list[Lease]:
-        """Claim up to *limit* shards from *shard_ids*, reclaiming any
-        expired leases met along the way.
+    def claim_next(self, shard_ids) -> Lease | None:
+        """Claim the first claimable shard of *shard_ids*, reclaiming
+        any expired leases met along the way; None when every shard is
+        leased elsewhere.
 
         The grant attempt is derived from the event history (one past
         grant ⇒ attempt 1, …), so it survives any interleaving of
         claimants — whoever wins the ``O_EXCL`` create after a reclaim
         runs the shard with the incremented attempt.
         """
-        granted: list[Lease] = []
-        if limit <= 0:
-            return granted
         attempts = self.grant_attempts()
         now = time.time()
         for shard_id in shard_ids:
@@ -427,10 +425,8 @@ class WorkQueue:
             next_attempt = 0 if next_attempt is None else next_attempt + 1
             lease = self.try_claim(shard_id, attempt=next_attempt)
             if lease is not None:
-                granted.append(lease)
-                if len(granted) >= limit:
-                    break
-        return granted
+                return lease
+        return None
 
     # -- the event journal -------------------------------------------------
 

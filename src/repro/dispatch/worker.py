@@ -6,12 +6,11 @@ stateless — everything it knows comes from the shared directory:
 1. wait for the coordinator's ``queue/QUEUE.json`` and rebuild the job
    (config, shard plan, task) from it — every worker derives the same
    ordered shard labels and payloads;
-2. claim a chunk of unfinished shards (``O_EXCL`` lease files; chunk
-   size adapts to measured shard throughput via
-   :class:`~repro.dispatch.sizing.AdaptiveChunker`);
-3. renew the held leases from a background heartbeat thread while the
-   shards execute under the engine's retry policy and fault plan;
-4. record each finished shard into the run ledger exactly as a
+2. claim the next unfinished shard (an ``O_EXCL`` lease file; one
+   shard per cycle, so idle workers keep sharing what is left);
+3. renew the held lease from a background heartbeat thread while the
+   shard executes under the engine's retry policy and fault plan;
+4. record the finished shard into the run ledger exactly as a
    single-box checkpointed run would (atomic checksummed artifact,
    then an fsync'd journal line), then release the lease;
 5. exit once every planned shard is journaled.
@@ -40,7 +39,6 @@ from repro.dispatch.queue import (
     WorkQueue,
     heartbeat_interval_from_env,
 )
-from repro.dispatch.sizing import AdaptiveChunker
 from repro.engine.pool import (
     RetryPolicy,
     ShardError,
@@ -167,7 +165,6 @@ def run_worker(
     # journal and writes pid-unique artifacts, so workers share the
     # ledger without touching the coordinator's LOCK.
     ledger = RunCheckpoint(directory, job.fingerprint())
-    chunker = AdaptiveChunker(target_seconds=max(ttl / 2.0, 0.01))
     summary = WorkerSummary(worker_id=queue.worker_id)
     journal_path = directory / JOURNAL_NAME
     idle_since: float | None = None
@@ -188,8 +185,8 @@ def run_worker(
         remaining = [label for label in labels if label not in done]
         if not remaining:
             break
-        leases = queue.claim_chunk(remaining, chunker.chunk_size())
-        if not leases:
+        lease = queue.claim_next(remaining)
+        if lease is None:
             now = time.time()
             idle_since = idle_since or now
             if max_idle is not None and now - idle_since >= max_idle:
@@ -201,37 +198,35 @@ def run_worker(
             time.sleep(poll_interval)
             continue
         idle_since = None
-        publish("running", [lease.shard_id for lease in leases])
+        publish("running", [lease.shard_id])
         with _Heartbeat(queue, heartbeat_interval) as heartbeat:
-            for lease in leases:
-                heartbeat.hold(lease)
-                run = _execute_shard(
-                    queue, lease, task, payloads[lease.shard_id],
-                    retry, fault_plan, heartbeat, summary, metrics,
-                )
-                ledger.record(
-                    lease.shard_id, run.result,
+            heartbeat.hold(lease)
+            run = _execute_shard(
+                queue, lease, task, payloads[lease.shard_id],
+                retry, fault_plan, heartbeat, summary, metrics,
+            )
+            ledger.record(
+                lease.shard_id, run.result,
+                records=_shard_records(run),
+                wall_seconds=run.wall_seconds,
+                registry=run.registry,
+            )
+            current = heartbeat.drop(lease.shard_id) or lease
+            queue.release(current, completed=True)
+            summary.executed += 1
+            summary.records += _shard_records(run)
+            summary.wall_seconds += run.wall_seconds
+            summary.shards.append(lease.shard_id)
+            if metrics is not None:
+                metrics.merge(run.registry)
+                metrics.add_shard(ShardMetrics(
+                    shard_id=lease.shard_id,
                     records=_shard_records(run),
                     wall_seconds=run.wall_seconds,
-                    registry=run.registry,
-                )
-                current = heartbeat.drop(lease.shard_id) or lease
-                queue.release(current, completed=True)
-                chunker.observe(run.wall_seconds)
-                summary.executed += 1
-                summary.records += _shard_records(run)
-                summary.wall_seconds += run.wall_seconds
-                summary.shards.append(lease.shard_id)
-                if metrics is not None:
-                    metrics.merge(run.registry)
-                    metrics.add_shard(ShardMetrics(
-                        shard_id=lease.shard_id,
-                        records=_shard_records(run),
-                        wall_seconds=run.wall_seconds,
-                        worker_pid=run.worker_pid,
-                    ))
-                    metrics.inc("dispatch.shards.executed")
-            summary.lost += len(heartbeat.lost)
+                    worker_pid=run.worker_pid,
+                ))
+                metrics.inc("dispatch.shards.executed")
+        summary.lost += len(heartbeat.lost)
     publish("done", [])
     return summary
 

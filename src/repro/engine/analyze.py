@@ -1,13 +1,13 @@
 """Sharded log analysis — the reduce side of the engine.
 
-One log file is one shard, run as one fused pipeline pass:
-``ElffSource → <sink>``.  Workers stream-read with the lenient ELFF
-reader (gzip-transparent for ``.log.gz`` inputs) and fold into
+One log file is one shard, run as one fused pipeline pass in column
+batches: ``ElffSource → <sink>``.  Workers parse with the lenient ELFF
+batch reader (gzip-transparent for ``.log.gz`` inputs) and fold into
 :class:`~repro.analysis.streaming.StreamingAnalysis` accumulators; the
 parent merges the per-file accumulators in input order.  Because
 ``merge`` is associative and agrees with single-pass consumption (the
 merge-law property tests), the reduced result is identical to a serial
-read of the same files at every worker count.
+read of the same files at every worker count and batch size.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.logmodel.elff import ReadStats
 from repro.metrics import MetricsRegistry, current_registry
 from repro.runstate import RunCheckpoint
 from repro.pipeline import (
+    BATCH_SIZE,
     ElffSource,
     FrameSink,
     Pipeline,
@@ -31,21 +32,18 @@ from repro.pipeline import (
 
 
 def analyze_shard(
-    path: str, batch_size: int | None = None
+    path: str, batch_size: int = BATCH_SIZE
 ) -> tuple[StreamingAnalysis, ReadStats]:
     """Stream one log file into a fresh accumulator.
 
-    With a *batch_size* the pass runs in column-batch mode
-    (vectorized parse and counter folds); the accumulator state is
-    identical either way.
+    The parse and the counter folds run on column batches of
+    *batch_size* rows; the accumulator state is the same at every
+    batch size.
     """
     stats = ReadStats()
-    pipeline = Pipeline(ElffSource(path, lenient=True, stats=stats))
-    sink = StreamingAnalysisSink()
-    if batch_size is None:
-        pipeline.run(sink)
-    else:
-        pipeline.run_batched(sink, batch_size)
+    sink = Pipeline(ElffSource(path, lenient=True, stats=stats)).run(
+        StreamingAnalysisSink(), batch_size
+    )
     registry = current_registry()
     if registry is not None:
         registry.inc("shard.records", stats.records)
@@ -62,7 +60,7 @@ def analyze_logs(
     failures: ShardFailureReport | None = None,
     fault_plan: FaultPlan | None = None,
     checkpoint: RunCheckpoint | None = None,
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> tuple[StreamingAnalysis, ReadStats]:
     """Map-reduce the streaming analysis over many log files.
 
@@ -75,18 +73,13 @@ def analyze_logs(
     quarantined (reported via *failures*/*metrics*) and the merged
     accumulator equals a fault-free run over the surviving files.
 
-    *batch_size* switches workers to column-batch execution.  It is
-    an execution strategy, not part of the run's identity: results are
+    *batch_size* is the workers' column-batch size.  It is an
+    execution strategy, not part of the run's identity: results are
     identical at every batch size, and a checkpointed run may resume
     under a different one (the ledger fingerprint ignores it).
     """
-    task = (
-        analyze_shard
-        if batch_size is None
-        else partial(analyze_shard, batch_size=batch_size)
-    )
     parts = run_sharded(
-        task,
+        partial(analyze_shard, batch_size=batch_size),
         [str(path) for path in paths],
         workers=workers,
         labels=[f"log:{Path(path).name}" for path in paths],
@@ -108,15 +101,9 @@ def analyze_logs(
     return analysis, stats
 
 
-def load_frame_shard(path: str, batch_size: int | None = None) -> LogFrame:
+def load_frame_shard(path: str, batch_size: int = BATCH_SIZE) -> LogFrame:
     """Load one log file into a columnar frame (strict read)."""
-    pipeline = Pipeline(ElffSource(path))
-    sink = FrameSink()
-    if batch_size is None:
-        pipeline.run(sink)
-    else:
-        pipeline.run_batched(sink, batch_size)
-    frame = sink.frame()
+    frame = Pipeline(ElffSource(path)).run(FrameSink(), batch_size).frame()
     registry = current_registry()
     if registry is not None:
         registry.inc("shard.records", len(frame))
@@ -133,23 +120,18 @@ def load_frames(
     failures: ShardFailureReport | None = None,
     fault_plan: FaultPlan | None = None,
     checkpoint: RunCheckpoint | None = None,
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> LogFrame:
     """Parallel counterpart of the CLI's frame loader.
 
     An empty *paths* list yields the zero-row frame with the standard
     columns (it used to raise ``IndexError``); in partial mode the
     frame is the concatenation of the surviving files only.
-    *batch_size* switches workers to column-batch execution (same
-    frame, faster parse).
+    *batch_size* is the workers' column-batch size (the frame is the
+    same at every size).
     """
-    task = (
-        load_frame_shard
-        if batch_size is None
-        else partial(load_frame_shard, batch_size=batch_size)
-    )
     frames = run_sharded(
-        task,
+        partial(load_frame_shard, batch_size=batch_size),
         [str(path) for path in paths],
         workers=workers,
         labels=[f"log:{Path(path).name}" for path in paths],

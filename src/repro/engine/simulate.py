@@ -1,6 +1,7 @@
 """Sharded scenario simulation — the map side of the engine.
 
-Each shard is one fused pipeline pass over one log-day:
+Each shard is one fused pipeline pass over one log-day, in column
+batches of ``batch_size`` rows:
 ``DayTrafficSource → FleetStage → AnonymizeStage → <sink>``.  A worker
 rebuilds the scenario context (generator + policy + fleet, all three
 supplied by the config's registered regime profile — see
@@ -23,7 +24,8 @@ how every consumer fuses onto one traversal:
 * :func:`simulate_day_records` / :func:`write_logs` keep the legacy
   list-shaped API on the same pipeline core.
 
-Output is byte-identical at every worker count for all of them.
+Output is byte-identical at every worker count and batch size for
+all of them.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.faults import FaultPlan, ShardFailureReport
 from repro.logmodel.record import LogRecord
 from repro.metrics import MetricsRegistry, current_registry
 from repro.pipeline import (
+    BATCH_SIZE,
     AnonymizeStage,
     DayTrafficSource,
     FleetStage,
@@ -165,23 +168,18 @@ def day_pipeline(
 
 def simulate_sink_shard(
     payload: tuple[ScenarioConfig, str, np.random.SeedSequence, Sink],
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> Sink:
     """Run one log-day pipeline into a fresh copy of the payload sink.
 
-    With a *batch_size* the pass runs in column-batch mode: the fleet
-    filters the request stream in chunks of that size (its random
-    stream does not depend on the chunking), the anonymize stage and
-    the sink fold columns.  The shipped sink state — and therefore
-    every output byte — is identical either way.
+    The fleet filters the request stream in chunks of *batch_size*
+    (its random stream does not depend on the chunking), and the
+    anonymize stage and the sink fold columns.  The shipped sink
+    state — and therefore every output byte — is the same at every
+    batch size.
     """
     config, day, seed, prototype = payload
-    pipeline = day_pipeline(config, day, seed)
-    sink = prototype.fresh()
-    if batch_size is None:
-        pipeline.run(sink)
-    else:
-        pipeline.run_batched(sink, batch_size)
+    sink = day_pipeline(config, day, seed).run(prototype.fresh(), batch_size)
     registry = current_registry()
     if registry is not None:
         registry.inc("shard.records", len(sink))
@@ -207,7 +205,7 @@ def simulate_into(
     failures: ShardFailureReport | None = None,
     fault_plan: FaultPlan | None = None,
     checkpoint: RunCheckpoint | None = None,
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> tuple[Sink, dict[str, int]]:
     """Run every day shard into fresh copies of *sink* and reduce.
 
@@ -225,18 +223,13 @@ def simulate_into(
     the run, and the merged sink equals a fault-free run restricted to
     the surviving days — quarantined days simply never merge.
 
-    *batch_size* switches shards to column-batch execution (an
-    execution strategy only — not part of the checkpoint identity, and
-    never a source of output differences).
+    *batch_size* is the shards' column-batch size (an execution
+    strategy only — not part of the checkpoint identity, and never a
+    source of output differences).
     """
     plan = plan_shards(config)
-    task = (
-        simulate_sink_shard
-        if batch_size is None
-        else partial(simulate_sink_shard, batch_size=batch_size)
-    )
     parts = run_sharded(
-        task,
+        partial(simulate_sink_shard, batch_size=batch_size),
         [(config, shard.day, shard.seed, sink) for shard in plan.shards],
         workers=workers,
         labels=[shard.shard_id for shard in plan.shards],
@@ -307,11 +300,11 @@ def simulate_to_logs(
     failures: ShardFailureReport | None = None,
     fault_plan: FaultPlan | None = None,
     checkpoint: RunCheckpoint | None = None,
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> list[tuple[Path, int]]:
     """Simulate and write ELFF logs in one fused pass per shard.
 
-    Every record is serialized the moment the fleet emits it — no
+    Every batch is serialized the moment the fleet emits it — no
     intermediate record list — and the per-shard buffers merge in day
     order, so output bytes are identical to the legacy
     simulate-then-:func:`write_logs` two-step at every worker count.
@@ -340,7 +333,7 @@ def build_scenario_sharded(
     failures: ShardFailureReport | None = None,
     fault_plan: FaultPlan | None = None,
     checkpoint: RunCheckpoint | None = None,
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
 ) -> ScenarioDatasets:
     """Sharded counterpart of :func:`repro.datasets.build_scenario`.
 

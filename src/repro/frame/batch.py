@@ -64,11 +64,12 @@ _FIELD_TO_COLUMN = {name.replace("-", "_"): name for name in FIELDS}
 class RecordBatch:
     """A column-oriented batch of log records.
 
-    The batched pipeline's record currency: sources yield batches,
-    batch-capable stages transform them column-wise, and sinks fold
-    them via ``add_batch``.  ``iter_records``/``to_records`` recover
-    the exact :class:`LogRecord` stream, which is what the automatic
-    scalar fallback and the differential equivalence suite lean on.
+    The pipeline's record currency: sources yield batches, stages
+    transform them column-wise, and sinks fold them via ``add_batch``.
+    ``iter_records``/``to_records`` recover the exact
+    :class:`LogRecord` stream, which is what
+    :class:`~repro.pipeline.RecordListSink` and the differential
+    equivalence suite lean on.
     """
 
     __slots__ = ("_columns", "_length")

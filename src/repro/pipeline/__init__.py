@@ -24,21 +24,21 @@ so ``run_sharded`` reduces them exactly like ``StreamingAnalysis`` —
 that is what lets ``simulate``, ``analyze``, and ``report`` all ride
 one traversal per shard.
 
-The pipeline also runs in **column-batch mode**
-(:meth:`Pipeline.run_batched`): sources that can yield
-:class:`~repro.frame.RecordBatch` columns do, batch-native stages and
-sinks process them column-wise, and everything else falls back to
-record-at-a-time transparently — with output byte-identical to
-:meth:`Pipeline.run` at every batch size.
+The traversal is column-batched (:meth:`Pipeline.run`, batches of
+:data:`BATCH_SIZE` rows unless the caller picks another size): ELFF
+sources parse straight into :class:`~repro.frame.RecordBatch`
+columns, the fleet stage emits them from the request stream, and
+every other stage and sink works column-wise.  Output is identical at
+every batch size.
 """
 
 from repro.pipeline.core import (
+    BATCH_SIZE,
     Pipeline,
     Sink,
     Source,
     Stage,
     chunk_records,
-    is_batch_native,
 )
 from repro.pipeline.sinks import (
     CountSink,
@@ -54,6 +54,7 @@ from repro.pipeline.stages import AnonymizeStage, FleetStage
 
 __all__ = [
     "AnonymizeStage",
+    "BATCH_SIZE",
     "CountSink",
     "DayTrafficSource",
     "ElffSink",
@@ -70,5 +71,4 @@ __all__ = [
     "StreamingAnalysisSink",
     "TeeSink",
     "chunk_records",
-    "is_batch_native",
 ]

@@ -19,12 +19,7 @@ import numpy as np
 
 from repro.analysis.streaming import StreamingAnalysis
 from repro.frame.batch import RecordBatch
-from repro.frame.io import (
-    FRAME_COLUMNS,
-    append_record,
-    buffers_to_frame,
-    new_record_buffers,
-)
+from repro.frame.io import FRAME_COLUMNS, buffers_to_frame, new_record_buffers
 from repro.frame.logframe import LogFrame
 from repro.logmodel.elff import DEFAULT_SOFTWARE, elff_header, open_log_writer
 from repro.logmodel.record import LogRecord
@@ -37,9 +32,6 @@ class CountSink(Sink):
 
     def __init__(self) -> None:
         self.count = 0
-
-    def add(self, item) -> None:
-        self.count += 1
 
     def add_batch(self, batch: RecordBatch) -> None:
         self.count += len(batch)
@@ -66,15 +58,8 @@ class RecordListSink(Sink):
     def __init__(self) -> None:
         self.records: list[LogRecord] = []
 
-    def add(self, record: LogRecord) -> None:
-        self.records.append(record)
-
     def add_batch(self, batch: RecordBatch) -> None:
         self.records.extend(batch.iter_records())
-
-    def consume(self, stream: Iterable) -> "RecordListSink":
-        self.records.extend(stream)
-        return self
 
     def fresh(self) -> "RecordListSink":
         return RecordListSink()
@@ -98,22 +83,14 @@ class StreamingAnalysisSink(Sink):
     def __init__(self, analysis: StreamingAnalysis | None = None) -> None:
         self.analysis = analysis if analysis is not None else StreamingAnalysis()
 
-    def add(self, record: LogRecord) -> None:
-        self.analysis.add(record)
-
     def add_batch(self, batch: RecordBatch) -> None:
         self.analysis.add_batch(batch)
-
-    def consume(self, stream: Iterable) -> "StreamingAnalysisSink":
-        # Route through the accumulator's own consume so the pass is
-        # timed and counted when a metrics registry is active.
-        self.analysis.consume(stream)
-        return self
 
     def consume_batches(
         self, batches: Iterable[RecordBatch]
     ) -> "StreamingAnalysisSink":
-        # Same routing for the batched pass (timing + row counting).
+        # Route through the accumulator's own consume_batches so the
+        # pass is timed and counted when a metrics registry is active.
         self.analysis.consume_batches(batches)
         return self
 
@@ -137,7 +114,7 @@ class FrameSink(Sink):
     """Fold the stream straight into columnar buffers.
 
     The fused alternative to "collect a record list, then
-    ``frame_from_records``": per-column Python lists grow as records
+    ``frame_from_records``": per-column Python lists grow as batches
     flow, and :meth:`frame` materializes the arrays.  Merging re-interns
     string cells, because pickling across the process boundary breaks
     interning — without it a sharded build would hold one string object
@@ -146,9 +123,6 @@ class FrameSink(Sink):
 
     def __init__(self) -> None:
         self._buffers = new_record_buffers()
-
-    def add(self, record: LogRecord) -> None:
-        append_record(self._buffers, record)
 
     def add_batch(self, batch: RecordBatch) -> None:
         intern = sys.intern
@@ -196,11 +170,6 @@ class TeeSink(Sink):
         self.sinks = list(sinks)
         self.count = 0
 
-    def add(self, item) -> None:
-        self.count += 1
-        for sink in self.sinks:
-            sink.add(item)
-
     def add_batch(self, batch: RecordBatch) -> None:
         self.count += len(batch)
         for sink in self.sinks:
@@ -236,7 +205,7 @@ class ElffSink(Sink):
     Two modes:
 
     * **bound** (constructed with a path or open text handle): the
-      directive header is written immediately and each record streams
+      directive header is written immediately and each batch streams
       out as it arrives — constant memory, gzip-transparent for ``.gz``
       paths.
     * **buffered** (no destination): rows accumulate in memory.  This
@@ -274,14 +243,10 @@ class ElffSink(Sink):
         """Whether this sink accumulates in memory (mergeable form)."""
         return self._buffered
 
-    def add(self, record: LogRecord) -> None:
-        self._writer.writerow(record.to_row())
-        self.count += 1
-
     def add_batch(self, batch: RecordBatch) -> None:
         # Batch rows keep numeric cells as Python ints; csv.writer
         # stringifies them exactly like to_row()'s str() calls, so the
-        # serialized bytes match the scalar path.
+        # serialized bytes match write_log's.
         self._writer.writerows(batch.to_rows())
         self.count += len(batch)
 
@@ -370,20 +335,6 @@ class GroupedElffSink(Sink):
         self.software = software
         self.groups: dict[str, ElffSink] = {}
 
-    def _stem(self, record: LogRecord) -> str:
-        if not (self.per_proxy or self.per_day):
-            return "proxies"
-        parts = []
-        if self.per_proxy:
-            parts.append(f"sg-{record.s_ip.rsplit('.', 1)[-1]}")
-        if self.per_day:
-            parts.append(epoch_day(record.epoch))
-        return "_".join(parts)
-
-    def add(self, record: LogRecord) -> None:
-        group = self._group(self._stem(record))
-        group.add(record)
-
     def _group(self, stem: str) -> ElffSink:
         group = self.groups.get(stem)
         if group is None:
@@ -424,8 +375,8 @@ class GroupedElffSink(Sink):
         uniques, first_index, inverse = np.unique(
             stems, return_index=True, return_inverse=True
         )
-        # Visit groups in first-seen order so new groups land in the
-        # dict exactly where record-at-a-time routing would put them.
+        # Visit groups in first-seen order, so the group dict's order
+        # depends on the record stream only, never on its chunking.
         for position in np.argsort(first_index, kind="stable").tolist():
             self._group(uniques[position]).add_batch(
                 batch.take(inverse == position)

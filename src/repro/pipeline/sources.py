@@ -80,8 +80,8 @@ class ElffSource(Source):
         """The same record stream as :class:`RecordBatch` columns.
 
         Passes the identical fault sites in the identical order as
-        scalar iteration, so a :class:`~repro.faults.FaultPlan` hits
-        the batched path exactly where it hits the scalar one.
+        record iteration, so a :class:`~repro.faults.FaultPlan` hits
+        the pipeline exactly where it hits :func:`read_log`.
         """
         fault_point("elff.source")
         yield from read_log_batches(

@@ -18,49 +18,35 @@ from repro.pipeline.core import Stage
 class FleetStage(Stage):
     """Map requests to log records through an appliance fleet.
 
-    A fleet with ``process_batch`` (the Syrian
-    :class:`~repro.proxy.ProxyFleet`) filters the request stream a chunk
-    at a time — :data:`CHUNK` requests for the record-at-a-time
-    :meth:`process`, ``batch_size`` for :meth:`batch_items` — and its
-    stream layout makes every chunking draw the same *rng* values, so
-    both paths emit the same records.  Each chunk's filtering time
-    goes to the ``fleet.seconds`` metrics timer.  Any other fleet is
-    called once per request in stream order.
+    The fleet's only entry point is :meth:`batch_items`: it filters
+    the request stream ``batch_size`` requests at a time and emits log
+    columns.  A fleet with ``process_batch`` (the Syrian
+    :class:`~repro.proxy.ProxyFleet`) filters each chunk in one call,
+    and its stream layout makes every chunking draw the same *rng*
+    values; any other fleet is called once per request in stream
+    order.  Each chunk's filtering time goes to the ``fleet.seconds``
+    metrics timer.
     """
-
-    #: Requests per fleet call on the record-at-a-time path.
-    CHUNK = 1024
 
     def __init__(self, fleet, rng: np.random.Generator):
         self.fleet = fleet
         self.rng = rng
 
-    def process(self, stream: Iterator) -> Iterator[LogRecord]:
-        fleet, rng = self.fleet, self.rng
-        if not hasattr(fleet, "process_batch"):
-            for request in stream:
-                yield fleet.process(request, rng)
-            return
-        for batch in self._filter_chunks(stream, self.CHUNK):
-            yield from batch.iter_records()
-
     def batch_items(
         self, stream: Iterator, batch_size: int
     ) -> Iterator[RecordBatch]:
-        if not hasattr(self.fleet, "process_batch"):
-            return super().batch_items(stream, batch_size)
-        return self._filter_chunks(stream, batch_size)
-
-    def _filter_chunks(
-        self, stream: Iterator, size: int
-    ) -> Iterator[RecordBatch]:
         fleet, rng = self.fleet, self.rng
         while True:
-            chunk = list(islice(stream, size))
+            chunk = list(islice(stream, batch_size))
             if not chunk:
                 return
             started = time.perf_counter()
-            batch = fleet.process_batch(chunk, rng)
+            if hasattr(fleet, "process_batch"):
+                batch = fleet.process_batch(chunk, rng)
+            else:
+                batch = RecordBatch.from_records(
+                    [fleet.process(request, rng) for request in chunk]
+                )
             registry = current_registry()
             if registry is not None:
                 registry.observe(
@@ -90,10 +76,6 @@ class AnonymizeStage(Stage):
         else:
             record.c_ip = zero_client_ip(record.c_ip)
         return record
-
-    def process(self, stream: Iterator) -> Iterator[LogRecord]:
-        for record in stream:
-            yield self.anonymize(record)
 
     def anonymize_batch(self, batch: RecordBatch) -> RecordBatch:
         """Anonymize a whole column batch.

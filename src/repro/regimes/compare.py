@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from repro.analysis.overview import traffic_breakdown
 from repro.logmodel.classify import CENSOR_EXCEPTIONS, NO_EXCEPTION
+from repro.pipeline import BATCH_SIZE
 from repro.regimes.base import RuleRecovery, get_regime
 from repro.reporting.tables import render_table
 from repro.workload import ScenarioConfig
@@ -94,7 +95,7 @@ def compare_regimes(
     regimes: tuple[str, ...] = DEFAULT_COMPARE_REGIMES,
     *,
     workers: int = 1,
-    batch_size: int | None = None,
+    batch_size: int = BATCH_SIZE,
     metrics=None,
     retry=None,
     allow_partial: bool = False,

@@ -42,14 +42,12 @@ def queue_status(directory: Path | str) -> dict:
         planned = list(manifest.get("shards") or [])
     except (OSError, json.JSONDecodeError):
         planned = []
-    completed = [
-        label for label in planned
-        if label in read_journal(directory / JOURNAL_NAME)
-    ]
+    journaled = set(read_journal(directory / JOURNAL_NAME))
+    completed = [label for label in planned if label in journaled]
     now = time.time()
     leased, expired = [], []
     for label in planned:
-        if label in completed:
+        if label in journaled:
             continue
         lease = queue.read_lease(label)
         if lease is None:

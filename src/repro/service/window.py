@@ -38,10 +38,12 @@ class WindowStore(Sink):
     ``retention_days=None`` retains every day seen (a true monoid
     sink).  With ``retention_days=N`` only the *newest* N distinct
     days survive: when a record opens day N+1, the oldest retained
-    day's accumulator is dropped whole — and a record older than the
-    retained window is folded and immediately evicted, never
-    resurrecting a closed day.  Memory is bounded by N times the
-    per-day distinct-domain footprint, independent of record count.
+    day's accumulator is dropped whole (``evicted_days``) — and a
+    record older than the full retained window counts straight into
+    ``evicted_records``, never resurrecting a closed day.  Both
+    counters are the same however the stream is chunked.  Memory is
+    bounded by N times the per-day distinct-domain footprint,
+    independent of record count.
     """
 
     def __init__(self, retention_days: int | None = None) -> None:
@@ -58,36 +60,49 @@ class WindowStore(Sink):
 
     def add(self, record: LogRecord) -> None:
         """Fold one record into its day's accumulator."""
-        day = record.epoch // DAY_SECONDS
-        acc = self.days.get(day)
-        if acc is None:
-            acc = self.days[day] = StreamingAnalysis()
-        acc.add(record)
-        if (
-            self.retention_days is not None
-            and len(self.days) > self.retention_days
-        ):
-            self._evict()
+        acc = self._accumulator(record.epoch // DAY_SECONDS, 1)
+        if acc is not None:
+            acc.add(record)
 
     def add_batch(self, batch: RecordBatch) -> None:
-        """Fold one column batch, split by day — state-identical to
-        adding its records one at a time."""
+        """Fold one column batch as maximal runs of one day, in stream
+        order — state- and counter-identical to adding its records one
+        at a time, so every chunking of a stream ends in one state."""
         if not len(batch):
             return
         days = batch.col("epoch") // DAY_SECONDS
-        distinct = np.unique(days)
-        for day in distinct.tolist():
-            acc = self.days.get(day)
-            if acc is None:
-                acc = self.days[day] = StreamingAnalysis()
-            acc.add_batch(
-                batch if len(distinct) == 1 else batch.take(days == day)
-            )
+        bounds = [0, *(np.flatnonzero(np.diff(days)) + 1).tolist(), len(batch)]
+        for start, stop in zip(bounds, bounds[1:]):
+            acc = self._accumulator(int(days[start]), stop - start)
+            if acc is not None:
+                acc.add_batch(batch.slice(start, stop))
+
+    def _accumulator(self, day: int, rows: int) -> StreamingAnalysis | None:
+        """The accumulator a run of *rows* records of *day* folds into.
+
+        A day older than every retained day, arriving while the window
+        is full, was never retained: its rows go straight to
+        ``evicted_records`` (None is returned) and no day is evicted.
+        Opening a new day otherwise evicts the oldest beyond the
+        retention.
+        """
+        acc = self.days.get(day)
+        if acc is not None:
+            return acc
+        if (
+            self.retention_days is not None
+            and len(self.days) >= self.retention_days
+            and day < min(self.days)
+        ):
+            self.evicted_records += rows
+            return None
+        acc = self.days[day] = StreamingAnalysis()
         if (
             self.retention_days is not None
             and len(self.days) > self.retention_days
         ):
             self._evict()
+        return acc
 
     def _evict(self) -> None:
         """Drop the oldest day accumulators beyond the retention."""

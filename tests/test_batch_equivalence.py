@@ -1,20 +1,23 @@
-"""Differential suite: column-batch execution equals record-at-a-time.
+"""Differential suite: column-batch execution equals the per-record
+references at every batch size.
 
-The batched hot path (``repro.frame.RecordBatch`` + ``process_batch``
-+ the chunked ELFF reader) is only trustworthy because it is provably
-identical to the scalar reference path.  This module pins that claim
-from four directions:
+The pipeline runs only in column batches (``repro.frame.RecordBatch``
++ ``process_batch`` + the chunked ELFF reader), and it is only
+trustworthy because it is provably identical to the smallest
+record-at-a-time references the repository keeps.  This module pins
+that claim from four directions:
 
 * **analysis state** — ``StreamingAnalysis`` folded from batches equals
-  the record-at-a-time fold, including Counter *insertion order* (the
+  the per-record ``add`` fold, including Counter *insertion order* (the
   ``most_common`` tie-break that decides CLI output bytes) and native
   key types;
-* **ELFF bytes** — the chunked reader recovers exactly the scalar
-  reader's record stream (quoting, escapes, malformed rows, corrupted
-  streams and all), and batches re-serialize to the original bytes;
-* **engine output** — ``simulate``/``analyze`` with ``--batch-size``
-  are byte-identical to scalar runs at every worker count, and the
-  simulated bytes are pinned to fleet stream v2 by digest;
+* **ELFF bytes** — the chunked reader recovers exactly ``read_log``'s
+  record stream (quoting, escapes, malformed rows, corrupted streams
+  and all), and batches re-serialize to the original bytes;
+* **engine output** — ``simulate``/``analyze`` give the same bytes and
+  state at every batch size and worker count as at batch size 1 (one
+  record per batch), and the simulated bytes are pinned to fleet
+  stream v2 by digest;
 * **CLI** — stdout and the ``--metrics`` JSON (modulo timers) do not
   depend on the batch size.
 
@@ -24,7 +27,6 @@ Batch sizes deliberately cover the degenerate (1), the awkward prime
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import io
@@ -146,13 +148,12 @@ class TestAnalysisEquivalence:
 
     @settings(max_examples=20, deadline=None)
     @given(records=record_streams, batch_size=batch_sizes)
-    def test_pipeline_run_batched_equals_run(self, records, batch_size):
-        """A full stage chain into every sink type, both modes.
-
-        The scalar anonymize stage mutates records in place, so each
-        mode gets its own copies of the stream.
-        """
-        spans = [day_span(day) for day in USER_SLICE_DAYS]
+    def test_pipeline_run_equals_batch_size_one(self, records, batch_size):
+        """A full stage chain into every sink type: every batch size
+        lands in the state of one record per batch."""
+        pipeline = Pipeline(
+            records, (AnonymizeStage([day_span(d) for d in USER_SLICE_DAYS]),)
+        )
 
         def tee() -> TeeSink:
             return TeeSink([
@@ -160,15 +161,7 @@ class TestAnalysisEquivalence:
                 FrameSink(), ElffSink(),
             ])
 
-        scalar = Pipeline(
-            [copy.copy(record) for record in records],
-            (AnonymizeStage(spans),),
-        ).run(tee())
-        batched = Pipeline(
-            [copy.copy(record) for record in records],
-            (AnonymizeStage(spans),),
-        ).run_batched(tee(), batch_size)
-        assert batched == scalar
+        assert pipeline.run(tee(), batch_size) == pipeline.run(tee(), 1)
 
 
 # -- ELFF bytes --------------------------------------------------------------
@@ -363,9 +356,11 @@ class TestElffEquivalence:
 
 
 @pytest.fixture(scope="module")
-def scalar_log_bytes(tmp_path_factory):
-    out = tmp_path_factory.mktemp("scalar-logs")
-    simulate_to_logs(TINY, out, workers=1)
+def reference_log_bytes(tmp_path_factory):
+    """TINY simulated serially at batch size 1: one request per fleet
+    call, the reference every other batch size must reproduce."""
+    out = tmp_path_factory.mktemp("reference-logs")
+    simulate_to_logs(TINY, out, workers=1, batch_size=1)
     return (out / "proxies.log").read_bytes()
 
 
@@ -377,36 +372,37 @@ def log_dir(tmp_path_factory):
 
 
 class TestEngineEquivalence:
-    def test_scalar_bytes_are_the_pinned_v2_stream(self, scalar_log_bytes):
-        assert hashlib.sha256(scalar_log_bytes).hexdigest() == TINY_V2_DIGEST
+    def test_scalar_bytes_are_the_pinned_v2_stream(self, reference_log_bytes):
+        digest = hashlib.sha256(reference_log_bytes).hexdigest()
+        assert digest == TINY_V2_DIGEST
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_simulate_log_bytes_every_batch_size_and_worker_count(
-        self, tmp_path, scalar_log_bytes, batch_size, workers
+        self, tmp_path, reference_log_bytes, batch_size, workers
     ):
         simulate_to_logs(
             TINY, tmp_path, workers=workers, batch_size=batch_size
         )
-        assert (tmp_path / "proxies.log").read_bytes() == scalar_log_bytes
+        assert (tmp_path / "proxies.log").read_bytes() == reference_log_bytes
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_simulate_log_bytes_per_batch_size(
-        self, tmp_path, scalar_log_bytes, batch_size
+        self, tmp_path, reference_log_bytes, batch_size
     ):
         simulate_to_logs(TINY, tmp_path, workers=2, batch_size=batch_size)
-        assert (tmp_path / "proxies.log").read_bytes() == scalar_log_bytes
+        assert (tmp_path / "proxies.log").read_bytes() == reference_log_bytes
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_simulate_log_bytes_per_worker_count(
-        self, tmp_path, scalar_log_bytes, workers
+        self, tmp_path, reference_log_bytes, workers
     ):
         simulate_to_logs(TINY, tmp_path, workers=workers, batch_size=64)
-        assert (tmp_path / "proxies.log").read_bytes() == scalar_log_bytes
+        assert (tmp_path / "proxies.log").read_bytes() == reference_log_bytes
 
     def test_analyze_logs_state_and_counter_order(self, log_dir):
         paths = sorted(log_dir.glob("*.log"))
-        scalar, scalar_stats = analyze_logs(paths, workers=1)
+        scalar, scalar_stats = analyze_logs(paths, workers=1, batch_size=1)
         for batch_size, workers in (
             (1, 2), (7, 1), (64, 4), (10_000, 2)
         ):

@@ -385,9 +385,9 @@ class TestBatchedChaosEquivalence:
     def test_interrupted_scalar_run_resumes_batched(
         self, tmp_path, monkeypatch
     ):
-        """A run killed mid-way in scalar mode resumes in batched mode
-        against the same ledger, and the stitched output is identical
-        to an uninterrupted fault-free scalar run."""
+        """A run killed mid-way at the default batch size resumes at
+        another batch size against the same ledger, and the stitched
+        output is identical to an uninterrupted fault-free run."""
         monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
         assert main([
             "simulate", "--requests", "20000", "--out",

@@ -29,7 +29,6 @@ from pathlib import Path
 import pytest
 
 from repro.dispatch import (
-    AdaptiveChunker,
     DispatchError,
     LeaseLost,
     QueueMismatch,
@@ -160,14 +159,24 @@ class TestLeases:
         assert queue.reclaim_expired("s1")
         assert queue.try_claim("s1", attempt=1) is not None
 
-    def test_claim_chunk_increments_attempt_after_reclaim(self, tmp_path):
+    def test_claim_next_increments_attempt_after_reclaim(self, tmp_path):
         queue = seeded_queue(tmp_path, ttl=0.05)
-        first = queue.claim_chunk(["s1", "s2"], limit=1)
-        assert [lease.attempt for lease in first] == [0]
+        first = queue.claim_next(["s1", "s2"])
+        assert (first.shard_id, first.attempt) == ("s1", 0)
         time.sleep(0.06)
-        second = queue.claim_chunk(["s1", "s2"], limit=2)
-        by_shard = {lease.shard_id: lease.attempt for lease in second}
-        assert by_shard == {"s1": 1, "s2": 0}
+        second = queue.claim_next(["s1", "s2"])
+        assert (second.shard_id, second.attempt) == ("s1", 1)
+        third = queue.claim_next(["s2"])
+        assert (third.shard_id, third.attempt) == ("s2", 0)
+
+    def test_claim_next_takes_one_shard_and_skips_live_leases(
+        self, tmp_path
+    ):
+        queue = seeded_queue(tmp_path)
+        claimed = [queue.claim_next(["s1", "s2"]) for _ in range(3)]
+        assert [lease and lease.shard_id for lease in claimed] == [
+            "s1", "s2", None
+        ]
 
     def test_event_log_survives_torn_lines(self, tmp_path):
         queue = seeded_queue(tmp_path)
@@ -247,35 +256,6 @@ class TestEnvKnobs:
         assert heartbeat_interval_from_env(1.5) == 1.5
         monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.2")
         assert heartbeat_interval_from_env(1.5) == 0.2
-
-
-# -- adaptive shard sizing ---------------------------------------------------
-
-class TestAdaptiveChunker:
-    def test_starts_minimal_until_seeded(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, min_chunk=1,
-                                  max_chunk=8)
-        assert chunker.chunk_size() == 1
-
-    def test_fast_shards_grow_the_chunk(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, max_chunk=8)
-        for _ in range(5):
-            chunker.observe(0.1)
-        assert chunker.chunk_size() == 8
-
-    def test_slow_shards_shrink_the_chunk(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, max_chunk=8)
-        chunker.observe(0.01)
-        assert chunker.chunk_size() > 1
-        for _ in range(10):
-            chunker.observe(5.0)
-        assert chunker.chunk_size() == 1
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            AdaptiveChunker(target_seconds=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveChunker(target_seconds=1.0, min_chunk=4, max_chunk=2)
 
 
 # -- in-process distributed runs ---------------------------------------------
@@ -528,3 +508,27 @@ class TestStatusServer:
         status = queue_status(tmp_path / "nowhere")
         assert status["shards"]["planned"] == 0
         assert status["leases"] == []
+
+    def test_queue_status_reads_the_journal_once(self, tmp_path,
+                                                 monkeypatch):
+        """One ``/healthz`` snapshot costs one journal read, not one
+        per planned shard."""
+        from repro.runstate import RunCheckpoint, read_journal
+        from repro.service import queue_status, status
+
+        job = small_job(tmp_path)
+        checkpoint = RunCheckpoint(tmp_path / "run", job.fingerprint())
+        checkpoint.begin(job.labels())
+        checkpoint.record(job.labels()[0], "done", records=1)
+        checkpoint.close()
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_journal(path)
+
+        monkeypatch.setattr(status, "read_journal", counting_read)
+        snapshot = queue_status(tmp_path / "run")
+        assert len(reads) == 1
+        assert snapshot["shards"]["planned"] == len(job.labels()) == 2
+        assert snapshot["shards"]["completed"] == 1

@@ -139,24 +139,13 @@ class TestChunkInvariance:
         assert any(name.startswith("proxy.requests.SG-4") for name in counters)
         assert counters["proxy.requests.SG-42"] > 150  # the July days
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 64, 10_000])
-    def test_fleet_stage_paths_agree(self, stream, batch_size):
-        fleet = _fleet(False)
-        scalar = Pipeline(
-            stream, (FleetStage(fleet, np.random.default_rng(5)),)
-        ).run(RecordListSink())
-        batched = Pipeline(
-            stream, (FleetStage(fleet, np.random.default_rng(5)),)
-        ).run_batched(RecordListSink(), batch_size)
-        assert batched == scalar
-
     def test_fleet_seconds_timer_counts_chunks(self, stream):
         registry = MetricsRegistry()
         fleet = _fleet(False)
         with use_registry(registry):
             Pipeline(
                 stream, (FleetStage(fleet, np.random.default_rng(5)),)
-            ).run_batched(RecordListSink(), 100)
+            ).run(RecordListSink(), 100)
         assert registry.timers["fleet.seconds"].count == -(-len(stream) // 100)
 
     def test_fleet_seconds_reaches_the_metrics_report(self, tmp_path):
@@ -297,8 +286,8 @@ class TestUnchangedRegimes:
             "--regime", regime, "--out", str(tmp_path / "cli"),
         ]) == 0
         config = ScenarioConfig(total_requests=4000, seed=3, regime=regime)
-        simulate_to_logs(config, tmp_path / "scalar", batch_size=None)
-        for out in ("cli", "scalar"):
+        simulate_to_logs(config, tmp_path / "batch1", batch_size=1)
+        for out in ("cli", "batch1"):
             data = (tmp_path / out / "proxies.log").read_bytes()
             assert hashlib.sha256(data).hexdigest() == GOLDEN[regime], out
 

@@ -89,14 +89,17 @@ class TestPipeline:
             def __init__(self, tag):
                 self.tag = tag
 
-            def process(self, stream):
-                for item in stream:
-                    yield item + self.tag
+            def process_batch(self, batches):
+                for batch in batches:
+                    yield batch.with_column(
+                        "cs_host", batch.col("cs_host") + self.tag
+                    )
 
-        pipeline = Pipeline(RecordsSource(["x"]), (Mark("a"),)).through(
-            Mark("b")
-        )
-        assert list(pipeline) == ["xab"]
+        pipeline = Pipeline(
+            RecordsSource([make_record(cs_host="x")]), (Mark("a"),)
+        ).through(Mark("b"))
+        [record] = pipeline.run(RecordListSink()).records
+        assert record.cs_host == "xab"
 
     def test_through_does_not_mutate(self):
         base = Pipeline(RecordsSource([1, 2]))
@@ -243,8 +246,8 @@ class TestSinkMergeLaws:
 class TestRecordBatchLaws:
     """The columnar container must be a faithful, lossless view of the
     record list — round-trips, slicing and concatenation cannot change
-    what the batch *means*, or the batched pipeline's equivalence to
-    the scalar one falls apart silently."""
+    what the batch *means*, or the pipeline's equivalence to the
+    per-record references falls apart silently."""
 
     @settings(max_examples=40)
     @given(record_batches())
@@ -300,8 +303,9 @@ class TestRecordBatchLaws:
 
 class TestBatchedSinkLaws:
     """``consume_batches`` must land every sink in the same state as
-    record-at-a-time ``consume`` — at any batch size — and batched
-    folds must obey the same merge monoid the shard reduce relies on."""
+    ``consume`` over the whole record list — at any batch size — and
+    batched folds must obey the same merge monoid the shard reduce
+    relies on."""
 
     @settings(max_examples=40)
     @given(sink_prototypes(), record_batches(),
@@ -329,8 +333,8 @@ class TestBatchedSinkLaws:
     def test_batched_and_scalar_folds_merge_together(
         self, prototype, records, cut
     ):
-        """Mixed-mode shards (one worker batched, one scalar) must
-        still reduce to the single-pass state."""
+        """Shards folded at different batch sizes must still reduce
+        to the single-pass state."""
         cut = min(cut, len(records))
         merged = _fold(prototype, records[:cut]).merge(
             _fold_batched(prototype, records[cut:], 7)

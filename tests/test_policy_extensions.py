@@ -117,8 +117,8 @@ class TestExtensionRule:
 class TestBatchedPathEquivalence:
     """CategoryRule / TimeOfDayRule under column-batch execution.
 
-    The extension rules run inside the fleet stage; ``run_batched``
-    must produce exactly the scalar stream at every batch size, and
+    The extension rules run inside the fleet stage; ``Pipeline.run``
+    must produce exactly the same stream at every batch size, and
     the rules must actually fire (the curfew adds denials that the
     baseline policy does not have), with every added denial inside
     the configured window.
@@ -131,6 +131,7 @@ class TestBatchedPathEquivalence:
         import numpy as np
 
         from repro.pipeline import (
+            BATCH_SIZE,
             AnonymizeStage,
             FleetStage,
             FrameSink,
@@ -167,16 +168,11 @@ class TestBatchedPathEquivalence:
                     AnonymizeStage(spans),
                 ),
             )
-            sink = FrameSink()
-            if batch_size is None:
-                pipeline.run(sink)
-            else:
-                pipeline.run_batched(sink, batch_size)
-            return sink.frame()
+            return pipeline.run(FrameSink(), batch_size).frame()
 
         cls._cache = (
-            run(baseline_policy, None),
-            run(curfew_policy, None),
+            run(baseline_policy, BATCH_SIZE),
+            run(curfew_policy, BATCH_SIZE),
             {size: run(curfew_policy, size) for size in (1, 7, 64)},
         )
         return cls._cache

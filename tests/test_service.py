@@ -131,16 +131,46 @@ class TestWindowStore:
         assert store.window(window) == StreamingAnalysis().consume(restricted)
 
     @settings(deadline=None)
-    @given(record_lists())
-    def test_add_batch_equals_add(self, rows):
+    @given(record_lists(), st.lists(st.integers(0, 40), max_size=4))
+    def test_add_batch_equals_add(self, rows, cuts):
+        """Per-record adds, one batch, and a random split into several
+        batches end in the same days and the same eviction counters."""
         records = _records(rows)
         scalar = WindowStore(retention_days=3)
         for record in records:
             scalar.add(record)
-        batched = WindowStore(retention_days=3)
-        if records:
-            batched.add_batch(RecordBatch.from_records(records))
-        assert scalar.days == batched.days
+        cuts = {min(cut, len(records)) for cut in cuts}
+        for bounds in ([0, len(records)], sorted({0, len(records), *cuts})):
+            batched = WindowStore(retention_days=3)
+            for start, stop in zip(bounds, bounds[1:]):
+                batch = RecordBatch.from_records(records[start:stop])
+                batched.add_batch(batch)
+            assert batched.days == scalar.days
+            assert (batched.evicted_days, batched.evicted_records) == (
+                scalar.evicted_days, scalar.evicted_records
+            )
+
+    def test_late_day_is_never_counted_as_an_evicted_day(self):
+        """Days 3, 4, 0, 0 with retention 2: day 0 is older than the
+        full window, so its records count as evicted but no day was
+        retained and evicted — whatever the chunking."""
+        records = [
+            make_record(epoch=DEFAULT_EPOCH + day * DAY_SECONDS)
+            for day in (3, 4, 0, 0)
+        ]
+        per_record = WindowStore(retention_days=2)
+        for record in records:
+            per_record.add(record)
+        stores = [per_record]
+        for size in (1, 2, 4):
+            store = WindowStore(retention_days=2)
+            store.consume_batches(
+                RecordBatch.from_records(records).split(size)
+            )
+            stores.append(store)
+        for store in stores:
+            assert (store.evicted_days, store.evicted_records) == (0, 2)
+            assert store.days == per_record.days
 
     @settings(deadline=None)
     @given(record_lists(), st.integers(min_value=0, max_value=40))
