@@ -57,13 +57,6 @@ def domain_column(frame: LogFrame) -> np.ndarray:
     return mapped[inverse]
 
 
-def with_domain(frame: LogFrame) -> LogFrame:
-    """The frame with a ``domain`` column added (cached pattern)."""
-    if "domain" in frame:
-        return frame
-    return frame.with_column("domain", domain_column(frame))
-
-
 def ip_host_mask(frame: LogFrame) -> np.ndarray:
     """Rows whose ``cs_host`` is a raw IPv4 address (the D_IPv4 set)."""
     hosts = frame.col("cs_host")

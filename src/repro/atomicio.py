@@ -16,12 +16,31 @@ truncated file at a final path.  The pattern is the classic one:
 (plain or gzip) with the same contract: the final path appears only on
 a successful :meth:`close`, and an exception inside the ``with`` block
 discards the tmp file instead of publishing it.
+
+A *part* is the content-addressed form of the same contract, for
+bytes that are appended over time and published once:
+:class:`PartWriter` stages them under a process-unique name, hashing
+as it goes, and :meth:`~PartWriter.seal` fsyncs and renames the file
+to ``<spool>/<sha256>.part``.  Two processes that write the same bytes
+publish the same name, so a re-run shard can never corrupt a part a
+sibling already published; :func:`read_part` streams a part back and
+re-checks its name.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import os
+from collections.abc import Iterator
 from pathlib import Path
+
+#: Largest read when streaming a part back (hashing or copying it), so
+#: a part of any size is copied in bounded memory.
+READ_CHUNK = 1 << 20
+
+#: Per-process counter that keeps concurrent staging names distinct.
+_STAGING_IDS = itertools.count()
 
 
 def _fsync_path(path: Path) -> None:
@@ -130,3 +149,68 @@ class AtomicTextFile:
             self.discard()
         else:
             self.close()
+
+
+class PartDamaged(OSError):
+    """A spooled part no longer hashes to its name."""
+
+
+def _part_path(spool: Path | str, digest: str) -> Path:
+    """Where the part with SHA-256 *digest* lives in *spool*."""
+    return Path(spool) / f"{digest}.part"
+
+
+class PartWriter:
+    """Append bytes to one part in *spool*; :meth:`seal` publishes it.
+
+    The staging file's name is unique to this process and writer, so
+    writers never share a file; the published name is the SHA-256 of
+    the bytes, so writers of equal bytes publish the same part.
+    """
+
+    def __init__(self, spool: Path | str):
+        self.spool = Path(spool)
+        self.spool.mkdir(parents=True, exist_ok=True)
+        self._staging = self.spool / (
+            f".{os.getpid()}-{next(_STAGING_IDS)}.staging"
+        )
+        self._handle = open(self._staging, "wb")
+        self._hash = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data: bytes) -> None:
+        self._handle.write(data)
+        self._hash.update(data)
+        self.size += len(data)
+
+    def seal(self) -> str:
+        """fsync the staged bytes and rename them to their content
+        address; returns the SHA-256."""
+        self._handle.flush()
+        try:
+            os.fsync(self._handle.fileno())
+        except OSError:
+            pass
+        self._handle.close()
+        digest = self._hash.hexdigest()
+        os.replace(self._staging, _part_path(self.spool, digest))
+        return digest
+
+
+def read_part(spool: Path | str, digest: str) -> Iterator[bytes]:
+    """Yield part *digest* of *spool* in reads of at most
+    :data:`READ_CHUNK` bytes, re-hashing as it goes.
+
+    Raises :class:`PartDamaged` after the last chunk when the bytes no
+    longer hash to the part's name (a missing part raises
+    ``FileNotFoundError`` on the first read), so a consumer writing
+    through an :class:`AtomicTextFile` never publishes damaged output.
+    """
+    path = _part_path(spool, digest)
+    check = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(READ_CHUNK):
+            check.update(chunk)
+            yield chunk
+    if check.hexdigest() != digest:
+        raise PartDamaged(f"spooled part {path} no longer matches its hash")

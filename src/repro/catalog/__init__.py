@@ -11,6 +11,6 @@ a single source of truth for every host the simulation knows about.
 """
 
 from repro.catalog.categories import Category
-from repro.catalog.domains import DomainSpec, UrlTemplate, build_domain_universe
+from repro.catalog.domains import UrlTemplate, build_domain_universe
 
-__all__ = ["Category", "DomainSpec", "UrlTemplate", "build_domain_universe"]
+__all__ = ["Category", "UrlTemplate", "build_domain_universe"]

@@ -705,17 +705,6 @@ def synthetic_tail_sites(count: int = 1200, total_weight: float = 48.0,
     return sites
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Aggregate view of a registered domain (derived from sites)."""
-
-    domain: str
-    category: str
-    weight: float
-    hosts: tuple[str, ...]
-    tags: frozenset
-
-
 def build_domain_universe(
     tail_count: int = 1200,
     suspected_count: int = 84,

@@ -178,7 +178,7 @@ def _add_checkpoint_flags(command) -> None:
 
 def _add_batch_flag(command) -> None:
     """The shared --batch-size surface (column-batch execution)."""
-    from repro.pipeline import BATCH_SIZE
+    from repro.batching import BATCH_SIZE
 
     command.add_argument("--batch-size", type=_positive_int,
                          default=BATCH_SIZE, metavar="N",

@@ -15,8 +15,7 @@ import numpy as np
 
 from repro.catalog.categories import Category
 from repro.categorizer import TrustedSourceCategorizer
-from repro.frame import LogFrame, frame_from_records
-from repro.logmodel.record import LogRecord
+from repro.frame import LogFrame
 from repro.pipeline import (
     AnonymizeStage,
     FleetStage,
@@ -72,39 +71,6 @@ def _build_categorizer(generator: TrafficGenerator) -> TrustedSourceCategorizer:
             categorizer.add_host(pool.addresses[0], Category.ANONYMIZER)
             break
     return categorizer
-
-
-def anonymize_records(
-    records: list[LogRecord], user_spans: list[tuple[int, int]]
-) -> None:
-    """Apply the Telecomix release treatment to client addresses.
-
-    Batch form of :class:`~repro.pipeline.stages.AnonymizeStage`, kept
-    for callers that already hold a record list.
-    """
-    stage = AnonymizeStage(user_spans)
-    for record in records:
-        stage.anonymize(record)
-
-
-def assemble_datasets(
-    records: list[LogRecord],
-    records_by_day: dict[str, int],
-    config: ScenarioConfig,
-    generator: TrafficGenerator,
-    policy: Any,
-    rng: np.random.Generator,
-    sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-) -> ScenarioDatasets:
-    """Assemble the four analysis datasets from simulated records.
-
-    List-taking wrapper over :func:`assemble_datasets_from_frame`, for
-    callers that already materialized their records.
-    """
-    return assemble_datasets_from_frame(
-        frame_from_records(records), records_by_day, config, generator,
-        policy, rng, sample_fraction,
-    )
 
 
 def assemble_datasets_from_frame(

@@ -16,15 +16,16 @@ queue.  Its loop is deliberately thin:
 4. if every spawned worker exited with shards still pending, finish
    the remainder inline (the coordinator is always a capable worker, so
    a local run can never stall on worker churn);
-5. verify every artifact's checksum, fold the stored per-shard
-   registries and the queue's lease counters into the metrics
-   registry, and merge results in shard-plan order.  The lease
+5. verify every artifact's and ELFF part's checksum, fold the stored
+   per-shard registries and the queue's lease counters into the
+   metrics registry, and merge results in shard-plan order.  The lease
    counters are read once every shard's ``complete`` event has landed
    (:func:`settled_counters`), not at the first journal read that
    lists every shard.
 
 Step 5 is where byte-identity comes from: the merge consumes verified
-artifacts in the same label order ``run_sharded`` returns results, so
+artifacts in the same label order ``run_sharded`` returns results and
+concatenates their parts from the ledger's ``parts/`` spool, so
 the written output is identical to ``--workers N`` on one box — no
 matter how many workers ran, died, or ran a shard twice.
 """
@@ -178,7 +179,9 @@ def run_distributed(
         )
         if metrics is not None:
             _fold_metrics(metrics, verified, labels, len(resumed), counters)
-        output = job.merge([verified[label].result for label in labels])
+        output = job.merge(
+            [verified[label].result for label in labels], checkpoint.part_dir
+        )
         return DistributedRun(
             output=output,
             labels=labels,

@@ -66,11 +66,14 @@ class SimulateJob:
 
         return [shard.shard_id for shard in plan_shards(self.config).shards]
 
-    def payloads(self) -> dict[str, Any]:
+    def payloads(self, spool: Path) -> dict[str, Any]:
+        """Shard payloads whose sinks spool ELFF parts into *spool*
+        (the run ledger's part directory)."""
         from repro.engine.shards import plan_shards
         from repro.pipeline import GroupedElffSink
 
         prototype = GroupedElffSink(
+            spool,
             per_proxy=self.per_proxy,
             per_day=self.per_day,
             compress=self.compress,
@@ -85,13 +88,15 @@ class SimulateJob:
 
         return partial(simulate_sink_shard, batch_size=self.batch_size)
 
-    def merge(self, results: list) -> list[tuple[Path, int]]:
+    def merge(self, results: list, spool: Path) -> list[tuple[Path, int]]:
         """Fold the per-day sinks in day order and write the ELFF
-        directory — the same reduce ``simulate_to_logs`` performs, so
-        the bytes match a single-box run at any worker count."""
+        directory from the parts in *spool* — the same reduce
+        ``simulate_to_logs`` performs, so the bytes match a single-box
+        run at any worker count."""
         from repro.pipeline import GroupedElffSink
 
         merged = GroupedElffSink(
+            spool,
             per_proxy=self.per_proxy,
             per_day=self.per_day,
             compress=self.compress,
@@ -134,7 +139,8 @@ class AnalyzeJob:
     def labels(self) -> list[str]:
         return [f"log:{Path(log).name}" for log in self.logs]
 
-    def payloads(self) -> dict[str, Any]:
+    def payloads(self, spool: Path) -> dict[str, Any]:
+        """Shard payloads (analyze shards spool nothing)."""
         return dict(zip(self.labels(), [str(log) for log in self.logs]))
 
     def task(self):
@@ -142,7 +148,7 @@ class AnalyzeJob:
 
         return partial(analyze_shard, batch_size=self.batch_size)
 
-    def merge(self, results: list):
+    def merge(self, results: list, spool: Path):
         """Fold (analysis, stats) pairs in input order — the reduce
         :func:`repro.engine.analyze.analyze_logs` performs."""
         from repro.analysis.streaming import StreamingAnalysis

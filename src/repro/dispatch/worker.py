@@ -11,8 +11,9 @@ stateless — everything it knows comes from the shared directory:
 3. renew the held lease from a background heartbeat thread while the
    shard executes under the engine's retry policy and fault plan;
 4. record the finished shard into the run ledger exactly as a
-   single-box checkpointed run would (atomic checksummed artifact,
-   then an fsync'd journal line), then release the lease;
+   single-box checkpointed run would (sealed ELFF parts, an atomic
+   checksummed artifact, then an fsync'd journal line), then release
+   the lease;
 5. exit once every planned shard is journaled.
 
 Step 4 before step 5 is the crash-safety argument: a worker that dies
@@ -159,12 +160,13 @@ def run_worker(
         fault_plan = plan_from_env()
 
     labels = job.labels()
-    payloads = job.payloads()
     task = _Instrumented(job.task())
     # A lock-less RunCheckpoint: record() only appends to the shared
-    # journal and writes pid-unique artifacts, so workers share the
-    # ledger without touching the coordinator's LOCK.
+    # journal and writes pid-unique artifacts and content-addressed
+    # parts, so workers share the ledger without touching the
+    # coordinator's LOCK.
     ledger = RunCheckpoint(directory, job.fingerprint())
+    payloads = job.payloads(ledger.part_dir)
     summary = WorkerSummary(worker_id=queue.worker_id)
     journal_path = directory / JOURNAL_NAME
     idle_since: float | None = None

@@ -16,7 +16,7 @@ pipelines into fresh copies of any mergeable
 how every consumer fuses onto one traversal:
 
 * :func:`simulate_to_logs` (the CLI's ``simulate``) streams each day
-  straight into grouped ELFF buffers — generation, filtering, and
+  straight into grouped ELFF parts on disk — generation, filtering, and
   serialization in a single pass, optionally gzip-compressed;
 * :func:`build_scenario_sharded` (the ``report`` pipeline) folds each
   day straight into columnar frame buffers, so the full record list is
@@ -58,6 +58,7 @@ from repro.pipeline import (
     Pipeline,
     RecordListSink,
     Sink,
+    temporary_spool,
 )
 from repro.proxy.sg9000 import FLEET_STREAM
 from repro.regimes import ApplianceFleet, RegimeProfile, get_regime
@@ -123,12 +124,12 @@ def simulate_fingerprint(
 
     ``repro simulate`` and ``repro run-distributed`` share it, so a
     ledger started by one resumes under the other.  The output
-    directory is deliberately not part of it: shard artifacts are
-    buffered sinks, so a resumed run may write the finished logs
-    anywhere.  The flags that shape the shard results (grouping and
-    compression) are, and so is the fleet's random-stream layout
-    (``fleet_stream``): a ledger written under another layout holds
-    other bytes.  The regime is named as its own facet (besides being
+    directory is deliberately not part of it: shard artifacts refer to
+    ELFF parts kept in the ledger, so a resumed run may write the
+    finished logs anywhere.  The flags that shape the shard results
+    (grouping and compression) are, and so is the fleet's random-stream
+    layout (``fleet_stream``): a ledger written under another layout
+    holds other bytes.  The regime is named as its own facet (besides being
     folded into the config digest) so a cross-regime ``--resume``
     refusal spells out the mismatched key.
     """
@@ -304,22 +305,30 @@ def simulate_to_logs(
 ) -> list[tuple[Path, int]]:
     """Simulate and write ELFF logs in one fused pass per shard.
 
-    Every batch is serialized the moment the fleet emits it — no
-    intermediate record list — and the per-shard buffers merge in day
-    order, so output bytes are identical to the legacy
-    simulate-then-:func:`write_logs` two-step at every worker count.
-    ``compress=True`` writes deterministic ``.log.gz`` files.
+    Every batch is encoded the moment the fleet emits it — no
+    intermediate record list — into the shard's spooled ELFF parts, and
+    the merge concatenates the parts in day order, so output bytes are
+    identical to the legacy simulate-then-:func:`write_logs` two-step at
+    every worker count, in memory bounded by a batch.  With a
+    *checkpoint*, the parts live in its ledger (so a resumed run reuses
+    them); otherwise in a temporary spool beside *out_dir*, removed when
+    the run ends.  ``compress=True`` writes deterministic ``.log.gz``
+    files.
     """
-    sink = GroupedElffSink(
-        per_proxy=per_proxy, per_day=per_day, compress=compress
-    )
-    merged, _ = simulate_into(
-        config, sink, workers=workers, metrics=metrics, retry=retry,
-        allow_partial=allow_partial, failures=failures,
-        fault_plan=fault_plan, checkpoint=checkpoint,
-        batch_size=batch_size,
-    )
-    return merged.write_dir(Path(out_dir))
+    with (
+        nullcontext(checkpoint.part_dir) if checkpoint is not None
+        else temporary_spool(out_dir)
+    ) as spool:
+        sink = GroupedElffSink(
+            spool, per_proxy=per_proxy, per_day=per_day, compress=compress
+        )
+        merged, _ = simulate_into(
+            config, sink, workers=workers, metrics=metrics, retry=retry,
+            allow_partial=allow_partial, failures=failures,
+            fault_plan=fault_plan, checkpoint=checkpoint,
+            batch_size=batch_size,
+        )
+        return merged.write_dir(Path(out_dir))
 
 
 def build_scenario_sharded(
@@ -386,9 +395,10 @@ def write_logs(
     order within each file, so output bytes depend only on the day
     shards, never on worker scheduling.
     """
-    sink = GroupedElffSink(
-        per_proxy=per_proxy, per_day=per_day, compress=compress
-    )
-    for records in day_records.values():
-        sink.consume(records)
-    return sink.write_dir(Path(out_dir))
+    with temporary_spool(out_dir) as spool:
+        sink = GroupedElffSink(
+            spool, per_proxy=per_proxy, per_day=per_day, compress=compress
+        )
+        for records in day_records.values():
+            sink.consume(records)
+        return sink.write_dir(Path(out_dir))

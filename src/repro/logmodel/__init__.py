@@ -14,12 +14,11 @@ from repro.logmodel.classify import (
     classify,
     classify_exception,
 )
-from repro.logmodel.fields import FIELDS, FilterResult
+from repro.logmodel.fields import FIELDS
 from repro.logmodel.record import LogRecord
 
 __all__ = [
     "FIELDS",
-    "FilterResult",
     "LogRecord",
     "TrafficClass",
     "classify",

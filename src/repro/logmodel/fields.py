@@ -7,8 +7,6 @@ that the paper's analysis relies on is documented in its Table 2.
 
 from __future__ import annotations
 
-from enum import Enum
-
 # Order matters: it is the column order of the leaked CSV files.
 FIELDS: tuple[str, ...] = (
     "date",  # GMT date, YYYY-MM-DD
@@ -40,32 +38,6 @@ FIELDS: tuple[str, ...] = (
 )
 
 assert len(FIELDS) == 26, "the leaked schema has exactly 26 fields"
-
-
-class FilterResult(str, Enum):
-    """Value set of ``sc-filter-result`` (Section 3.2 of the paper)."""
-
-    OBSERVED = "OBSERVED"  # request served after contacting the origin
-    PROXIED = "PROXIED"  # outcome determined by the proxy cache
-    DENIED = "DENIED"  # request not served (exception raised)
-
-    def __str__(self) -> str:  # log files carry the bare token
-        return self.value
-
-
-class SAction(str, Enum):
-    """Common ``s-action`` tokens emitted by SGOS."""
-
-    TCP_NC_MISS = "TCP_NC_MISS"  # fetched from origin, not cached
-    TCP_HIT = "TCP_HIT"  # served from cache
-    TCP_MISS = "TCP_MISS"  # cache miss, fetched and cached
-    TCP_DENIED = "TCP_DENIED"  # denied by policy
-    TCP_POLICY_REDIRECT = "TCP_POLICY_REDIRECT"  # redirected by policy
-    TCP_ERR_MISS = "TCP_ERR_MISS"  # errored while fetching
-    TCP_TUNNELED = "TCP_TUNNELED"  # CONNECT tunnel
-
-    def __str__(self) -> str:
-        return self.value
 
 
 # IP range of the seven proxies; the paper names each proxy SG-<suffix>.

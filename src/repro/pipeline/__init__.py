@@ -13,8 +13,10 @@ one fused pass with sink-bounded memory:
   :class:`FleetStage` runs the proxy-fleet verdict pass,
   :class:`AnonymizeStage` the Telecomix address treatment.
 * **Sinks** (:mod:`~repro.pipeline.sinks`) fold and merge:
-  :class:`ElffSink`/:class:`GroupedElffSink` (byte-identical to
-  ``write_log``, gzip-transparent), :class:`StreamingAnalysisSink`,
+  :class:`ElffSink`/:class:`GroupedElffSink` (ELFF parts spooled to
+  disk, written out byte-identical to ``write_log``, gzip-transparent;
+  :func:`temporary_spool` gives a run without a ledger its spool),
+  :class:`StreamingAnalysisSink`,
   :class:`FrameSink`, the fan-out :class:`TeeSink`, plus
   :class:`RecordListSink` and :class:`CountSink`.
 
@@ -48,6 +50,7 @@ from repro.pipeline.sinks import (
     RecordListSink,
     StreamingAnalysisSink,
     TeeSink,
+    temporary_spool,
 )
 from repro.pipeline.sources import DayTrafficSource, ElffSource, RecordsSource
 from repro.pipeline.stages import AnonymizeStage, FleetStage
@@ -71,4 +74,5 @@ __all__ = [
     "StreamingAnalysisSink",
     "TeeSink",
     "chunk_records",
+    "temporary_spool",
 ]

@@ -24,12 +24,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
+from repro.batching import BATCH_SIZE
 from repro.frame.batch import RecordBatch
 from repro.logmodel.record import LogRecord
-
-#: Rows per column batch unless the caller asks for another size
-#: (``--batch-size``'s default).  Output never depends on it.
-BATCH_SIZE = 1024
 
 
 class Source:

@@ -3,25 +3,34 @@
 Every sink here satisfies the monoid laws the engine's reduce needs
 (``fresh`` identity, associative ``merge``, merge-equals-single-pass),
 so any of them — or any :class:`TeeSink` fan-out of them — can be the
-reduce side of ``run_sharded``.  Buffered sinks are picklable, which is
-how a worker ships its shard's accumulated state back to the parent.
+reduce side of ``run_sharded``.  Every sink is picklable, which is how a
+worker ships its shard's accumulated state back to the parent; the ELFF
+sinks ship only refs to the parts they spooled to disk.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import codecs
+import shutil
 import sys
-from collections.abc import Iterable
+import tempfile
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.streaming import StreamingAnalysis
+from repro.atomicio import PartWriter, read_part
 from repro.frame.batch import RecordBatch
 from repro.frame.io import FRAME_COLUMNS, buffers_to_frame, new_record_buffers
 from repro.frame.logframe import LogFrame
-from repro.logmodel.elff import DEFAULT_SOFTWARE, elff_header, open_log_writer
+from repro.logmodel.elff import (
+    DEFAULT_SOFTWARE,
+    elff_body,
+    elff_header,
+    open_log_writer,
+)
 from repro.logmodel.record import LogRecord
 from repro.pipeline.core import Sink
 from repro.timeline import epoch_day
@@ -199,84 +208,89 @@ class TeeSink(Sink):
 
 
 class ElffSink(Sink):
-    """Serialize the stream as an ELFF/CSV log, byte-identical to
+    """Serialize the stream as ELFF/CSV parts in a spool directory.
+
+    Each batch is encoded column-wise (:func:`~repro.logmodel.elff.
+    elff_body`) and appended, as UTF-8, to the sink's open part; sealing
+    publishes the part as ``<spool>/<sha256>.part``.  The sink's state
+    is the ordered list of ``(sha256, records, bytes)`` part refs, so
+    its memory and its pickle do not grow with the stream: ``merge``
+    concatenates the lists, and :meth:`write_to` streams the header
+    plus the parts into one log, byte-identical to
     :func:`~repro.logmodel.elff.write_log`.
 
-    Two modes:
-
-    * **bound** (constructed with a path or open text handle): the
-      directive header is written immediately and each batch streams
-      out as it arrives — constant memory, gzip-transparent for ``.gz``
-      paths.
-    * **buffered** (no destination): rows accumulate in memory.  This
-      is the mergeable form workers ship back to the parent; merging a
-      buffered sink into a bound one streams the buffered body to disk,
-      so the parent never holds more than one shard.
-
-    Only buffered sinks are picklable and only buffered sinks can be
-    merged *from*; ``fresh()`` always yields a buffered sink, which is
-    what a shard-local copy must be.
+    A part is sealed at the end of every ``consume``/pipeline run, and
+    always before the sink is merged, pickled, compared or written.
+    Parts are read back from the sink's own spool, so every sink that
+    merges into it must write to the same spool — ``fresh()`` shares it.
     """
 
     def __init__(
-        self,
-        destination: Path | str | io.TextIOBase | None = None,
-        software: str = DEFAULT_SOFTWARE,
+        self, spool: Path | str, software: str = DEFAULT_SOFTWARE
     ) -> None:
+        self.spool = Path(spool)
         self.software = software
         self.count = 0
-        self._owns_handle = False
-        self._buffered = destination is None
-        if destination is None:
-            self._handle = io.StringIO()
-        elif isinstance(destination, (str, Path)):
-            self._handle = open_log_writer(destination)
-            self._owns_handle = True
-            self._handle.write(elff_header(software))
-        else:
-            self._handle = destination
-            self._handle.write(elff_header(software))
-        self._writer = csv.writer(self._handle)
-
-    @property
-    def buffered(self) -> bool:
-        """Whether this sink accumulates in memory (mergeable form)."""
-        return self._buffered
+        self.parts: list[tuple[str, int, int]] = []
+        self._part: PartWriter | None = None
+        self._part_records = 0
 
     def add_batch(self, batch: RecordBatch) -> None:
-        # Batch rows keep numeric cells as Python ints; csv.writer
-        # stringifies them exactly like to_row()'s str() calls, so the
-        # serialized bytes match write_log's.
-        self._writer.writerows(batch.to_rows())
+        if not len(batch):
+            return
+        if self._part is None:
+            self._part = PartWriter(self.spool)
+        self._part.write(elff_body(batch).encode("utf-8"))
+        self._part_records += len(batch)
         self.count += len(batch)
 
+    def consume_batches(self, batches: Iterable[RecordBatch]) -> "ElffSink":
+        super().consume_batches(batches)
+        self.seal()
+        return self
+
+    def seal(self) -> None:
+        """Publish the open part, if any (idempotent)."""
+        if self._part is None:
+            return
+        digest = self._part.seal()
+        self.parts.append((digest, self._part_records, self._part.size))
+        self._part, self._part_records = None, 0
+
+    def part_names(self) -> list[str]:
+        """The SHA-256 names of the sealed parts, in stream order."""
+        self.seal()
+        return [digest for digest, _, _ in self.parts]
+
     def fresh(self) -> "ElffSink":
-        return ElffSink(software=self.software)
+        return ElffSink(self.spool, software=self.software)
 
     def merge(self, other: "ElffSink") -> "ElffSink":
-        if not other.buffered:
-            raise ValueError("can only merge a buffered ElffSink")
-        self._handle.write(other.body_text())
+        self.seal()
+        other.seal()
+        self.parts.extend(other.parts)
         self.count += other.count
         return self
 
-    def body_text(self) -> str:
-        """The accumulated CSV body (buffered sinks only)."""
-        if not self.buffered:
-            raise ValueError("a bound ElffSink has already streamed out")
-        return self._handle.getvalue()
+    def iter_body(self) -> Iterator[bytes]:
+        """The concatenated parts, in reads of at most 1 MiB, each part
+        re-hashed as it streams (a damaged part raises)."""
+        self.seal()
+        for digest, _, _ in self.parts:
+            yield from read_part(self.spool, digest)
 
     def write_to(self, path: Path | str) -> int:
-        """Write header + buffered body to *path*; returns the count."""
+        """Write the header and every part to *path*; returns the count.
+
+        ``.gz`` paths are compressed as the parts stream through.
+        """
+        decoder = codecs.getincrementaldecoder("utf-8")()
         with open_log_writer(path) as handle:
             handle.write(elff_header(self.software))
-            handle.write(self.body_text())
+            for chunk in self.iter_body():
+                handle.write(decoder.decode(chunk))
+            handle.write(decoder.decode(b"", final=True))
         return self.count
-
-    def close(self) -> None:
-        """Close a handle this sink opened itself (bound-to-path mode)."""
-        if self._owns_handle:
-            self._handle.close()
 
     def __len__(self) -> int:
         return self.count
@@ -284,51 +298,50 @@ class ElffSink(Sink):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElffSink):
             return NotImplemented
-        if not (self.buffered and other.buffered):
-            return NotImplemented
-        return (self.software, self.count, self.body_text()) == (
-            other.software, other.count, other.body_text()
+        return (
+            (self.software, self.count) == (other.software, other.count)
+            and b"".join(self.iter_body()) == b"".join(other.iter_body())
         )
 
-    # -- pickling (only the buffered form crosses processes) ---------------
+    # -- pickling: the part refs, never the bytes --------------------------
 
     def __getstate__(self) -> dict:
-        if not self.buffered:
-            raise TypeError("only buffered ElffSinks are picklable")
+        self.seal()
         return {
+            "spool": str(self.spool),
             "software": self.software,
             "count": self.count,
-            "body": self._handle.getvalue(),
+            "parts": self.parts,
         }
 
     def __setstate__(self, state: dict) -> None:
+        self.spool = Path(state["spool"])
         self.software = state["software"]
         self.count = state["count"]
-        self._owns_handle = False
-        self._buffered = True
-        self._handle = io.StringIO()
-        self._handle.write(state["body"])
-        self._writer = csv.writer(self._handle)
+        self.parts = state["parts"]
+        self._part, self._part_records = None, 0
 
 
 class GroupedElffSink(Sink):
-    """Route records into per-file buffered :class:`ElffSink` groups.
+    """Route records into per-file :class:`ElffSink` groups.
 
     Grouping mirrors the leak's file structure: one combined
     ``proxies`` group by default, ``sg-NN[_day]`` stems with the
     flags — the same naming :func:`~repro.engine.simulate.write_logs`
-    has always produced.  ``compress=True`` makes :meth:`write_dir`
-    emit ``.log.gz`` files.
+    has always produced.  Every group spools its parts into *spool*.
+    ``compress=True`` makes :meth:`write_dir` emit ``.log.gz`` files.
     """
 
     def __init__(
         self,
+        spool: Path | str,
         *,
         per_proxy: bool = False,
         per_day: bool = False,
         compress: bool = False,
         software: str = DEFAULT_SOFTWARE,
     ) -> None:
+        self.spool = Path(spool)
         self.per_proxy = per_proxy
         self.per_day = per_day
         self.compress = compress
@@ -338,7 +351,9 @@ class GroupedElffSink(Sink):
     def _group(self, stem: str) -> ElffSink:
         group = self.groups.get(stem)
         if group is None:
-            group = self.groups[stem] = ElffSink(software=self.software)
+            group = self.groups[stem] = ElffSink(
+                self.spool, software=self.software
+            )
         return group
 
     def _batch_stems(self, batch: RecordBatch) -> np.ndarray:
@@ -382,8 +397,24 @@ class GroupedElffSink(Sink):
                 batch.take(inverse == position)
             )
 
+    def consume_batches(
+        self, batches: Iterable[RecordBatch]
+    ) -> "GroupedElffSink":
+        super().consume_batches(batches)
+        for group in self.groups.values():
+            group.seal()
+        return self
+
+    def part_names(self) -> list[str]:
+        """Every group's part names, group by group."""
+        return [
+            name for group in self.groups.values()
+            for name in group.part_names()
+        ]
+
     def fresh(self) -> "GroupedElffSink":
         return GroupedElffSink(
+            self.spool,
             per_proxy=self.per_proxy,
             per_day=self.per_day,
             compress=self.compress,
@@ -392,10 +423,7 @@ class GroupedElffSink(Sink):
 
     def merge(self, other: "GroupedElffSink") -> "GroupedElffSink":
         for stem, theirs in other.groups.items():
-            mine = self.groups.get(stem)
-            if mine is None:
-                mine = self.groups[stem] = theirs.fresh()
-            mine.merge(theirs)
+            self._group(stem).merge(theirs)
         return self
 
     def write_dir(self, out_dir: Path | str) -> list[tuple[Path, int]]:
@@ -406,13 +434,16 @@ class GroupedElffSink(Sink):
         """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if not (self.per_proxy or self.per_day) and "proxies" not in self.groups:
-            self.groups["proxies"] = ElffSink(software=self.software)
+        groups = dict(self.groups)
+        if not (self.per_proxy or self.per_day):
+            groups.setdefault(
+                "proxies", ElffSink(self.spool, software=self.software)
+            )
         suffix = ".log.gz" if self.compress else ".log"
         return [
             (out_dir / f"{stem}{suffix}",
-             self.groups[stem].write_to(out_dir / f"{stem}{suffix}"))
-            for stem in sorted(self.groups)
+             groups[stem].write_to(out_dir / f"{stem}{suffix}"))
+            for stem in sorted(groups)
         ]
 
     def __len__(self) -> int:
@@ -427,3 +458,24 @@ class GroupedElffSink(Sink):
                 other.software)
             and self.groups == other.groups
         )
+
+
+@contextmanager
+def temporary_spool(out_dir: Path | str) -> Iterator[Path]:
+    """A temporary part spool for a run that writes into *out_dir*.
+
+    The spool is a fresh directory beside *out_dir* — on the output's
+    filesystem, but outside the directory, whose every file is
+    output — or in the system temp directory when that parent is not
+    writable.  It is removed on exit, on success and on failure.
+    """
+    parent = Path(out_dir).resolve().parent
+    try:
+        parent.mkdir(parents=True, exist_ok=True)
+        spool = tempfile.mkdtemp(prefix=".repro-spool-", dir=parent)
+    except OSError:
+        spool = tempfile.mkdtemp(prefix="repro-spool-")
+    try:
+        yield Path(spool)
+    finally:
+        shutil.rmtree(spool, ignore_errors=True)

@@ -4,13 +4,14 @@ PR 4's resilience layer keeps a run alive through *in-process* faults
 (retries, quarantine, corrupted reads); this package covers the
 failure those cannot: the process itself dying mid-run.  A checkpoint
 directory holds an atomic, checksummed run ledger — manifest
-(fingerprint + shard plan), an append-only fsync'd journal, and one
-pickled artifact per completed shard — and
+(fingerprint + shard plan), an append-only fsync'd journal, one
+pickled artifact per completed shard, and the content-addressed ELFF
+parts simulate shards spool — and
 ``run_sharded(checkpoint=...)`` loads verified completed shards into
 the merge instead of re-running them.  Because every shard replays a
-deterministic stream and every sink round-trips through pickle, a
-killed-and-resumed run produces byte-identical output to an
-uninterrupted one.
+deterministic stream and every sink round-trips through pickle (ELFF
+sinks as refs to their verified parts), a killed-and-resumed run
+produces byte-identical output to an uninterrupted one.
 
 The CLI surface is ``--checkpoint-dir``/``--resume`` on
 ``simulate``/``analyze``/``report`` and ``repro verify-run DIR``
@@ -23,6 +24,7 @@ from repro.runstate.ledger import (
     LEDGER_SCHEMA,
     LOCK_NAME,
     MANIFEST_NAME,
+    PART_DIR,
     CheckpointLocked,
     FingerprintMismatch,
     LedgerExists,
@@ -46,6 +48,7 @@ __all__ = [
     "LEDGER_SCHEMA",
     "LOCK_NAME",
     "MANIFEST_NAME",
+    "PART_DIR",
     "CheckpointLocked",
     "FingerprintMismatch",
     "LedgerExists",

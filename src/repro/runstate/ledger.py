@@ -14,10 +14,10 @@ layout:
 ``journal.jsonl``
     Append-only, fsync'd after every line.  One JSON object per
     completed shard: the shard label, the artifact's relative path,
-    its SHA-256, and the shard's record count and wall time.  A crash
-    can tear at most the final line, which the reader skips; a shard
-    re-recorded by a later attempt simply appends again (last entry
-    wins).
+    its SHA-256, the names of the ELFF parts the artifact refers to,
+    and the shard's record count and wall time.  A crash can tear at
+    most the final line, which the reader skips; a shard re-recorded
+    by a later attempt simply appends again (last entry wins).
 
 ``artifacts/<label-slug>-<hash8>.pkl``
     One pickled :class:`ShardArtifact` per completed shard, written
@@ -25,6 +25,15 @@ layout:
     full or not at all.  The journal's SHA-256 is over these exact
     bytes; resume re-hashes before trusting them, and a tampered or
     truncated artifact is treated as not-done and re-run.
+
+``parts/<sha256>.part``
+    The ELFF bytes a simulate shard spooled (see
+    :class:`~repro.pipeline.ElffSink`), published by content address
+    (fsync + rename) before the artifact that refers to them, so a
+    re-run shard republishes the same name with the same bytes.  The
+    artifact pickles only the part refs; resume and the audit re-hash
+    every journaled part, and a missing or damaged part makes its
+    shard not-done, like a damaged artifact.
 
 ``LOCK``
     Holds the owning pid.  A second run on the same directory is
@@ -56,15 +65,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.atomicio import atomic_write_bytes, atomic_write_text
+from repro.atomicio import (
+    PartDamaged,
+    atomic_write_bytes,
+    atomic_write_text,
+    read_part,
+)
 
 #: Version tag of the ledger layout; a manifest with a different tag
-#: is refused rather than misread.
-LEDGER_SCHEMA = "repro.runstate/1"
+#: is refused rather than misread.  ``/2`` journals spooled ELFF parts
+#: beside the artifacts, whose sinks no longer carry their bytes.
+LEDGER_SCHEMA = "repro.runstate/2"
 
 MANIFEST_NAME = "MANIFEST.json"
 JOURNAL_NAME = "journal.jsonl"
 ARTIFACT_DIR = "artifacts"
+PART_DIR = "parts"
 LOCK_NAME = "LOCK"
 
 #: Pickle protocol pinned so artifact bytes (and their recorded
@@ -145,6 +161,26 @@ def artifact_name(label: str) -> str:
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _part_names(result) -> list[str]:
+    """The spooled ELFF parts a shard result refers to (a sink that
+    spools parts names them via ``part_names()``)."""
+    names = getattr(result, "part_names", None)
+    return list(names()) if callable(names) else []
+
+
+def _part_damage(directory: Path, name: str) -> tuple[str, str] | None:
+    """``(status, detail)`` when journaled part *name* is missing or
+    no longer hashes to its name; None when it is intact."""
+    try:
+        for _ in read_part(directory / PART_DIR, name):
+            pass
+    except PartDamaged:
+        return "hash-mismatch", f"part {name[:12]}… fails its SHA-256"
+    except OSError as error:
+        return "missing", f"part {name[:12]}…: {error}"
+    return None
 
 
 def read_journal(path: Path) -> dict[str, dict]:
@@ -232,6 +268,11 @@ class RunCheckpoint:
     @property
     def artifact_dir(self) -> Path:
         return self.directory / ARTIFACT_DIR
+
+    @property
+    def part_dir(self) -> Path:
+        """The spool shard sinks write their ELFF parts into."""
+        return self.directory / PART_DIR
 
     # -- the lockfile ------------------------------------------------------
 
@@ -414,13 +455,19 @@ class RunCheckpoint:
 
     def _read_artifact(self, entry: dict) -> ShardArtifact | None:
         """Load one journaled artifact, or None if it fails
-        verification (missing, hash mismatch, unpicklable)."""
+        verification (missing, hash mismatch, unpicklable, or a
+        journaled part missing or damaged)."""
         path = self.directory / entry["artifact"]
         try:
             data = path.read_bytes()
         except OSError:
             return None
         if _sha256(data) != entry.get("sha256"):
+            return None
+        if any(
+            _part_damage(self.directory, name)
+            for name in entry.get("parts", ())
+        ):
             return None
         try:
             artifact = pickle.loads(data)
@@ -440,12 +487,13 @@ class RunCheckpoint:
         registry=None,
     ) -> None:
         """Persist one completed shard: atomic artifact, then a
-        fsync'd journal line pointing at it.
+        fsync'd journal line pointing at it and at its ELFF parts.
 
-        Ordering is the durability argument: the artifact is fully on
-        disk (tmp + replace + fsync) before the journal names it, so a
-        journal entry always points at complete bytes, and a crash
-        between the two merely re-runs one shard.
+        Ordering is the durability argument: the parts are sealed
+        (fsync + rename) as the result pickles, and the artifact is
+        fully on disk (tmp + replace + fsync) before the journal names
+        it, so a journal entry always points at complete bytes, and a
+        crash between the steps merely re-runs one shard.
         """
         artifact = ShardArtifact(
             result=result,
@@ -461,6 +509,7 @@ class RunCheckpoint:
             "shard_id": label,
             "artifact": relative,
             "sha256": _sha256(data),
+            "parts": _part_names(result),
             "records": records,
             "wall_seconds": wall_seconds,
         })
@@ -559,12 +608,12 @@ class RunAudit:
 
 def audit_run(directory: Path | str) -> RunAudit:
     """Audit a checkpoint directory: manifest readability, journal
-    integrity, and every journaled artifact's SHA-256.
+    integrity, and the SHA-256 of every journaled artifact and part.
 
     Never mutates the directory.  Shards planned in the manifest but
     absent from the journal report as ``pending``; a journal entry
-    whose artifact is missing, fails its hash, or does not unpickle
-    reports as damage.
+    whose artifact or any of whose parts is missing or fails its hash,
+    or whose artifact does not unpickle, reports as damage.
     """
     directory = Path(directory)
     audit = RunAudit(directory=directory)
@@ -620,6 +669,13 @@ def _audit_entry(
         return ShardAuditEntry(
             shard_id, "unreadable", f"not a ShardArtifact: {type(artifact)}"
         )
+    parts = entry.get("parts", ())
+    for name in parts:
+        damage = _part_damage(directory, name)
+        if damage is not None:
+            return ShardAuditEntry(shard_id, *damage)
     return ShardAuditEntry(
-        shard_id, "ok", f"{artifact.records} records, sha256 {digest[:12]}…"
+        shard_id, "ok",
+        f"{artifact.records} records, {len(parts)} parts, "
+        f"sha256 {digest[:12]}…",
     )

@@ -24,10 +24,6 @@ def epoch_day(epoch: int) -> str:
     return (_EPOCH + dt.timedelta(seconds=int(epoch))).strftime("%Y-%m-%d")
 
 
-def hour_of_day(epoch: int) -> int:
-    return (int(epoch) % 86400) // 3600
-
-
 SECONDS_PER_DAY = 86400
 
 #: Days for which only proxy SG-42 logs exist.

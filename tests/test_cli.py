@@ -224,7 +224,8 @@ class TestCompress:
 
 
 class TestMainModule:
-    """``python -m repro`` must behave exactly like the console script."""
+    """``python -m repro`` must behave exactly like the console script,
+    in a fresh interpreter."""
 
     @staticmethod
     def _run(*argv):
@@ -241,20 +242,20 @@ class TestMainModule:
             [str(src)] + env.get("PYTHONPATH", "").split(os.pathsep)
         ).rstrip(os.pathsep)
         return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
+            [sys.executable, *argv],
             capture_output=True, text=True, env=env,
         )
 
     def test_version(self):
         from repro.version import __version__
 
-        result = self._run("--version")
+        result = self._run("-m", "repro", "--version")
         assert result.returncode == 0
         assert result.stdout.strip() == __version__
 
     def test_simulate_round_trip(self, tmp_path):
         result = self._run(
-            "simulate", "--requests", "600", "--seed", "7",
+            "-m", "repro", "simulate", "--requests", "600", "--seed", "7",
             "--out", str(tmp_path),
         )
         assert result.returncode == 0, result.stderr
@@ -262,9 +263,19 @@ class TestMainModule:
         assert (tmp_path / "proxies.log").exists()
 
     def test_no_command_exits_with_usage(self):
-        result = self._run()
+        result = self._run("-m", "repro")
         assert result.returncode == 2
         assert "usage:" in result.stderr
+
+    def test_building_the_parser_does_not_import_numpy(self):
+        """``repro --help`` stays light: the parser's defaults come
+        from modules that import nothing heavy."""
+        result = self._run("-c", (
+            "import sys, repro.cli; repro.cli._build_parser(); "
+            "print('numpy' in sys.modules)"
+        ))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestParser:

@@ -3,13 +3,19 @@ inputs, and the sink monoid laws the sharded engine's reduce relies on
 (hypothesis, mirroring the accumulator merge-law suite)."""
 
 import gzip
+import hashlib
 import io
+import os
 import pickle
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.streaming import StreamingAnalysis
+from repro.atomicio import PartDamaged
 from repro.frame import RecordBatch, concat_batches, empty_frame, \
     frame_from_records
 from repro.logmodel.elff import elff_header, write_log
@@ -28,6 +34,19 @@ from repro.pipeline import (
 )
 from repro.timeline import day_epoch
 from tests.helpers import make_record
+
+#: One part spool for the module's sinks.  The sink strategies are
+#: built when the module is collected, before any fixture exists, so
+#: the spool is a fixed path: sinks create it with their first part,
+#: and ``_remove_spool`` deletes it after the module's tests.  Parts are
+#: content-addressed, so the examples share it safely.
+SPOOL = Path(tempfile.gettempdir()) / f"repro-spool-{os.getpid()}-pipeline"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _remove_spool():
+    yield
+    shutil.rmtree(SPOOL, ignore_errors=True)
 
 # -- strategies -------------------------------------------------------------
 
@@ -59,8 +78,8 @@ def sink_prototypes():
         RecordListSink(),
         StreamingAnalysisSink(),
         FrameSink(),
-        ElffSink(),
-        GroupedElffSink(per_proxy=True, per_day=True),
+        ElffSink(SPOOL),
+        GroupedElffSink(SPOOL, per_proxy=True, per_day=True),
         TeeSink([CountSink(), RecordListSink()]),
     ])
 
@@ -118,7 +137,7 @@ class TestPipeline:
     def test_zero_record_source(self):
         """An empty source leaves every sink at its identity."""
         for sink in (CountSink(), RecordListSink(), StreamingAnalysisSink(),
-                     FrameSink(), ElffSink(), GroupedElffSink(),
+                     FrameSink(), ElffSink(SPOOL), GroupedElffSink(SPOOL),
                      TeeSink([CountSink()])):
             result = Pipeline(RecordsSource([])).run(sink)
             assert len(result) == 0
@@ -154,8 +173,9 @@ class TestDegenerateSinks:
     def test_merging_fresh_into_populated_is_noop(self):
         batch = [make_record(cs_host="a.com"), make_record(cs_host="b.com")]
         for prototype in (CountSink(), RecordListSink(),
-                          StreamingAnalysisSink(), FrameSink(), ElffSink(),
-                          GroupedElffSink(per_proxy=True),
+                          StreamingAnalysisSink(), FrameSink(),
+                          ElffSink(SPOOL),
+                          GroupedElffSink(SPOOL, per_proxy=True),
                           TeeSink([CountSink()])):
             populated = _fold(prototype, batch)
             expected = _fold(prototype, batch)
@@ -164,8 +184,9 @@ class TestDegenerateSinks:
     def test_merging_populated_into_fresh_adopts_state(self):
         batch = [make_record(cs_host="a.com"), make_record(cs_host="b.com")]
         for prototype in (CountSink(), RecordListSink(),
-                          StreamingAnalysisSink(), FrameSink(), ElffSink(),
-                          GroupedElffSink(per_proxy=True),
+                          StreamingAnalysisSink(), FrameSink(),
+                          ElffSink(SPOOL),
+                          GroupedElffSink(SPOOL, per_proxy=True),
                           TeeSink([CountSink()])):
             populated = _fold(prototype, batch)
             assert prototype.fresh().merge(populated) == populated
@@ -227,8 +248,8 @@ class TestSinkMergeLaws:
         """A worker's sink crosses the process boundary via pickle; the
         round trip must not change what the parent reduces."""
         cut = min(cut, len(batch))
-        for prototype in (FrameSink(), ElffSink(),
-                          GroupedElffSink(per_proxy=True)):
+        for prototype in (FrameSink(), ElffSink(SPOOL),
+                          GroupedElffSink(SPOOL, per_proxy=True)):
             shipped = pickle.loads(pickle.dumps(_fold(prototype, batch[cut:])))
             merged = _fold(prototype, batch[:cut]).merge(shipped)
             assert merged == _fold(prototype, batch)
@@ -345,83 +366,145 @@ class TestBatchedSinkLaws:
 # -- ELFF sinks --------------------------------------------------------------
 
 
+def _body_bytes(records) -> bytes:
+    """What write_log puts after the header for *records*."""
+    buffer = io.StringIO()
+    write_log(records, buffer)
+    return buffer.getvalue()[len(elff_header()):].encode("utf-8")
+
+
 class TestElffSink:
-    def test_buffered_body_matches_write_log(self, tmp_path):
+    """The part writer: batches are encoded into content-addressed
+    parts on disk, and the sink keeps only their refs."""
+
+    def test_part_body_matches_write_log(self, tmp_path):
         records = [make_record(cs_host=f"h{i}.com") for i in range(5)]
         legacy = tmp_path / "legacy.log"
         write_log(records, legacy)
-        sink = ElffSink().consume(records)
-        assert elff_header(sink.software) + sink.body_text() == \
-            legacy.read_bytes().decode()
+        sink = ElffSink(tmp_path / "spool").consume(records)
+        assert elff_header(sink.software).encode() + \
+            b"".join(sink.iter_body()) == legacy.read_bytes()
 
     def test_write_to_matches_write_log(self, tmp_path):
         records = [make_record(cs_host=f"h{i}.com") for i in range(5)]
         write_log(records, tmp_path / "legacy.log")
-        ElffSink().consume(records).write_to(tmp_path / "sink.log")
+        ElffSink(tmp_path / "spool").consume(records).write_to(
+            tmp_path / "sink.log"
+        )
         assert (tmp_path / "sink.log").read_bytes() == \
             (tmp_path / "legacy.log").read_bytes()
 
     def test_bound_sink_streams_to_disk(self, tmp_path):
+        """A sink bound to its spool writes each batch to a staging
+        file as it arrives (holding no more than the file buffer);
+        sealing publishes the part under the SHA-256 of its bytes."""
         records = [make_record(cs_host=f"h{i}.com") for i in range(3)]
+        body = _body_bytes(records)
+        spool = tmp_path / "spool"
+        sink = ElffSink(spool)
+        sink.add_batch(RecordBatch.from_records(records[:2]))
+        sink.add_batch(RecordBatch.from_records(records[2:]))
+        assert sink.parts == []  # still staging
+        [staging] = spool.iterdir()
+        assert staging.name.endswith(".staging")
+        sink.seal()
+        sink.seal()  # idempotent
+        digest = hashlib.sha256(body).hexdigest()
+        assert sink.parts == [(digest, 3, len(body))]
+        assert [path.name for path in spool.iterdir()] == [f"{digest}.part"]
+        assert (spool / f"{digest}.part").read_bytes() == body
         write_log(records, tmp_path / "legacy.log")
-        sink = ElffSink(tmp_path / "bound.log")
-        sink.consume(records)
-        sink.close()
+        sink.write_to(tmp_path / "bound.log")
         assert (tmp_path / "bound.log").read_bytes() == \
             (tmp_path / "legacy.log").read_bytes()
 
-    def test_bound_sink_accepts_buffered_merge(self, tmp_path):
+    def test_merged_parts_write_like_one_log(self, tmp_path):
         records = [make_record(cs_host=f"h{i}.com") for i in range(4)]
         write_log(records, tmp_path / "legacy.log")
-        part_a = ElffSink().consume(records[:2])
-        part_b = ElffSink().consume(records[2:])
-        bound = ElffSink(tmp_path / "merged.log")
-        bound.merge(part_a).merge(part_b)
-        bound.close()
+        spool = tmp_path / "spool"
+        part_a = ElffSink(spool).consume(records[:2])
+        part_b = ElffSink(spool).consume(records[2:])
+        merged = ElffSink(spool).merge(part_a).merge(part_b)
+        assert merged.part_names() == \
+            part_a.part_names() + part_b.part_names()
+        merged.write_to(tmp_path / "merged.log")
         assert (tmp_path / "merged.log").read_bytes() == \
             (tmp_path / "legacy.log").read_bytes()
 
-    def test_merge_from_bound_rejected(self, tmp_path):
-        bound = ElffSink(tmp_path / "out.log")
-        try:
-            with pytest.raises(ValueError, match="buffered"):
-                ElffSink().merge(bound)
-        finally:
-            bound.close()
+    def test_merge_seals_open_parts_in_stream_order(self, tmp_path):
+        """Merging seals both sides first, so bytes still staging on
+        the left land before the bytes merged in."""
+        records = [make_record(cs_host=f"h{i}.com") for i in range(4)]
+        write_log(records, tmp_path / "legacy.log")
+        spool = tmp_path / "spool"
+        left, right = ElffSink(spool), ElffSink(spool)
+        left.add_batch(RecordBatch.from_records(records[:2]))
+        right.add_batch(RecordBatch.from_records(records[2:]))
+        left.merge(right).write_to(tmp_path / "merged.log")
+        assert (tmp_path / "merged.log").read_bytes() == \
+            (tmp_path / "legacy.log").read_bytes()
 
-    def test_bound_sink_is_not_picklable(self, tmp_path):
-        bound = ElffSink(tmp_path / "out.log")
-        try:
-            with pytest.raises(TypeError, match="buffered"):
-                pickle.dumps(bound)
-        finally:
-            bound.close()
+    def test_pickle_carries_only_part_refs(self, tmp_path):
+        spool = tmp_path / "spool"
+        records = [make_record(cs_host=f"h{i}.com") for i in range(2_000)]
+        sink = ElffSink(spool)
+        sink.add_batch(RecordBatch.from_records(records))  # left open
+        data = pickle.dumps(sink)
+        assert len(data) < 1_000  # the body is ~200 KB
+        shipped = pickle.loads(data)
+        assert shipped.parts == sink.parts and len(shipped.parts) == 1
+        write_log(records, tmp_path / "legacy.log")
+        shipped.write_to(tmp_path / "shipped.log")
+        assert (tmp_path / "shipped.log").read_bytes() == \
+            (tmp_path / "legacy.log").read_bytes()
 
-    def test_bound_handle_mode(self):
-        handle = io.StringIO()
-        sink = ElffSink(handle)
-        sink.add(make_record())
-        assert not sink.buffered  # it streamed to the caller's handle
-        assert handle.getvalue().startswith("#Software")
+    def test_equal_bytes_publish_one_part(self, tmp_path):
+        """Parts are content-addressed: a re-run shard republishes the
+        same name with the same bytes."""
+        records = [make_record(cs_host=f"h{i}.com") for i in range(3)]
+        spool = tmp_path / "spool"
+        first = ElffSink(spool).consume(records)
+        again = ElffSink(spool).consume(records)
+        assert first.parts == again.parts
+        assert len(list(spool.iterdir())) == 1
+        assert first == again
+
+    def test_damaged_part_fails_the_write(self, tmp_path):
+        """A part is re-hashed as it is copied: one flipped byte raises,
+        and the output path is never published."""
+        spool = tmp_path / "spool"
+        sink = ElffSink(spool).consume([make_record(), make_record()])
+        [digest] = sink.part_names()
+        part = spool / f"{digest}.part"
+        data = bytearray(part.read_bytes())
+        data[7] ^= 0x01
+        part.write_bytes(bytes(data))
+        with pytest.raises(PartDamaged):
+            sink.write_to(tmp_path / "out.log")
+        assert not (tmp_path / "out.log").exists()
+        part.unlink()
+        with pytest.raises(FileNotFoundError):
+            sink.write_to(tmp_path / "out.log")
 
 
 class TestGroupedElffSink:
     def test_combined_writes_proxies_even_when_empty(self, tmp_path):
-        [(path, count)] = GroupedElffSink().write_dir(tmp_path)
+        [(path, count)] = GroupedElffSink(SPOOL).write_dir(tmp_path)
         assert path.name == "proxies.log"
         assert count == 0
         assert path.read_bytes().decode() == elff_header(
-            GroupedElffSink().software
+            GroupedElffSink(SPOOL).software
         )
 
     def test_grouped_empty_writes_nothing(self, tmp_path):
-        assert GroupedElffSink(per_proxy=True).write_dir(tmp_path) == []
+        assert GroupedElffSink(SPOOL, per_proxy=True).write_dir(tmp_path) \
+            == []
         assert list(tmp_path.iterdir()) == []
 
     def test_per_proxy_per_day_stems(self, tmp_path):
         day1 = day_epoch("2011-08-03") + 60
         day2 = day_epoch("2011-08-04") + 60
-        sink = GroupedElffSink(per_proxy=True, per_day=True)
+        sink = GroupedElffSink(SPOOL, per_proxy=True, per_day=True)
         sink.consume([
             make_record(s_ip="82.137.200.42", epoch=day1),
             make_record(s_ip="82.137.200.49", epoch=day2),
@@ -431,8 +514,8 @@ class TestGroupedElffSink:
 
     def test_compressed_files_decompress_to_plain_bytes(self, tmp_path):
         records = [make_record(cs_host=f"h{i}.com") for i in range(6)]
-        plain = GroupedElffSink().consume(records)
-        packed = GroupedElffSink(compress=True).consume(records)
+        plain = GroupedElffSink(SPOOL).consume(records)
+        packed = GroupedElffSink(SPOOL, compress=True).consume(records)
         [(plain_path, _)] = plain.write_dir(tmp_path / "plain")
         [(gz_path, _)] = packed.write_dir(tmp_path / "gz")
         assert gz_path.suffix == ".gz"
@@ -444,7 +527,21 @@ class TestGroupedElffSink:
         dir (no timestamp or filename leaks into the gzip header)."""
         records = [make_record(cs_host=f"h{i}.com") for i in range(6)]
         for attempt in ("one", "two"):
-            sink = GroupedElffSink(compress=True).consume(records)
+            sink = GroupedElffSink(SPOOL, compress=True).consume(records)
             sink.write_dir(tmp_path / attempt)
         assert (tmp_path / "one" / "proxies.log.gz").read_bytes() == \
             (tmp_path / "two" / "proxies.log.gz").read_bytes()
+
+    def test_folded_state_does_not_grow_with_the_stream(self, tmp_path):
+        """A folded sink holds one part ref per group, so it pickles to
+        the same size for 10 records as for 10,000 — up to the widths
+        of its pickled integers (counts and byte sizes)."""
+        def folded(count: int) -> bytes:
+            records = [
+                make_record(cs_host=f"h{i}.com") for i in range(count)
+            ]
+            sink = GroupedElffSink(tmp_path / "spool").consume(records)
+            return pickle.dumps(sink)
+
+        small, large = folded(10), folded(10_000)
+        assert len(small) <= len(large) <= len(small) + 8

@@ -177,23 +177,72 @@ class TestRunCheckpoint:
         assert sorted(loaded) == ["item:1", "item:3"]
 
     def test_sink_artifact_round_trips_exactly(self, tmp_path):
-        """A buffered pipeline sink — the real payload simulate shards
-        journal — survives the artifact pickle/hash/reload loop."""
+        """A pipeline sink — the real payload simulate shards journal —
+        survives the artifact pickle/hash/reload loop: the artifact
+        carries its part refs, the journal names the parts, and the
+        reloaded sink writes the original bytes."""
+        from repro.logmodel.elff import write_log
         from repro.pipeline import ElffSink
         from tests.helpers import make_record
 
-        sink = ElffSink()
-        for i in range(5):
-            sink.add(make_record(cs_uri_path=f"/p{i}"))
+        records = [make_record(cs_uri_path=f"/p{i}") for i in range(5)]
         checkpoint = RunCheckpoint(tmp_path / "run", FP)
+        sink = ElffSink(checkpoint.part_dir)
+        for record in records:
+            sink.add(record)
         with checkpoint:
             checkpoint.begin(["s1"])
             checkpoint.record("s1", sink, records=len(sink))
+        [entry] = read_journal(tmp_path / "run" / "journal.jsonl").values()
+        assert entry["parts"] == sink.part_names()
         resumed = RunCheckpoint(tmp_path / "run", FP, resume=True)
         with resumed:
             loaded = resumed.begin(["s1"])
         assert loaded["s1"].result == sink
-        assert loaded["s1"].result.body_text() == sink.body_text()
+        assert loaded["s1"].result.parts == sink.parts
+        write_log(records, tmp_path / "legacy.log")
+        loaded["s1"].result.write_to(tmp_path / "resumed.log")
+        assert (tmp_path / "resumed.log").read_bytes() == \
+            (tmp_path / "legacy.log").read_bytes()
+
+    def test_damaged_part_not_loaded(self, tmp_path):
+        """One flipped byte in a journaled part makes its shard
+        not-done; the other shards still load."""
+        from repro.pipeline import ElffSink
+        from tests.helpers import make_record
+
+        labels = ["s1", "s2"]
+        checkpoint = RunCheckpoint(tmp_path / "run", FP)
+        with checkpoint:
+            checkpoint.begin(labels)
+            for index, label in enumerate(labels):
+                sink = ElffSink(checkpoint.part_dir).consume(
+                    [make_record(cs_uri_path=f"/{label}")] * (index + 1)
+                )
+                checkpoint.record(label, sink, records=len(sink))
+        [victim] = read_journal(
+            tmp_path / "run" / "journal.jsonl"
+        )["s2"]["parts"]
+        part = tmp_path / "run" / "parts" / f"{victim}.part"
+        data = bytearray(part.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        part.write_bytes(bytes(data))
+        resumed = RunCheckpoint(tmp_path / "run", FP, resume=True)
+        with resumed:
+            assert sorted(resumed.begin(labels)) == ["s1"]
+
+    def test_schema_1_ledger_refused(self, tmp_path):
+        """A ledger written before parts were journaled holds sinks
+        with their bytes inline; this build refuses it by schema."""
+        _complete_ledger(tmp_path / "run")
+        manifest_path = tmp_path / "run" / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema"] = "repro.runstate/1"
+        manifest_path.write_text(json.dumps(manifest))
+        resumed = RunCheckpoint(tmp_path / "run", FP, resume=True)
+        with pytest.raises(FingerprintMismatch, match="runstate/1"):
+            resumed.begin(["item:1", "item:2", "item:3"])
+        assert "runstate/1" in audit_run(tmp_path / "run").errors[0]
 
     def test_missing_artifact_not_loaded(self, tmp_path):
         labels = _complete_ledger(tmp_path / "run")
@@ -293,6 +342,24 @@ class TestAuditRun:
         audit = audit_run(tmp_path / "run")
         assert not audit.ok
         assert any(e.status == "missing" for e in audit.entries)
+
+    def test_deleted_part_reports_missing(self, tmp_path):
+        from repro.cli import main
+
+        ledger = tmp_path / "ledger"
+        assert main([
+            "simulate", "--requests", "600", "--seed", "4", "--per-day",
+            "--out", str(tmp_path / "out"), "--checkpoint-dir", str(ledger),
+        ]) == 0
+        entry = read_journal(ledger / "journal.jsonl")["day:2011-08-02"]
+        [name] = entry["parts"]
+        (ledger / "parts" / f"{name}.part").unlink()
+        audit = audit_run(ledger)
+        assert not audit.ok
+        damaged = [e for e in audit.entries if e.damaged]
+        assert [e.shard_id for e in damaged] == ["day:2011-08-02"]
+        assert damaged[0].status == "missing"
+        assert name[:12] in damaged[0].detail
 
     def test_unreadable_manifest_is_an_error(self, tmp_path):
         (tmp_path / "MANIFEST.json").write_text("{not json")
@@ -435,6 +502,41 @@ class TestKillResumeCli:
         assert again.stdout.startswith(first.stdout)  # + metrics line
         document = json.loads((tmp_path / "metrics.json").read_text())
         assert document["totals"]["resumed_shards"] == len(logs)
+
+
+class TestPartTamperResume:
+    def test_resume_reruns_only_the_damaged_shard(self, tmp_path):
+        """Flip one byte of one spooled part: ``--resume`` re-runs that
+        shard alone and writes the bytes of an untouched run."""
+        from repro.cli import main
+
+        sim = ["simulate", "--requests", "1200", "--seed", "4",
+               "--per-day", "--compress"]
+        assert main(sim + ["--out", str(tmp_path / "clean")]) == 0
+        ledger = tmp_path / "ledger"
+        assert main(sim + ["--out", str(tmp_path / "first"),
+                           "--checkpoint-dir", str(ledger)]) == 0
+        [name] = read_journal(
+            ledger / "journal.jsonl"
+        )["day:2011-08-04"]["parts"]
+        part = ledger / "parts" / f"{name}.part"
+        data = bytearray(part.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        part.write_bytes(bytes(data))
+        assert [e.shard_id for e in audit_run(ledger).entries
+                if e.damaged] == ["day:2011-08-04"]
+        metrics = tmp_path / "metrics.json"
+        assert main(sim + ["--out", str(tmp_path / "resumed"),
+                           "--checkpoint-dir", str(ledger), "--resume",
+                           "--metrics", str(metrics)]) == 0
+        document = json.loads(metrics.read_text())
+        assert document["totals"]["resumed_shards"] == 8
+        assert audit_run(ledger).ok
+        clean = sorted((tmp_path / "clean").iterdir())
+        resumed = sorted((tmp_path / "resumed").iterdir())
+        assert [p.name for p in clean] == [p.name for p in resumed]
+        for a, b in zip(clean, resumed):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
 
 class TestCliErrors:
