@@ -2,16 +2,80 @@
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import repeat
 
 import numpy as np
 
-from repro.policy.rules import ALLOW_VERDICT, RequestView, Verdict
+from repro.metrics import current_registry
+from repro.policy.rules import (
+    ALLOW_VERDICT,
+    VIEW_FIELDS,
+    ColumnChunk,
+    HostIndex,
+    RequestView,
+    Verdict,
+    object_column,
+)
 
-#: Every :class:`RequestView` field, in declaration order — what a rule
-#: that does not declare the fields it ``reads`` is assumed to read.
-VIEW_FIELDS: tuple[str, ...] = RequestView._fields
+
+class HostVerdicts:
+    """A host-only rule's column form: one evaluation per distinct host.
+
+    The verdict of a rule that ``reads`` only the host is a pure
+    function of the host, so it is memoized per id of the engine's
+    :class:`~repro.policy.rules.HostIndex` for the engine's lifetime;
+    a scenario has few distinct hosts.
+    """
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.known = np.zeros(0, dtype=bool)
+        self.verdicts = np.empty(0, dtype=object)
+
+    def __call__(self, chunk: ColumnChunk, rows: np.ndarray) -> np.ndarray:
+        ids, hosts = chunk.host_ids()
+        if len(self.known) < len(hosts):
+            grow = max(len(hosts), 2 * len(self.known)) - len(self.known)
+            self.known = np.concatenate([self.known, np.zeros(grow, bool)])
+            self.verdicts = np.concatenate(
+                [self.verdicts, np.full(grow, None, dtype=object)]
+            )
+        row_ids = ids[rows]
+        unseen = np.unique(row_ids[~self.known[row_ids]])
+        for host_id in unseen.tolist():
+            self.verdicts[host_id] = self.rule.evaluate(
+                RequestView(hosts[host_id])
+            )
+        self.known[unseen] = True
+        return self.verdicts[row_ids]
+
+
+class KeyedVerdicts:
+    """Any other rule's column form: memoized per chunk on the rule's
+    own ``reads`` (every view field when it declares none)."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.reads = tuple(getattr(rule, "reads", None) or VIEW_FIELDS)
+
+    def __call__(self, chunk: ColumnChunk, rows: np.ndarray) -> np.ndarray:
+        return chunk.evaluate_keyed(self.rule, rows, self.reads)
+
+
+def column_rule(rule):
+    """*rule*'s column form: ``(chunk, rows) -> verdict-or-None per row``.
+
+    A rule type with a cheaper column form offers it as
+    ``evaluate_rows``; otherwise a host-only rule (``reads ==
+    ("host",)``) gets :class:`HostVerdicts` and any other rule
+    :class:`KeyedVerdicts`.
+    """
+    if hasattr(rule, "evaluate_rows"):
+        return rule.evaluate_rows
+    if tuple(getattr(rule, "reads", None) or ()) == ("host",):
+        return HostVerdicts(rule)
+    return KeyedVerdicts(rule)
 
 
 class PolicyEngine:
@@ -25,7 +89,7 @@ class PolicyEngine:
 
     Each rule may declare the :class:`RequestView` fields its verdict
     depends on as ``reads``; a rule without one is assumed to read the
-    whole view (correct, just never memoized across requests).
+    whole view (correct, just memoized on every field).
     """
 
     def __init__(self, rules: Sequence[object], name: str = "policy"):
@@ -33,22 +97,13 @@ class PolicyEngine:
             if not hasattr(rule, "evaluate"):
                 raise TypeError(f"not a rule: {rule!r}")
         self._rules = tuple(rules)
+        self._column_rules = tuple(map(column_rule, self._rules))
+        self._hosts = HostIndex()
         self.name = name
-        read = {
-            field for rule in self._rules
-            for field in getattr(rule, "reads", None) or VIEW_FIELDS
-        }
-        self._reads = tuple(field for field in VIEW_FIELDS if field in read)
 
     @property
     def rules(self) -> tuple[object, ...]:
         return self._rules
-
-    @property
-    def reads(self) -> tuple[str, ...]:
-        """The union of the rules' ``reads``: requests agreeing on these
-        fields always get the same verdict."""
-        return self._reads
 
     def evaluate(self, request: RequestView) -> Verdict:
         """Return the verdict for *request* (ALLOW when nothing matches)."""
@@ -59,44 +114,46 @@ class PolicyEngine:
         return ALLOW_VERDICT
 
     def evaluate_many(self, views: Sequence[RequestView]) -> list[Verdict]:
-        """``[self.evaluate(view) for view in views]``, memoized."""
+        """``[self.evaluate(view) for view in views]``, by columns."""
         codes, verdicts = self.evaluate_columns({
-            field: [getattr(view, field) for view in views]
+            field: object_column([getattr(view, field) for view in views])
             for field in VIEW_FIELDS
         })
         return [verdicts[code] for code in codes.tolist()]
 
     def evaluate_columns(
-        self, columns: Mapping[str, Sequence]
+        self, columns: Mapping[str, np.ndarray]
     ) -> tuple[np.ndarray, list[Verdict]]:
-        """Verdicts for a chunk of requests held as columns.
+        """Verdicts for a chunk of requests held as numpy columns.
 
-        *columns* maps every :data:`VIEW_FIELDS` name to one value per
-        request.  Returns ``(codes, verdicts)``: request *i*'s verdict
-        is ``verdicts[codes[i]]``.  :meth:`evaluate` runs once per
-        distinct combination of :attr:`reads` in the chunk, on the
-        first request showing it; the memo lives only for this call.
+        *columns* maps view field names to one value per request; only
+        the fields some rule reads are touched.  Rules run in chain
+        order, each over the rows no earlier rule decided, so the first
+        match wins as in :meth:`evaluate`.  Returns ``(codes,
+        verdicts)``: request *i*'s verdict is ``verdicts[codes[i]]``,
+        and the verdicts are distinct by value.  Each call is one span
+        of the ``policy.seconds`` metrics timer.
         """
-        count = len(columns[VIEW_FIELDS[0]])
-        keys = (
-            zip(*(columns[field] for field in self._reads))
-            if self._reads else repeat((), count)
-        )
-        rows = zip(*(columns[field] for field in VIEW_FIELDS))
-        memo: dict[tuple, int] = {}
-        code_of: dict[int, int] = {}  # id(verdict) -> code
-        verdicts: list[Verdict] = []
-        codes: list[int] = []
-        for key, row in zip(keys, rows):
-            code = memo.get(key)
-            if code is None:
-                verdict = self.evaluate(RequestView._make(row))
-                code = code_of.setdefault(id(verdict), len(verdicts))
-                if code == len(verdicts):
-                    verdicts.append(verdict)
-                memo[key] = code
-            codes.append(code)
-        return np.asarray(codes, dtype=np.intp), verdicts
+        started = time.perf_counter()
+        count = len(next(iter(columns.values()))) if columns else 0
+        chunk = ColumnChunk(columns, self._hosts)
+        codes = np.zeros(count, dtype=np.intp)
+        index_of: dict[Verdict, int] = {ALLOW_VERDICT: 0}
+        rows = np.arange(count)
+        for evaluate_rows in self._column_rules:
+            if not len(rows):
+                break
+            found = evaluate_rows(chunk, rows)
+            decided = np.not_equal(found, None)
+            codes[rows[decided]] = [
+                index_of.setdefault(verdict, len(index_of))
+                for verdict in found[decided].tolist()
+            ]
+            rows = rows[~decided]
+        registry = current_registry()
+        if registry is not None:
+            registry.observe("policy.seconds", time.perf_counter() - started)
+        return codes, list(index_of)
 
     def with_rules(self, extra: Iterable[object], prepend: bool = False) -> "PolicyEngine":
         """A new engine with *extra* rules appended (or prepended)."""

@@ -209,7 +209,7 @@ def filter_requests(
             else np.flatnonzero(engine_code[appliance] == code)
         )
         codes, found = engine.evaluate_columns(
-            {field: columns[field][rows].tolist() for field in VIEW_FIELDS}
+            {field: columns[field][rows] for field in VIEW_FIELDS}
         )
         verdict_of[rows] = codes + len(verdicts)
         verdicts.extend(found)

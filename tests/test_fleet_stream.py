@@ -8,7 +8,8 @@ exactly ten uniforms of the fleet rng per request, so:
   counters (Hypothesis-driven, over the user-slice days, the July
   SG-42-only days, Tor components, and the stateful LRU cache);
 * ``PolicyEngine.evaluate_many`` equals evaluating each view, for
-  every rule type the repository ships;
+  every rule type the repository ships, and so do the column verdicts
+  of every shipped engine over random views and random chunkings;
 * the regimes without a batch fleet (Pakistan, Turkmenistan) still
   write the exact bytes they wrote before the stream changed;
 * a ledger written without the ``fleet_stream`` facet refuses to
@@ -23,6 +24,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.catalog.facebook import (
+    BLOCKED_QUERY_FORMS,
+    CUSTOM_CATEGORY_PAGES,
+    ESCAPING_QUERY_FORM,
+    PAGE_HOSTS,
+)
 from repro.cli import main
 from repro.engine import simulate_to_logs
 from repro.engine.simulate import scenario_context
@@ -51,8 +58,16 @@ from repro.policy.rules import (
 )
 from repro.proxy import ProxyFleet
 from repro.proxy.sg9000 import DRAW_COLUMNS
-from repro.regimes.pakistan import BlockpageRule, DnsInjectionRule
-from repro.regimes.turkmenistan import DpiKeywordRule, SubnetRstRule
+from repro.regimes.pakistan import (
+    BlockpageRule,
+    DnsInjectionRule,
+    build_pakistan_policy,
+)
+from repro.regimes.turkmenistan import (
+    DpiKeywordRule,
+    SubnetRstRule,
+    build_turkmenistan_policy,
+)
 from repro.runstate import RunCheckpoint, config_digest, run_fingerprint
 from repro.timeline import day_epoch
 from repro.workload.config import ScenarioConfig, small_config
@@ -251,16 +266,97 @@ class TestEvaluateMany:
             assert verdicts == [engine.evaluate(view) for view in views]
             assert {verdict.exception_id for verdict in verdicts} != {"-"}
 
-    def test_reads_union_and_fallback(self):
-        assert PolicyEngine([HostBlacklistRule([])]).reads == ("host",)
-        assert PolicyEngine(
-            [KeywordRule([]), PortRule([])]
-        ).reads == ("host", "path", "query", "port")
-        assert PolicyEngine(
-            [_rules()[-1]]
-        ).reads == RequestView._fields
+    def test_rules_keep_their_own_reads(self):
+        rules = {type(rule).__name__: rule for rule in _rules()}
+        assert rules["HostBlacklistRule"].reads == ("host",)
+        assert rules["DnsInjectionRule"].reads == ("host",)
+        assert rules["TorOnionRule"].reads == (
+            "host", "port", "method", "epoch"
+        )
+        assert TimeOfDayRule(PortRule([]), 0, 1).reads == ("epoch", "port")
+        assert TimeOfDayRule(rules["Unannotated"], 0, 1).reads is None
         assert PolicyEngine([]).evaluate_many(_views()[:3]) == [
             PolicyEngine([]).evaluate(view) for view in _views()[:3]
+        ]
+
+
+def _scenario_engines() -> dict[str, PolicyEngine]:
+    """The engines the shipped regimes deploy over TINY's universe."""
+    context = scenario_context(TINY)
+    policy = context.policy
+    return {
+        "syria-base": policy.base_engine,
+        "syria-SG-44": policy.engine_for("SG-44"),
+        "pakistan": build_pakistan_policy(context.generator).engine,
+        "turkmenistan": build_turkmenistan_policy(context.generator).engine,
+        "every-rule-type": PolicyEngine(_rules()),
+    }
+
+
+def _view_fields():
+    """Field pools that reach every branch of the shipped rules."""
+    context = scenario_context(TINY)
+    policy = context.policy
+    relays = sorted(context.generator.tor_directory.or_endpoints())[:6]
+    hosts = [
+        *[host for host, _ in PAGE_HOSTS], "WWW.Facebook.com",
+        *sorted(policy.blocked_hosts)[:3], *sorted(policy.blocked_domains)[:3],
+        "www." + sorted(policy.blocked_domains)[0], "upload.youtube.com",
+        "news.example.co.il", "84.229.3.4", "212.150.13.20", "10.0.0.1",
+        *policy.blocked_addresses[:3], *[ip for ip, _ in relays],
+        "tracker-proxy.furk.net", "www.example.com", "vpn.example.org",
+        "WWW.ISRAEL-news.com", "",
+    ]
+    start = day_epoch("2011-08-03")
+    return {
+        "host": st.sampled_from(hosts),
+        "path": st.sampled_from([
+            "", "/", *[f"/{page}" for page in sorted(CUSTOM_CATEGORY_PAGES)[:3]],
+            "/Syrian.revolution", "/setup.EXE", "/a/b.html", "/proxy.pac",
+        ]),
+        "query": st.sampled_from([
+            *BLOCKED_QUERY_FORMS, ESCAPING_QUERY_FORM, "q=UltraSurf", "x=1",
+        ]),
+        "port": st.sampled_from(
+            [80, 443, 9001, 6969, *[port for _, port in relays]]
+        ),
+        "scheme": st.sampled_from(["http", "https", "tcp"]),
+        "method": st.sampled_from(["GET", "CONNECT", "POST"]),
+        "epoch": st.integers(start - 86_400, start + 2 * 86_400),
+        "user_agent": st.sampled_from(["Mozilla/5.0", "UltraSurf/9", "-"]),
+    }
+
+
+class TestColumnVerdicts:
+    """Column verdicts equal the scalar reference, chunk by chunk."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_any_views_any_chunking_match_evaluate(self, data):
+        views = data.draw(
+            st.lists(st.builds(RequestView, **_view_fields()), max_size=80)
+        )
+        cuts = data.draw(st.lists(st.integers(0, len(views)), max_size=6))
+        bounds = [0, *sorted(set(cuts)), len(views)]
+        for name, engine in _scenario_engines().items():
+            chunked = [
+                verdict
+                for start, stop in zip(bounds, bounds[1:])
+                for verdict in engine.evaluate_many(views[start:stop])
+            ]
+            assert chunked == [engine.evaluate(view) for view in views], name
+
+    def test_codes_index_distinct_verdicts(self):
+        engine = _scenario_engines()["every-rule-type"]
+        views = _views() * 2
+        codes, verdicts = engine.evaluate_columns({
+            field: np.array([getattr(view, field) for view in views],
+                            dtype=object)
+            for field in RequestView._fields
+        })
+        assert len(set(verdicts)) == len(verdicts)
+        assert [verdicts[code] for code in codes] == [
+            engine.evaluate(view) for view in views
         ]
 
 
