@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.catalog.words import QUERY_WORDS
+from repro.stats.draws import cdf, inverse_cdf
 
 #: Tracker hosts clients announce to.  ``tracker-proxy.furk.net``
 #: reproduces the paper's observation that announces to it are always
@@ -21,6 +22,7 @@ TRACKERS: tuple[tuple[str, int], ...] = (
 )
 
 _TRACKER_WEIGHTS = (0.35, 0.28, 0.14, 0.12, 0.10, 0.01)
+_TRACKER_CDF = cdf(_TRACKER_WEIGHTS)
 
 #: Content kinds and their catalog shares.  The paper finds mostly
 #: media, plus anti-censorship tools (UltraSurf, HideMyAss, Auto Hide
@@ -88,8 +90,10 @@ class TorrentCatalog:
                 TorrentContent(info_hash[:40], self._title(kind, i, rng), kind)
             )
         ranks = np.arange(1, content_count + 1, dtype=float)
-        weights = 1.0 / ranks**0.9
-        self._weights = weights / weights.sum()
+        self._cdf = cdf(1.0 / ranks**0.9)
+        self.info_hashes = np.array(
+            [content.info_hash for content in self.contents], dtype=object
+        )
 
     @staticmethod
     def _title(kind: str, index: int, rng: np.random.Generator) -> str:
@@ -109,15 +113,14 @@ class TorrentCatalog:
     def __len__(self) -> int:
         return len(self.contents)
 
-    def sample_content(self, rng: np.random.Generator) -> TorrentContent:
-        """Popularity-weighted content choice."""
-        index = int(rng.choice(len(self.contents), p=self._weights))
-        return self.contents[index]
+    def pick_contents(self, u: np.ndarray) -> np.ndarray:
+        """Popularity-weighted content indices, one per uniform."""
+        return inverse_cdf(self._cdf, u)
 
-    def sample_tracker(self, rng: np.random.Generator) -> tuple[str, int]:
-        """Weighted tracker choice."""
-        index = int(rng.choice(len(TRACKERS), p=_TRACKER_WEIGHTS))
-        return TRACKERS[index]
+    @staticmethod
+    def pick_trackers(u: np.ndarray) -> np.ndarray:
+        """Weighted indices into :data:`TRACKERS`, one per uniform."""
+        return inverse_cdf(_TRACKER_CDF, u)
 
     def by_hash(self) -> dict[str, TorrentContent]:
         """Index the catalog by info hash."""

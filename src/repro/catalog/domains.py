@@ -12,12 +12,13 @@ Weights are expressed in percent of browsing volume; the long-tail
 builder tops the universe up to 100.
 
 URL templates may contain ``{id}`` (random integer), ``{hex}`` (random
-hex token) and ``{word}`` (random query word) placeholders, expanded at
-generation time by :func:`expand_template`.
+hex token) and ``{word}`` (random query word) placeholders, filled at
+generation time by :class:`UrlPattern` from one uniform each.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -734,18 +735,65 @@ def build_domain_universe(
     return sites
 
 
-def expand_template(template: UrlTemplate, rng: np.random.Generator) -> tuple[str, str]:
-    """Fill ``{id}``/``{hex}``/``{word}`` placeholders in a template.
+#: Placeholder syntax inside URL templates.
+_PLACEHOLDER = re.compile(r"\{(id|hex|word)\}")
 
-    Returns the concrete (path, query) pair.
+_WORDS = np.array(QUERY_WORDS, dtype=object)
+
+
+def placeholder_values(kind: str, u: np.ndarray) -> list:
+    """One ``{id}``/``{hex}``/``{word}`` value per uniform in *u*
+    (``{hex}`` as an int its template formats as eight hex digits)."""
+    if kind == "id":
+        return (10**4 + (u * (10**9 - 10**4)).astype(np.int64)).tolist()
+    if kind == "hex":
+        return (u * 16**8).astype(np.int64).tolist()
+    return _WORDS[(u * len(_WORDS)).astype(np.intp)].tolist()
+
+
+class UrlPattern:
+    """A template's path and query, compiled for column fills.
+
+    Each placeholder, in order through the path and then the query,
+    takes the next uniform slot, so repeated placeholders get distinct
+    values.  A part without placeholders fills to its one shared
+    string.
     """
-    def fill(text: str) -> str:
-        while "{id}" in text:
-            text = text.replace("{id}", str(int(rng.integers(10**4, 10**9))), 1)
-        while "{hex}" in text:
-            text = text.replace("{hex}", format(int(rng.integers(16**8)), "08x"), 1)
-        while "{word}" in text:
-            text = text.replace("{word}", QUERY_WORDS[int(rng.integers(len(QUERY_WORDS)))], 1)
-        return text
 
-    return fill(template.path), fill(template.query)
+    def __init__(self, path: str, query: str):
+        kinds: list[str] = []
+
+        def compile_part(text: str) -> str:
+            pieces = _PLACEHOLDER.split(text)
+            out = []
+            for index, piece in enumerate(pieces):
+                if index % 2 == 0:
+                    out.append(piece.replace("{", "{{").replace("}", "}}"))
+                else:
+                    spec = ":08x" if piece == "hex" else ""
+                    out.append(f"{{{len(kinds)}{spec}}}")
+                    kinds.append(piece)
+            return "".join(out)
+
+        self.path, self.query = path, query
+        self._formats = (compile_part(path), compile_part(query))
+        self._split = len(_PLACEHOLDER.findall(path))
+        self.kinds = tuple(kinds)
+
+    def fill(self, slots: np.ndarray) -> tuple[list | str, list | str]:
+        """``(paths, queries)`` for one row of *slots* uniforms per
+        request; an unfilled part comes back as its string."""
+        values = [
+            placeholder_values(kind, slots[:, slot])
+            for slot, kind in enumerate(self.kinds)
+        ]
+        path_format, query_format = self._formats
+        paths = (
+            list(map(path_format.format, *values)) if self._split
+            else self.path
+        )
+        queries = (
+            list(map(query_format.format, *values))
+            if len(self.kinds) > self._split else self.query
+        )
+        return paths, queries

@@ -714,7 +714,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
           "pipeline...")
     metrics, started = _start_metrics(args)
     retry, allow_partial, failures = _fault_args(args)
-    from repro.proxy.sg9000 import FLEET_STREAM
+    from repro.engine.simulate import stream_versions
     from repro.runstate import config_digest, run_fingerprint
 
     config = ScenarioConfig(
@@ -723,7 +723,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     checkpoint = _checkpoint_for(args, run_fingerprint(
         "report", config=config_digest(config), regime=config.regime,
-        fleet_stream=FLEET_STREAM,
+        **stream_versions(),
     ))
     datasets = build_scenario_sharded(
         config, workers=args.workers, metrics=metrics, retry=retry,

@@ -21,7 +21,6 @@ from repro.pipeline import (
     FleetStage,
     FrameSink,
     Pipeline,
-    RecordsSource,
 )
 from repro.regimes import ApplianceFleet, get_regime
 from repro.timeline import USER_SLICE_DAYS, day_span
@@ -128,7 +127,7 @@ def simulate_scenario_frame(
     records_by_day: dict[str, int] = {}
     for day, requests in generator.generate():
         before = len(sink)
-        Pipeline(RecordsSource(requests), stages).run(sink)
+        Pipeline([requests], stages).run(sink)
         records_by_day[day] = len(sink) - before
     return sink.frame(), records_by_day
 

@@ -70,6 +70,7 @@ from repro.runstate import (
 from repro.timeline import USER_SLICE_DAYS, day_span
 from repro.workload import TrafficGenerator
 from repro.workload.config import ScenarioConfig
+from repro.workload.stream import WORKLOAD_STREAM
 
 
 @dataclass
@@ -113,6 +114,17 @@ def scenario_context(config: ScenarioConfig) -> SimContext:
     return context
 
 
+def stream_versions() -> dict[str, int]:
+    """The random-stream layout facets of a run fingerprint.
+
+    ``simulate``, ``run-distributed`` and ``report`` all fingerprint
+    with them: a ledger written under another generator
+    (``workload_stream``) or fleet (``fleet_stream``) layout holds other
+    bytes, so it never resumes.
+    """
+    return {"fleet_stream": FLEET_STREAM, "workload_stream": WORKLOAD_STREAM}
+
+
 def simulate_fingerprint(
     config: ScenarioConfig,
     *,
@@ -127,11 +139,10 @@ def simulate_fingerprint(
     directory is deliberately not part of it: shard artifacts refer to
     ELFF parts kept in the ledger, so a resumed run may write the
     finished logs anywhere.  The flags that shape the shard results
-    (grouping and compression) are, and so is the fleet's random-stream
-    layout (``fleet_stream``): a ledger written under another layout
-    holds other bytes.  The regime is named as its own facet (besides being
-    folded into the config digest) so a cross-regime ``--resume``
-    refusal spells out the mismatched key.
+    (grouping and compression) are, and so are the random-stream
+    layouts (:func:`stream_versions`).  The regime is named as its own
+    facet (besides being folded into the config digest) so a
+    cross-regime ``--resume`` refusal spells out the mismatched key.
     """
     return run_fingerprint(
         "simulate",
@@ -140,7 +151,7 @@ def simulate_fingerprint(
         per_proxy=per_proxy,
         per_day=per_day,
         compress=compress,
-        fleet_stream=FLEET_STREAM,
+        **stream_versions(),
     )
 
 

@@ -27,7 +27,8 @@ class RecordsSource(Source):
 class DayTrafficSource(Source):
     """One simulated log-day of requests from a traffic generator.
 
-    The generator's day pass is driven by the supplied *rng*, so the
+    Yields the day as one :class:`~repro.traffic.RequestBatch`.  The
+    generator's day pass is driven by the supplied *rng*, so the
     stream is a pure function of ``(config, day, rng state)`` — the
     property the sharded engine's byte-identity rests on.
     """
@@ -38,7 +39,7 @@ class DayTrafficSource(Source):
         self.rng = rng
 
     def __iter__(self) -> Iterator:
-        return iter(self.generator.generate_day(self.day, self.rng))
+        yield self.generator.generate_day(self.day, self.rng)
 
 
 class ElffSource(Source):

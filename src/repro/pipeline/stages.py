@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterator
-from itertools import islice
 
 import numpy as np
 
@@ -13,17 +12,20 @@ from repro.logmodel.anonymize import hash_client_ip, zero_client_ip
 from repro.logmodel.record import LogRecord
 from repro.metrics import current_registry
 from repro.pipeline.core import Stage
+from repro.traffic import RequestBatch
 
 
 class FleetStage(Stage):
     """Map requests to log records through an appliance fleet.
 
-    The fleet's only entry point is :meth:`batch_items`: it filters
-    the request stream ``batch_size`` requests at a time and emits log
-    columns.  A fleet with ``process_batch`` (the Syrian
+    The fleet's only entry point is :meth:`batch_items`: the stream is
+    one or more :class:`~repro.traffic.RequestBatch` (a day each), and
+    it filters them ``batch_size`` requests at a time into log columns.
+    A fleet with ``process_batch`` (the Syrian
     :class:`~repro.proxy.ProxyFleet`) filters each chunk in one call,
     and its stream layout makes every chunking draw the same *rng*
-    values; any other fleet is called once per request in stream
+    values; any other fleet gets the chunk's
+    :class:`~repro.traffic.Request` rows one at a time, in stream
     order.  Each chunk's filtering time goes to the ``fleet.seconds``
     metrics timer.
     """
@@ -33,26 +35,25 @@ class FleetStage(Stage):
         self.rng = rng
 
     def batch_items(
-        self, stream: Iterator, batch_size: int
+        self, stream: Iterator[RequestBatch], batch_size: int
     ) -> Iterator[RecordBatch]:
         fleet, rng = self.fleet, self.rng
-        while True:
-            chunk = list(islice(stream, batch_size))
-            if not chunk:
-                return
-            started = time.perf_counter()
-            if hasattr(fleet, "process_batch"):
-                batch = fleet.process_batch(chunk, rng)
-            else:
-                batch = RecordBatch.from_records(
-                    [fleet.process(request, rng) for request in chunk]
-                )
-            registry = current_registry()
-            if registry is not None:
-                registry.observe(
-                    "fleet.seconds", time.perf_counter() - started
-                )
-            yield batch
+        for requests in stream:
+            for start in range(0, len(requests), batch_size):
+                chunk = requests[start:start + batch_size]
+                started = time.perf_counter()
+                if hasattr(fleet, "process_batch"):
+                    batch = fleet.process_batch(chunk, rng)
+                else:
+                    batch = RecordBatch.from_records(
+                        [fleet.process(request, rng) for request in chunk]
+                    )
+                registry = current_registry()
+                if registry is not None:
+                    registry.observe(
+                        "fleet.seconds", time.perf_counter() - started
+                    )
+                yield batch
 
 
 class AnonymizeStage(Stage):

@@ -42,7 +42,8 @@ class HostVerdicts:
                 [self.verdicts, np.full(grow, None, dtype=object)]
             )
         row_ids = ids[rows]
-        unseen = np.unique(row_ids[~self.known[row_ids]])
+        # Distinct ids by bincount: a plain np.unique imports numpy.ma.
+        unseen = np.flatnonzero(np.bincount(row_ids[~self.known[row_ids]]))
         for host_id in unseen.tolist():
             self.verdicts[host_id] = self.rule.evaluate(
                 RequestView(hosts[host_id])

@@ -330,8 +330,9 @@ class FacebookPageRule:
         """Evaluates only the rows whose host is one of the rule's."""
         ids, hosts = chunk.host_ids()
         row_codes = ids[rows]
+        # Distinct ids by bincount: a plain np.unique imports numpy.ma.
         watched = [
-            code for code in np.unique(row_codes).tolist()
+            code for code in np.flatnonzero(np.bincount(row_codes)).tolist()
             if hosts[code].lower() in self.hosts
         ]
         found = np.full(len(rows), None, dtype=object)

@@ -19,7 +19,7 @@ output does not depend on how the stream is chunked.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -45,10 +45,9 @@ from repro.proxy.sg9000 import (
     draw_uniforms,
     filter_requests,
     identity_codes,
-    request_columns,
 )
 from repro.timeline import SG42_ONLY_DAYS, USER_SLICE_DAYS, day_span
-from repro.traffic import Request
+from repro.traffic import Request, RequestBatch
 
 #: Proxies that log the default category as ``none`` (the paper finds
 #: this configuration on SG-43 and SG-48 only).
@@ -205,16 +204,22 @@ class ProxyFleet:
 
     def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
         """Route and filter one request (a one-row :meth:`process_batch`)."""
-        return self.process_batch([request], rng).to_records()[0]
+        return self.process_batch(
+            RequestBatch.from_requests([request]), rng
+        ).to_records()[0]
 
     def process_all(
-        self, requests: Iterable[Request], rng: np.random.Generator
+        self,
+        requests: RequestBatch | Iterable[Request],
+        rng: np.random.Generator,
     ) -> list[LogRecord]:
-        """Filter a request stream."""
-        return self.process_batch(list(requests), rng).to_records()
+        """Filter a request stream (a batch, or requests)."""
+        if not isinstance(requests, RequestBatch):
+            requests = RequestBatch.from_requests(requests)
+        return self.process_batch(requests, rng).to_records()
 
     def process_batch(
-        self, requests: Sequence[Request], rng: np.random.Generator
+        self, requests: RequestBatch, rng: np.random.Generator
     ) -> RecordBatch:
         """Route and filter a chunk of requests, in stream order.
 
@@ -225,7 +230,7 @@ class ProxyFleet:
         """
         if not len(requests):
             return RecordBatch.empty()
-        columns = request_columns(requests)
+        columns = requests.columns
         uniforms = draw_uniforms(rng, len(requests))
         appliance = self._route(columns, uniforms)
         cached = self._lookup_caches(appliance, columns, uniforms[:, CACHE_U])

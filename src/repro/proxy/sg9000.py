@@ -13,11 +13,8 @@ v2") has the full argument and the column table.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -30,7 +27,7 @@ from repro.policy.cache import CacheModel
 from repro.policy.engine import VIEW_FIELDS, PolicyEngine
 from repro.policy.errors import ErrorModel
 from repro.policy.rules import Action
-from repro.traffic import Request
+from repro.traffic import Request, RequestBatch
 
 #: Version of the fleet's random-stream layout; part of the run
 #: fingerprint, so a ledger written under another layout never resumes.
@@ -50,22 +47,6 @@ DRAW_COLUMNS = (
 def draw_uniforms(rng: np.random.Generator, count: int) -> np.ndarray:
     """The ``(count, 10)`` fleet-stream draws for *count* requests."""
     return rng.random((count, len(DRAW_COLUMNS)))
-
-
-_REQUEST_FIELDS = tuple(field.name for field in dataclasses.fields(Request))
-_INT_FIELDS = frozenset({"epoch", "port"})
-
-
-def request_columns(requests: Sequence[Request]) -> dict[str, np.ndarray]:
-    """One numpy column per :class:`~repro.traffic.Request` field."""
-    rows = list(map(attrgetter(*_REQUEST_FIELDS), requests))
-    columns = zip(*rows) if rows else repeat((), len(_REQUEST_FIELDS))
-    return {
-        name: np.array(
-            values, dtype=np.int64 if name in _INT_FIELDS else object
-        )
-        for name, values in zip(_REQUEST_FIELDS, columns)
-    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,8 +95,8 @@ _S_ACTIONS = np.array(
 class SG9000:
     """One filtering appliance.
 
-    :meth:`process_batch` turns a chunk of
-    :class:`~repro.traffic.Request` objects into the log columns the
+    :meth:`process_batch` turns a
+    :class:`~repro.traffic.RequestBatch` into the log columns the
     appliance would emit: policy first, then (for allowed requests)
     error injection, then the cache layer, then log-field synthesis.
     :meth:`process` is the one-request case of the same code.
@@ -142,13 +123,15 @@ class SG9000:
 
     def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
         """Filter one request and emit its log record."""
-        return self.process_batch([request], rng).to_records()[0]
+        return self.process_batch(
+            RequestBatch.from_requests([request]), rng
+        ).to_records()[0]
 
     def process_batch(
-        self, requests: Sequence[Request], rng: np.random.Generator
+        self, requests: RequestBatch, rng: np.random.Generator
     ) -> RecordBatch:
         """Filter a chunk of requests; draws ten uniforms per request."""
-        columns = request_columns(requests)
+        columns = requests.columns
         uniforms = draw_uniforms(rng, len(requests))
         cached = self.cache.lookup_many(columns, uniforms[:, CACHE_U])
         return RecordBatch(filter_requests(

@@ -35,12 +35,13 @@ class ApplianceFleet(Protocol):
 
     One request in, one log record out; *rng* is the shard's dedicated
     fleet stream.  A fleet may also offer ``process_batch(requests,
-    rng) -> RecordBatch``; the fleet stage then hands it the request
-    stream in chunks, so the fleet must draw the same values however
-    the stream is chunked (and ``process`` must equal a one-request
-    ``process_batch``).  :class:`~repro.proxy.fleet.ProxyFleet` and the
-    single :class:`~repro.proxy.sg9000.SG9000` do, on fleet stream v2
-    (ten uniforms per request); a fleet without ``process_batch`` — the
+    rng) -> RecordBatch``; the fleet stage then hands it the day's
+    :class:`~repro.traffic.RequestBatch` in chunks, so the fleet must
+    draw the same values however the stream is chunked (and
+    ``process`` must equal a one-request ``process_batch``).
+    :class:`~repro.proxy.fleet.ProxyFleet` and the single
+    :class:`~repro.proxy.sg9000.SG9000` do, on fleet stream v2 (ten
+    uniforms per request); a fleet without ``process_batch`` — the
     Pakistan and Turkmenistan ones — is called once per request, in
     stream order.
     """

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.net.ip import format_ipv4, parse_network
+from repro.stats.draws import cdf, inverse_cdf, uniform_index
 
 # Address pools relays are drawn from (synthetic allocations in the
 # built-in GeoIP registry, so relays geolocate to plausible countries).
@@ -36,6 +37,8 @@ DIRECTORY_PATHS: tuple[str, ...] = (
     "/tor/server/fp/{fingerprint}.z",
     "/tor/extra/recent.z",
 )
+_FINGERPRINT_PATH = 4
+_DIRECTORY_PATH_COLUMN = np.array(DIRECTORY_PATHS, dtype=object)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,10 +97,13 @@ class TorDirectory:
                 # carry most traffic.
                 bandwidth=float(rng.pareto(1.3) + 0.1),
             ))
-        total = sum(relay.bandwidth for relay in self.relays)
-        self._selection_weights = np.array(
-            [relay.bandwidth / total for relay in self.relays]
-        )
+        self._relay_cdf = cdf([relay.bandwidth for relay in self.relays])
+        self._fingerprint_paths = np.array([
+            DIRECTORY_PATHS[_FINGERPRINT_PATH].format(
+                fingerprint=relay.fingerprint
+            )
+            for relay in self.relays
+        ], dtype=object)
         self._or_endpoints = {relay.or_endpoint for relay in self.relays}
         self._dir_endpoints = {
             relay.dir_endpoint
@@ -118,18 +124,24 @@ class TorDirectory:
     def relay_ips(self) -> set[str]:
         return {relay.ip for relay in self.relays}
 
-    def sample_relay(self, rng: np.random.Generator) -> Relay:
-        """Bandwidth-weighted relay choice (how clients pick relays)."""
-        index = rng.choice(len(self.relays), p=self._selection_weights)
-        return self.relays[int(index)]
+    def pick_relays(self, u: np.ndarray) -> np.ndarray:
+        """Bandwidth-weighted relay indices (how clients pick relays),
+        one per uniform."""
+        return inverse_cdf(self._relay_cdf, u)
 
-    def sample_directory_path(self, rng: np.random.Generator) -> str:
-        """A directory-protocol path for a Tor_http request."""
-        template = DIRECTORY_PATHS[int(rng.integers(len(DIRECTORY_PATHS)))]
-        if "{fingerprint}" in template:
-            relay = self.relays[int(rng.integers(len(self.relays)))]
-            return template.format(fingerprint=relay.fingerprint)
-        return template
+    def directory_paths(
+        self, template_u: np.ndarray, relay_u: np.ndarray
+    ) -> np.ndarray:
+        """Directory-protocol paths for Tor_http requests: a uniform
+        template per *template_u*, and for the fingerprint template a
+        uniform relay per *relay_u*."""
+        template = uniform_index(len(DIRECTORY_PATHS), template_u)
+        paths = _DIRECTORY_PATH_COLUMN[template]
+        by_fingerprint = np.flatnonzero(template == _FINGERPRINT_PATH)
+        paths[by_fingerprint] = self._fingerprint_paths[
+            uniform_index(len(self.relays), relay_u[by_fingerprint])
+        ]
+        return paths
 
     def is_tor_endpoint(self, host: str, port: int) -> bool:
         """True when (host, port) is a known relay OR or Dir endpoint."""

@@ -3,9 +3,10 @@
 The generator stands in for the Syrian user population whose traffic
 the leaked logs captured.  It is organized as independent *components*
 — web browsing, raw-IP destinations, Tor, BitTorrent, Facebook page
-visits, Google-cache fetches — each emitting
-:class:`~repro.traffic.Request` streams whose volume, timing and URL
-mix are calibrated to the paper's findings.
+visits, Google-cache fetches — each emitting request columns
+(:class:`~repro.traffic.RequestBatch`) whose volume, timing and URL
+mix are calibrated to the paper's findings, on the fixed per-request
+draw layout of :mod:`repro.workload.stream`.
 
 Entry point: :class:`~repro.workload.generator.TrafficGenerator`.
 """

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.timeline import PROTEST_DAY, day_epoch
+from repro.stats.draws import cdf, inverse_cdf
 
 #: Base hourly traffic weights (relative), Syrian local pattern:
 #: morning ramp, mild afternoon lull, evening activity, night trough.
@@ -79,6 +80,7 @@ class TrafficCalendar:
         self.surges = surges
         base = np.repeat(np.array(HOURLY_WEIGHTS, dtype=float), BINS_PER_DAY // 24)
         self._base_bins = base / base.sum()
+        self._bin_cdfs: dict[str, np.ndarray] = {}
 
     def bin_weights(self, day: str) -> np.ndarray:
         """Normalized per-bin sampling weights for a day."""
@@ -91,26 +93,23 @@ class TrafficCalendar:
             weights[start:end] *= dip.multiplier
         return weights / weights.sum()
 
-    def sample_epochs(
-        self, day: str, count: int, rng: np.random.Generator
+    def epochs(
+        self, day: str, bin_u: np.ndarray, second_u: np.ndarray
     ) -> np.ndarray:
-        """Sample request timestamps for a day, following the curve."""
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        weights = self.bin_weights(day)
-        per_bin = rng.multinomial(count, weights)
-        base = day_epoch(day)
-        epochs = np.empty(count, dtype=np.int64)
-        cursor = 0
-        for bin_index, bin_count in enumerate(per_bin):
-            if bin_count == 0:
-                continue
-            start = base + bin_index * BIN_SECONDS
-            epochs[cursor: cursor + bin_count] = start + rng.integers(
-                0, BIN_SECONDS, size=bin_count
-            )
-            cursor += bin_count
-        return epochs
+        """Request timestamps for a day, following the curve.
+
+        Each request's 5-minute bin is the inverse-CDF bin of *bin_u*
+        under :meth:`bin_weights`, and its second within the bin is
+        ``floor(second_u * 300)``: the same distribution as a
+        multinomial split of the day over the bins.
+        """
+        cumulative = self._bin_cdfs.get(day)
+        if cumulative is None:
+            cumulative = self._bin_cdfs[day] = cdf(self.bin_weights(day))
+        bins = inverse_cdf(cumulative, bin_u)
+        return day_epoch(day) + BIN_SECONDS * bins + (
+            second_u * BIN_SECONDS
+        ).astype(np.int64)
 
     def surge_requests(self, day: str, day_total: int) -> list[tuple["SurgeEvent", int]]:
         """Extra IM-surge request counts for a day.
@@ -132,11 +131,9 @@ class TrafficCalendar:
             extras.append((surge, count))
         return extras
 
-    def sample_window_epochs(
-        self, surge: SurgeEvent, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Timestamps uniformly within a surge window."""
+    def window_epochs(self, surge: SurgeEvent, u: np.ndarray) -> np.ndarray:
+        """Timestamps uniformly within a surge window, one per uniform."""
         base = day_epoch(surge.day)
         start = base + int(surge.start_hour * 3600)
         end = base + int(surge.end_hour * 3600)
-        return rng.integers(start, end, size=count).astype(np.int64)
+        return start + (u * (end - start)).astype(np.int64)

@@ -12,9 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.catalog import facebook as fb
-from repro.traffic import Request
+from repro.stats.draws import cdf, inverse_cdf, uniform_index
+from repro.traffic import RequestBatch, constant_column, request_defaults
 from repro.workload.diurnal import TrafficCalendar
 from repro.workload.population import ClientPopulation
+from repro.workload.stream import generate_blocks
 
 #: Share of the component that is Facebook page visits vs redirect
 #: hosts, calibrated from Tables 7 and 14 (upload.youtube.com's 12,978
@@ -31,6 +33,21 @@ REDIRECT_HOST_WEIGHTS: tuple[tuple[str, str, float], ...] = (
 )
 
 
+#: The uniforms each request of the component draws, one column per
+#: purpose.
+DRAW_COLUMNS = (
+    "bin_u", "second_u", "client_u", "visit_u", "page_u", "page_host_u",
+    "blocked_u", "form_u", "redirect_u",
+)
+(
+    BIN_U, SECOND_U, CLIENT_U, VISIT_U, PAGE_U, PAGE_HOST_U, BLOCKED_U,
+    FORM_U, REDIRECT_U,
+) = range(len(DRAW_COLUMNS))
+DRAWS = len(DRAW_COLUMNS)
+
+_BLOCKED_FORMS = np.array(fb.BLOCKED_QUERY_FORMS, dtype=object)
+
+
 class RedirectTargetsComponent:
     """Generates page visits plus redirect-host traffic."""
 
@@ -42,61 +59,59 @@ class RedirectTargetsComponent:
         self.population = population
         self.calendar = calendar
         self.pages = list(fb.ALL_PAGES)
-        weights = np.array([page.weight for page in self.pages], dtype=float)
-        self._page_weights = weights / weights.sum()
-        hosts = list(fb.PAGE_HOSTS)
-        self._page_hosts = [host for host, _ in hosts]
-        host_weights = np.array([w for _, w in hosts], dtype=float)
-        self._page_host_weights = host_weights / host_weights.sum()
-        redirect_weights = np.array(
-            [w for _, _, w in REDIRECT_HOST_WEIGHTS], dtype=float
+        self._page_cdf = cdf([page.weight for page in self.pages])
+        self._page_paths = np.array(
+            [f"/{page.name}" for page in self.pages], dtype=object
         )
-        self._redirect_weights = redirect_weights / redirect_weights.sum()
+        self._blocked_share = np.array(
+            [page.blocked_share for page in self.pages]
+        )
+        self._page_hosts = np.array(
+            [host for host, _ in fb.PAGE_HOSTS], dtype=object
+        )
+        self._page_host_cdf = cdf([w for _, w in fb.PAGE_HOSTS])
+        self._redirect_cdf = cdf([w for _, _, w in REDIRECT_HOST_WEIGHTS])
+        self._redirect_hosts = np.array(
+            [host for host, _, _ in REDIRECT_HOST_WEIGHTS], dtype=object
+        )
+        self._redirect_paths = np.array(
+            [path for _, path, _ in REDIRECT_HOST_WEIGHTS], dtype=object
+        )
 
-    def generate(self, day: str, count: int, rng: np.random.Generator) -> list[Request]:
-        if count == 0:
-            return []
-        epochs = self.calendar.sample_epochs(day, count, rng)
-        clients = self.population.sample_many(count, rng)
-        requests: list[Request] = []
-        for i in range(count):
-            client = clients[i]
-            epoch = int(epochs[i])
-            if rng.random() < PAGE_VISIT_SHARE:
-                requests.append(self._page_visit(epoch, client, rng))
-            else:
-                requests.append(self._redirect_visit(epoch, client, rng))
-        return requests
+    def generate(
+        self, day: str, count: int, rng: np.random.Generator
+    ) -> RequestBatch:
+        return generate_blocks(
+            count, DRAWS, rng, lambda u: self._columns(day, u)
+        )
 
-    def _page_visit(self, epoch: int, client, rng: np.random.Generator) -> Request:
-        page = self.pages[int(rng.choice(len(self.pages), p=self._page_weights))]
-        host = self._page_hosts[
-            int(rng.choice(len(self._page_hosts), p=self._page_host_weights))
-        ]
-        if rng.random() < page.blocked_share:
-            query = fb.BLOCKED_QUERY_FORMS[
-                int(rng.integers(len(fb.BLOCKED_QUERY_FORMS)))
+    def _columns(self, day: str, u: np.ndarray) -> dict[str, np.ndarray]:
+        count = len(u)
+        clients = self.population.pick(u[:, CLIENT_U])
+        redirect = inverse_cdf(self._redirect_cdf, u[:, REDIRECT_U])
+        hosts = self._redirect_hosts[redirect]
+        paths = self._redirect_paths[redirect]
+        queries = constant_column("", count)
+        visits = np.flatnonzero(u[:, VISIT_U] < PAGE_VISIT_SHARE)
+        if len(visits):
+            pages = inverse_cdf(self._page_cdf, u[visits, PAGE_U])
+            hosts[visits] = self._page_hosts[
+                inverse_cdf(self._page_host_cdf, u[visits, PAGE_HOST_U])
             ]
-        else:
-            query = fb.ESCAPING_QUERY_FORM
-        return Request(
-            epoch=epoch,
-            c_ip=client.c_ip,
-            user_agent=client.user_agent,
-            host=host,
-            path=f"/{page.name}",
-            query=query,
-            component="redirect-targets",
-        )
-
-    def _redirect_visit(self, epoch: int, client, rng: np.random.Generator) -> Request:
-        index = int(rng.choice(len(REDIRECT_HOST_WEIGHTS), p=self._redirect_weights))
-        host, path, _ = REDIRECT_HOST_WEIGHTS[index]
-        return Request(
-            epoch=epoch,
-            c_ip=client.c_ip,
-            user_agent=client.user_agent,
-            host=host,
-            path=path,
-            component="redirect-targets",
+            paths[visits] = self._page_paths[pages]
+            blocked = u[visits, BLOCKED_U] < self._blocked_share[pages]
+            forms = constant_column(fb.ESCAPING_QUERY_FORM, len(visits))
+            forms[blocked] = _BLOCKED_FORMS[
+                uniform_index(len(_BLOCKED_FORMS), u[visits[blocked], FORM_U])
+            ]
+            queries[visits] = forms
+        return request_defaults(
+            count,
+            epoch=self.calendar.epochs(day, u[:, BIN_U], u[:, SECOND_U]),
+            c_ip=self.population.c_ips[clients],
+            user_agent=self.population.user_agents[clients],
+            host=hosts,
+            path=paths,
+            query=queries,
+            component=constant_column("redirect-targets", count),
         )

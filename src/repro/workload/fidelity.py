@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.traffic import Request
+from repro.traffic import RequestBatch
 from repro.workload.config import COMPONENT_SHARES, ScenarioConfig
 
 
@@ -43,7 +43,7 @@ class FidelityReport:
 
 def measure_fidelity(
     config: ScenarioConfig,
-    day_streams: list[tuple[str, list[Request]]],
+    day_streams: list[tuple[str, RequestBatch]],
 ) -> FidelityReport:
     """Compare generated streams against the configuration.
 
@@ -55,11 +55,11 @@ def measure_fidelity(
     for day, requests in day_streams:
         day_counts[day] += len(requests)
         total += len(requests)
-        for request in requests:
-            component = request.component
+        components = Counter(requests.col("component").tolist())
+        for component, count in components.items():
             if component.startswith("tor-"):
                 component = "tor"  # tor-http/tor-onion are one budget
-            component_counts[component] += 1
+            component_counts[component] += count
 
     expected_components = {}
     for component, share in COMPONENT_SHARES.items():

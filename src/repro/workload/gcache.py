@@ -11,10 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.catalog.domains import SiteSpec, expand_template
-from repro.traffic import Request
+from repro.catalog.domains import SiteSpec, UrlPattern
+from repro.stats.draws import cdf, inverse_cdf
+from repro.traffic import RequestBatch, constant_column, request_defaults
 from repro.workload.diurnal import TrafficCalendar
 from repro.workload.population import ClientPopulation
+from repro.workload.stream import generate_blocks
+
+
+#: The uniforms each cache fetch draws, one column per purpose.
+DRAW_COLUMNS = (
+    "bin_u", "second_u", "client_u", "template_u",
+    "slot_u0", "slot_u1", "slot_u2",
+)
+BIN_U, SECOND_U, CLIENT_U, TEMPLATE_U, SLOT_U = range(len(DRAW_COLUMNS) - 2)
+DRAWS = len(DRAW_COLUMNS)
 
 
 class GoogleCacheComponent:
@@ -30,30 +41,41 @@ class GoogleCacheComponent:
         if not cache_sites:
             raise ValueError("universe has no google-cache site")
         self.site = cache_sites[0]
-        weights = np.array([t.weight for t in self.site.templates], dtype=float)
-        self._template_weights = weights / weights.sum()
+        self._template_cdf = cdf([t.weight for t in self.site.templates])
+        self._patterns = [
+            UrlPattern(t.path, t.query) for t in self.site.templates
+        ]
+        if max(len(p.kinds) for p in self._patterns) > DRAWS - SLOT_U:
+            raise ValueError("a cache template has too many placeholders")
         self.population = population
         self.calendar = calendar
 
-    def generate(self, day: str, count: int, rng: np.random.Generator) -> list[Request]:
-        if count == 0:
-            return []
-        epochs = self.calendar.sample_epochs(day, count, rng)
-        clients = self.population.sample_many(count, rng)
-        template_indices = rng.choice(
-            len(self.site.templates), size=count, p=self._template_weights
+    def generate(
+        self, day: str, count: int, rng: np.random.Generator
+    ) -> RequestBatch:
+        return generate_blocks(
+            count, DRAWS, rng, lambda u: self._columns(day, u)
         )
-        requests: list[Request] = []
-        for i in range(count):
-            template = self.site.templates[int(template_indices[i])]
-            path, query = expand_template(template, rng)
-            requests.append(Request(
-                epoch=int(epochs[i]),
-                c_ip=clients[i].c_ip,
-                user_agent=clients[i].user_agent,
-                host=self.site.host,
-                path=path,
-                query=query,
-                component="google-cache",
-            ))
-        return requests
+
+    def _columns(self, day: str, u: np.ndarray) -> dict[str, np.ndarray]:
+        count = len(u)
+        clients = self.population.pick(u[:, CLIENT_U])
+        template = inverse_cdf(self._template_cdf, u[:, TEMPLATE_U])
+        paths = np.empty(count, dtype=object)
+        queries = np.empty(count, dtype=object)
+        # Distinct codes by bincount: a plain np.unique imports numpy.ma.
+        for code in np.flatnonzero(np.bincount(template)).tolist():
+            rows = np.flatnonzero(template == code)
+            paths[rows], queries[rows] = self._patterns[code].fill(
+                u[rows, SLOT_U:]
+            )
+        return request_defaults(
+            count,
+            epoch=self.calendar.epochs(day, u[:, BIN_U], u[:, SECOND_U]),
+            c_ip=self.population.c_ips[clients],
+            user_agent=self.population.user_agents[clients],
+            host=constant_column(self.site.host, count),
+            path=paths,
+            query=queries,
+            component=constant_column("google-cache", count),
+        )

@@ -2,21 +2,24 @@
 
 Assembles the components over a :class:`~repro.workload.config.
 ScenarioConfig` and yields the merged, time-ordered request stream per
-day.  Also exposes the ground-truth artifacts the policy builder and
-the analyses need: the site universe, the Tor directory, the torrent
-catalog, and the blocked anonymizer endpoint addresses.
+day as a :class:`~repro.traffic.RequestBatch`.  Also exposes the
+ground-truth artifacts the policy builder and the analyses need: the
+site universe, the Tor directory, the torrent catalog, and the blocked
+anonymizer endpoint addresses.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterator
 
 import numpy as np
 
 from repro.bittorrent import TorrentCatalog
 from repro.catalog.domains import SiteSpec, build_domain_universe
+from repro.metrics import current_registry
 from repro.tornet import TorDirectory
-from repro.traffic import Request
+from repro.traffic import REQUEST_COLUMNS, RequestBatch
 from repro.workload.bittraffic import BitTorrentComponent
 from repro.workload.browsing import BrowsingComponent
 from repro.workload.config import ScenarioConfig
@@ -73,40 +76,50 @@ class TrafficGenerator:
         """Endpoint addresses the policy must block individually."""
         return blocked_endpoint_addresses(self.address_pools)
 
-    def generate_day(self, day: str, rng: np.random.Generator) -> list[Request]:
-        """The complete request stream of one day, time-ordered."""
-        weight = self.config.day_weights()[day]
-        requests: list[Request] = []
-        requests.extend(
-            self._browsing.generate(day, self.config.browsing_requests(weight), rng)
-        )
-        requests.extend(
-            self._iphosts.generate(
-                day, self.config.component_requests("iphosts", weight), rng
-            )
-        )
-        requests.extend(
-            self._tor.generate(day, self.config.component_requests("tor", weight), rng)
-        )
-        requests.extend(
-            self._bittorrent.generate(
-                day, self.config.component_requests("bittorrent", weight), rng
-            )
-        )
-        requests.extend(
-            self._redirects.generate(
-                day, self.config.component_requests("redirect-targets", weight), rng
-            )
-        )
-        requests.extend(
-            self._gcache.generate(
-                day, self.config.component_requests("google-cache", weight), rng
-            )
-        )
-        requests.sort(key=lambda request: request.epoch)
-        return requests
+    def generate_day(self, day: str, rng: np.random.Generator) -> RequestBatch:
+        """The complete request stream of one day, time-ordered.
 
-    def generate(self) -> Iterator[tuple[str, list[Request]]]:
+        The components run in a fixed order on the day's *rng*
+        (workload stream v2, :mod:`repro.workload.stream`), and one
+        stable argsort on epoch merges them; each column is gathered
+        once.  Each call is one span of the ``workload.seconds``
+        metrics timer.
+        """
+        started = time.perf_counter()
+        weight = self.config.day_weights()[day]
+        parts = [
+            self._browsing.generate(
+                day, self.config.browsing_requests(weight), rng
+            ),
+            *(
+                component.generate(
+                    day, self.config.component_requests(name, weight), rng
+                )
+                for name, component in (
+                    ("iphosts", self._iphosts),
+                    ("tor", self._tor),
+                    ("bittorrent", self._bittorrent),
+                    ("redirect-targets", self._redirects),
+                    ("google-cache", self._gcache),
+                )
+            ),
+        ]
+        order = np.argsort(
+            np.concatenate([part.col("epoch") for part in parts]),
+            kind="stable",
+        )
+        batch = RequestBatch({
+            name: np.concatenate(
+                [part.columns.pop(name) for part in parts]
+            )[order]
+            for name in REQUEST_COLUMNS
+        })
+        registry = current_registry()
+        if registry is not None:
+            registry.observe("workload.seconds", time.perf_counter() - started)
+        return batch
+
+    def generate(self) -> Iterator[tuple[str, RequestBatch]]:
         """Yield ``(day, requests)`` for every configured day."""
         rng = np.random.default_rng(self.config.seed)
         for day in self.config.days:

@@ -16,9 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.net.ip import format_ipv4, parse_network
-from repro.traffic import Request, connect_request
+from repro.traffic import (
+    RequestBatch,
+    connect_rows,
+    constant_column,
+    request_defaults,
+)
 from repro.workload.diurnal import TrafficCalendar
 from repro.workload.population import ClientPopulation
+from repro.stats.draws import GroupedCdf, cdf, inverse_cdf
+from repro.workload.stream import generate_blocks
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,6 +153,21 @@ def blocked_endpoint_addresses(pools: list[AddressPool]) -> tuple[str, ...]:
     return tuple(addresses)
 
 
+#: The uniforms each raw-IP request draws, one column per purpose.
+DRAW_COLUMNS = (
+    "bin_u", "second_u", "pool_u", "address_u", "client_u", "connect_u",
+    "path_u", "data_u",
+)
+BIN_U, SECOND_U, POOL_U, ADDRESS_U, CLIENT_U, CONNECT_U, PATH_U, DATA_U = (
+    range(len(DRAW_COLUMNS))
+)
+DRAWS = len(DRAW_COLUMNS)
+
+#: Share of plain-HTTP raw-IP requests for ``/``; the rest fetch
+#: ``/data/<n>``.
+ROOT_PATH_SHARE = 0.7
+
+
 class IPHostsComponent:
     """Generates the raw-IP destination traffic."""
 
@@ -159,39 +181,48 @@ class IPHostsComponent:
         self.pools = pools if pools is not None else build_address_pools(seed)
         self.population = population
         self.calendar = calendar
-        self._pool_weights = np.array([pool.share for pool in self.pools])
+        self._pool_cdf = cdf([pool.share for pool in self.pools])
+        self._connect_share = np.array(
+            [pool.connect_share for pool in self.pools]
+        )
         # Zipf-ish weights over addresses inside each pool: a few
         # endpoints absorb most of the traffic.
-        self._address_weights: list[np.ndarray] = []
-        for pool in self.pools:
-            ranks = np.arange(1, len(pool.addresses) + 1, dtype=float)
-            weights = 1.0 / ranks**0.8
-            self._address_weights.append(weights / weights.sum())
+        self._addresses = GroupedCdf([
+            1.0 / np.arange(1, len(pool.addresses) + 1, dtype=float) ** 0.8
+            for pool in self.pools
+        ])
+        self._address = np.array(
+            [address for pool in self.pools for address in pool.addresses],
+            dtype=object,
+        )
 
-    def generate(self, day: str, count: int, rng: np.random.Generator) -> list[Request]:
-        if count == 0:
-            return []
-        epochs = self.calendar.sample_epochs(day, count, rng)
-        pool_indices = rng.choice(len(self.pools), size=count, p=self._pool_weights)
-        clients = self.population.sample_many(count, rng)
-        requests: list[Request] = []
-        for i in range(count):
-            pool = self.pools[int(pool_indices[i])]
-            weights = self._address_weights[int(pool_indices[i])]
-            address = pool.addresses[int(rng.choice(len(weights), p=weights))]
-            client = clients[i]
-            epoch = int(epochs[i])
-            if rng.random() < pool.connect_share:
-                requests.append(connect_request(
-                    epoch, client.c_ip, client.user_agent, address, 443,
-                    component="iphosts"))
-            else:
-                requests.append(Request(
-                    epoch=epoch,
-                    c_ip=client.c_ip,
-                    user_agent=client.user_agent,
-                    host=address,
-                    path="/" if rng.random() < 0.7 else f"/data/{int(rng.integers(10**6))}",
-                    component="iphosts",
-                ))
-        return requests
+    def generate(
+        self, day: str, count: int, rng: np.random.Generator
+    ) -> RequestBatch:
+        return generate_blocks(
+            count, DRAWS, rng, lambda u: self._columns(day, u)
+        )
+
+    def _columns(self, day: str, u: np.ndarray) -> dict[str, np.ndarray]:
+        count = len(u)
+        pools = inverse_cdf(self._pool_cdf, u[:, POOL_U])
+        clients = self.population.pick(u[:, CLIENT_U])
+        connect = u[:, CONNECT_U] < self._connect_share[pools]
+        paths = constant_column("/", count)
+        data = np.flatnonzero(~connect & (u[:, PATH_U] >= ROOT_PATH_SHARE))
+        paths[data] = [
+            f"/data/{n}"
+            for n in (u[data, DATA_U] * 10**6).astype(np.int64).tolist()
+        ]
+        columns = request_defaults(
+            count,
+            epoch=self.calendar.epochs(day, u[:, BIN_U], u[:, SECOND_U]),
+            c_ip=self.population.c_ips[clients],
+            user_agent=self.population.user_agents[clients],
+            host=self._address[self._addresses.pick(pools, u[:, ADDRESS_U])],
+            path=paths,
+            component=constant_column("iphosts", count),
+        )
+        connect_rows(columns, connect)
+        columns["port"][connect] = 443
+        return columns

@@ -4,7 +4,8 @@ Clients sit behind the STE backbone; the paper identifies a user as a
 unique (c-ip, cs-user-agent) pair (Section 4, following Yen et al.),
 counting 147,802 users over the July 22–23 slice.  The model assigns
 each user a Syrian address, one user agent, and a heavy-tailed
-activity weight; requests sample users proportionally to activity.
+activity weight; requests pick users proportionally to activity, by
+an inverse-CDF lookup of one uniform per request.
 
 The paper's Fig. 4 correlation — censored users are far more active
 than non-censored ones — *emerges* from this model: active users send
@@ -20,6 +21,7 @@ import numpy as np
 
 from repro.net.ip import format_ipv4, parse_network
 from repro.net.useragent import BROWSERS
+from repro.stats.draws import cdf, inverse_cdf
 
 # Syrian access ranges clients are drawn from (synthetic allocation,
 # registered to SY in the built-in GeoIP registry).
@@ -72,7 +74,10 @@ class ClientPopulation:
             Client(c_ip=ip, user_agent=agent, activity=float(weight))
             for ip, agent, weight in zip(addresses, agents, activity)
         ]
-        self._weights = activity
+        #: Per-client columns, indexed by what :meth:`pick` returns.
+        self.c_ips = np.array(addresses, dtype=object)
+        self.user_agents = np.array(agents, dtype=object)
+        self._cdf = cdf(activity)
         # The risk pool: the small user subset that actually touches
         # keyword-bearing content (plugin-heavy browsing, toolbars,
         # IM clients).  2.5 % of users, biased towards active ones.
@@ -81,26 +86,18 @@ class ClientPopulation:
         self._risk_indices = rng.choice(
             self._risk_indices, size=pool_size, replace=False
         )
-        risk_weights = activity[self._risk_indices]
-        self._risk_weights = risk_weights / risk_weights.sum()
+        self._risk_cdf = cdf(activity[self._risk_indices])
 
     def __len__(self) -> int:
         return len(self.clients)
 
-    def sample(self, rng: np.random.Generator) -> Client:
-        index = int(rng.choice(len(self.clients), p=self._weights))
-        return self.clients[index]
+    def pick(self, u: np.ndarray) -> np.ndarray:
+        """Activity-weighted client indices, one per uniform."""
+        return inverse_cdf(self._cdf, u)
 
-    def sample_many(self, count: int, rng: np.random.Generator) -> list[Client]:
-        indices = rng.choice(len(self.clients), size=count, p=self._weights)
-        return [self.clients[int(i)] for i in indices]
-
-    def sample_risk_users(self, count: int, rng: np.random.Generator) -> list[Client]:
-        """Sample from the risk pool (activity-weighted)."""
-        indices = rng.choice(
-            self._risk_indices, size=count, p=self._risk_weights
-        )
-        return [self.clients[int(i)] for i in indices]
+    def pick_risk(self, u: np.ndarray) -> np.ndarray:
+        """Client indices from the risk pool (activity-weighted)."""
+        return self._risk_indices[inverse_cdf(self._risk_cdf, u)]
 
     def distinct_identities(self) -> int:
         """Number of unique (c-ip, agent) pairs — the paper's user unit."""

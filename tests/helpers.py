@@ -7,6 +7,7 @@ import numpy as np
 from repro.frame import LogFrame, frame_from_records
 from repro.logmodel.record import LogRecord
 from repro.timeline import day_epoch
+from repro.traffic import Request
 
 DEFAULT_EPOCH = day_epoch("2011-08-03") + 10 * 3600
 
@@ -58,3 +59,14 @@ def proxied_row(**overrides) -> dict:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def tunnel_request(host: str = "www.example.com", **overrides) -> Request:
+    """An HTTPS CONNECT request: only the host and port are visible."""
+    fields = dict(
+        epoch=day_epoch("2011-08-03"), c_ip="31.9.1.2", user_agent="UA",
+        host=host, path="", query="", scheme="tcp", port=443,
+        method="CONNECT", content_type="-",
+    )
+    fields.update(overrides)
+    return Request(**fields)

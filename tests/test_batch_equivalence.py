@@ -74,11 +74,12 @@ WORKER_COUNTS = (1, 2, 4)
 #: per-process scenario context is shared across modules.
 TINY = small_config(6_000, seed=5)
 
-#: SHA-256 of TINY's ``proxies.log`` under fleet stream v2.  Every
-#: execution mode must write exactly these bytes; a change to the
-#: fleet's random-stream layout must bump ``FLEET_STREAM`` and re-pin.
+#: SHA-256 of TINY's ``proxies.log`` under fleet stream v2 and
+#: workload stream v2.  Every execution mode must write exactly these
+#: bytes; a change to the fleet's or the generator's random-stream
+#: layout must bump ``FLEET_STREAM`` or ``WORKLOAD_STREAM`` and re-pin.
 TINY_V2_DIGEST = (
-    "26db809f0ea63d999e65a4184dc32468c1a6ee809728a13943afe166bd8a7f42"
+    "27451c97249aab7468d5000739d924fcbca2fccd5bc970bfdd8678f3d14f5344"
 )
 
 #: User agents chosen to exercise every ELFF quoting shape: unquoted,

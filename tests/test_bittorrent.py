@@ -47,11 +47,14 @@ class TestTorrentCatalog:
 
     def test_sampling(self):
         catalog = TorrentCatalog(50, seed=6)
-        generator = rng(0)
-        content = catalog.sample_content(generator)
-        assert content in catalog.contents
-        host, port = catalog.sample_tracker(generator)
-        assert (host, port) in TRACKERS
+        u = rng(0).random((200, 2))
+        contents = catalog.pick_contents(u[:, 0])
+        assert contents.min() >= 0 and contents.max() < len(catalog)
+        assert catalog.info_hashes[contents[0]] == (
+            catalog.contents[contents[0]].info_hash
+        )
+        trackers = catalog.pick_trackers(u[:, 1])
+        assert set(trackers.tolist()) <= set(range(len(TRACKERS)))
 
     def test_peer_id_format(self):
         assert make_peer_id(7).startswith("-UT2210-")

@@ -15,9 +15,8 @@ from repro.catalog.categories import Category as C
 from repro.catalog.domains import (
     FACEBOOK_PLUGIN_TEMPLATES,
     SiteSpec,
-    UrlTemplate,
+    UrlPattern,
     build_domain_universe,
-    expand_template,
     synthetic_suspected_sites,
     synthetic_tail_sites,
 )
@@ -121,20 +120,22 @@ class TestSyntheticPopulations:
 
 class TestTemplateExpansion:
     def test_placeholders_replaced(self):
-        template = UrlTemplate("/watch/{id}/{word}", "q={hex}&r={id}")
-        path, query = expand_template(template, rng(0))
-        assert "{" not in path and "{" not in query
-        assert path.startswith("/watch/")
+        pattern = UrlPattern("/watch/{id}/{word}", "q={hex}&r={id}")
+        paths, queries = pattern.fill(rng(0).random((5, 4)))
+        for path, query in zip(paths, queries):
+            assert "{" not in path and "{" not in query
+            assert path.startswith("/watch/")
+            assert len(query.split("&")[0]) == len("q=") + 8
+        assert pattern.kinds == ("id", "word", "hex", "id")
 
     def test_expansion_varies(self):
-        template = UrlTemplate("/{id}")
-        generator = rng(1)
-        values = {expand_template(template, generator)[0] for _ in range(10)}
-        assert len(values) > 5
+        paths, _ = UrlPattern("/{id}", "").fill(rng(1).random((10, 1)))
+        assert len(set(paths)) > 5
+        assert all(10**4 <= int(path[1:]) < 10**9 for path in paths)
 
     def test_plain_template_unchanged(self):
-        template = UrlTemplate("/index.html", "a=1")
-        assert expand_template(template, rng(0)) == ("/index.html", "a=1")
+        pattern = UrlPattern("/index.html", "a=1")
+        assert pattern.fill(rng(0).random((3, 0))) == ("/index.html", "a=1")
 
 
 class TestFacebookInventory:

@@ -10,10 +10,10 @@ exactly ten uniforms of the fleet rng per request, so:
 * ``PolicyEngine.evaluate_many`` equals evaluating each view, for
   every rule type the repository ships, and so do the column verdicts
   of every shipped engine over random views and random chunkings;
-* the regimes without a batch fleet (Pakistan, Turkmenistan) still
-  write the exact bytes they wrote before the stream changed;
-* a ledger written without the ``fleet_stream`` facet refuses to
-  resume, naming the facet.
+* the regimes without a batch fleet (Pakistan, Turkmenistan) write
+  the pinned bytes of workload stream v2;
+* a ledger written without the ``fleet_stream`` or the
+  ``workload_stream`` facet refuses to resume, naming the facet.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ from repro.regimes.turkmenistan import (
 )
 from repro.runstate import RunCheckpoint, config_digest, run_fingerprint
 from repro.timeline import day_epoch
+from repro.traffic import RequestBatch
 from repro.workload.config import ScenarioConfig, small_config
+from repro.workload.stream import WORKLOAD_STREAM
 
 #: Same tiny scenario as test_batch_equivalence/test_engine, so the
 #: cached per-process scenario context is shared across modules.
@@ -85,12 +87,14 @@ DAYS = ("2011-07-22", "2011-07-31", "2011-08-03")
 def stream():
     """Requests from every interesting kind of day, in stream order."""
     context = scenario_context(TINY)
-    requests = []
-    for index, day in enumerate(DAYS):
-        rng = np.random.default_rng(index)
-        requests.extend(context.generator.generate_day(day, rng)[:150])
-    components = {request.component for request in requests}
-    assert {"tor-onion", "tor-http"} & components
+    requests = RequestBatch.from_requests([
+        request
+        for index, day in enumerate(DAYS)
+        for request in context.generator.generate_day(
+            day, np.random.default_rng(index)
+        )[:150]
+    ])
+    assert {"tor-onion", "tor-http"} & set(requests.col("component"))
     return requests
 
 
@@ -159,7 +163,7 @@ class TestChunkInvariance:
         fleet = _fleet(False)
         with use_registry(registry):
             Pipeline(
-                stream, (FleetStage(fleet, np.random.default_rng(5)),)
+                [stream], (FleetStage(fleet, np.random.default_rng(5)),)
             ).run(RecordListSink(), 100)
         assert registry.timers["fleet.seconds"].count == -(-len(stream) // 100)
 
@@ -364,13 +368,14 @@ class TestColumnVerdicts:
 
 
 #: SHA-256 of ``simulate --requests 4000 --seed 3 --regime NAME``'s
-#: proxies.log, as written before fleet stream v2: these regimes keep
-#: their per-record fleets, so their bytes must never move.
+#: proxies.log under workload stream v2.  These regimes keep their
+#: per-record fleets, so their bytes move only with the workload
+#: stream (``WORKLOAD_STREAM``), never with the Syrian fleet's.
 GOLDEN = {
     "pakistan":
-        "579df2d3d563751130bee3250ed542c17e5860c100cb048053811882c3d1ebd1",
+        "8ae72c16d39c377a102aade9c6c9ba94b78321aa54cadfbc46507b861b1b0934",
     "turkmenistan":
-        "a4af1f28b49279c965d6d7df542f8375e73c708d16a5bcf40b9265341453f108",
+        "387401b83f6f83532c17ba213ff41dc4c6b942cd71669d878722561e3c0f6f02",
 }
 
 
@@ -405,6 +410,40 @@ class TestFleetStreamFingerprint:
                 "--checkpoint-dir", str(tmp_path / "ledger"), "--resume",
             ])
 
+    def test_workload_v1_ledger_refuses_resume_naming_the_facet(
+        self, tmp_path
+    ):
+        """A ledger of fleet stream v2 over workload stream v1."""
+        config = ScenarioConfig(total_requests=2000, seed=3)
+        v1 = run_fingerprint(
+            "simulate", config=config_digest(config), regime="syria",
+            per_proxy=False, per_day=False, compress=False, fleet_stream=2,
+        )
+        ledger = RunCheckpoint(tmp_path / "ledger", v1)
+        ledger.begin([f"day:{day}" for day in config.days])
+        ledger.close()
+        with pytest.raises(SystemExit, match="workload_stream"):
+            main([
+                "simulate", "--requests", "2000", "--seed", "3",
+                "--out", str(tmp_path / "out"),
+                "--checkpoint-dir", str(tmp_path / "ledger"), "--resume",
+            ])
+
+    def test_report_fingerprint_names_both_streams(self, tmp_path):
+        config = ScenarioConfig(total_requests=2000, seed=3)
+        v1 = run_fingerprint(
+            "report", config=config_digest(config), regime="syria",
+            fleet_stream=2,
+        )
+        ledger = RunCheckpoint(tmp_path / "ledger", v1)
+        ledger.begin([f"day:{day}" for day in config.days])
+        ledger.close()
+        with pytest.raises(SystemExit, match="workload_stream"):
+            main([
+                "report", "--requests", "2000", "--seed", "3",
+                "--checkpoint-dir", str(tmp_path / "ledger"), "--resume",
+            ])
+
     def test_simulate_and_distributed_fingerprints_agree(self, tmp_path):
         from repro.dispatch import simulate_job_for
         from repro.engine import simulate_fingerprint
@@ -415,3 +454,4 @@ class TestFleetStreamFingerprint:
             config, per_day=True
         )
         assert job.fingerprint()["fleet_stream"] == 2
+        assert job.fingerprint()["workload_stream"] == WORKLOAD_STREAM == 2

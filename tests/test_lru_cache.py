@@ -9,7 +9,7 @@ from repro.policy.errors import ErrorModel
 from repro.proxy import SG9000
 from repro.timeline import day_epoch
 from repro.traffic import Request
-from tests.helpers import rng
+from tests.helpers import rng, tunnel_request
 
 
 def request(path="/a.jpg", content_type="image/jpeg", **kw) -> Request:
@@ -98,14 +98,9 @@ class TestSG9000WithLru:
         assert second.x_exception_id == "-"  # the paper's inconsistency
 
     def test_connect_never_cached(self):
-        from repro.traffic import connect_request
-
         proxy = self.make_proxy(LruProxyCache(capacity=100))
         generator = rng(1)
-        tunnel = connect_request(
-            day_epoch("2011-08-03"), "31.9.1.2", "UA",
-            "www.example.com", 443, "browsing",
-        )
+        tunnel = tunnel_request()
         proxy.process(tunnel, generator)
         again = proxy.process(tunnel, generator)
         assert again.sc_filter_result == "OBSERVED"

@@ -153,11 +153,7 @@ class TestBatchedPathEquivalence:
         curfew_policy = streaming_curfew(cls.START_HOUR, cls.END_HOUR)(
             baseline_policy, generator
         )
-        requests = [
-            request
-            for _, day_requests in generator.generate()
-            for request in day_requests
-        ]
+        requests = [day_requests for _, day_requests in generator.generate()]
         spans = [day_span(day) for day in USER_SLICE_DAYS]
 
         def run(policy, batch_size):

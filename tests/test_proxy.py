@@ -10,8 +10,8 @@ from repro.policy.errors import ErrorModel
 from repro.policy.syria import build_syrian_policy
 from repro.proxy import CategoryNaming, ProxyFleet, RoutingPolicy, SG9000
 from repro.timeline import day_epoch
-from repro.traffic import Request, connect_request
-from tests.helpers import rng
+from repro.traffic import Request
+from tests.helpers import rng, tunnel_request
 
 
 def request(**kw) -> Request:
@@ -106,11 +106,7 @@ class TestSG9000:
         assert record.x_exception_id == "-"  # the paper's inconsistency
 
     def test_connect_request_logging(self):
-        record = make_proxy().process(
-            connect_request(day_epoch("2011-08-03"), "31.9.1.2", "UA",
-                            "www.example.com", 443, "browsing"),
-            rng(),
-        )
+        record = make_proxy().process(tunnel_request(), rng())
         assert record.cs_method == "CONNECT"
         assert record.cs_uri_path == "-"
         assert record.cs_uri_query == "-"

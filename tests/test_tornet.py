@@ -46,9 +46,8 @@ class TestTorDirectory:
     def test_sample_relay_prefers_bandwidth(self):
         directory = TorDirectory(100, seed=8)
         counts = {}
-        generator = rng(0)
-        for _ in range(800):
-            relay = directory.sample_relay(generator)
+        for index in directory.pick_relays(rng(0).random(800)):
+            relay = directory.relays[index]
             counts[relay.nickname] = counts.get(relay.nickname, 0) + 1
         top = max(counts, key=counts.get)
         top_bandwidth = next(
@@ -59,11 +58,20 @@ class TestTorDirectory:
 
     def test_sample_directory_path(self):
         directory = TorDirectory(30, seed=9)
-        generator = rng(1)
-        for _ in range(20):
-            path = directory.sample_directory_path(generator)
+        u = rng(1).random((20, 2))
+        paths = directory.directory_paths(u[:, 0], u[:, 1])
+        assert len(paths) == 20
+        for path in paths:
             assert path.startswith("/tor/")
             assert "{fingerprint}" not in path
+        fingerprints = {relay.fingerprint for relay in directory.relays}
+        by_fingerprint = directory.directory_paths(
+            np.full(5, 4.5 / 6), rng(2).random(5)
+        )
+        assert all(
+            path.removeprefix("/tor/server/fp/").removesuffix(".z")
+            in fingerprints for path in by_fingerprint
+        )
 
     def test_is_tor_endpoint(self):
         directory = TorDirectory(30, seed=10)

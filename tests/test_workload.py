@@ -95,9 +95,12 @@ class TestPopulation:
         assert abs(total - 1.0) < 1e-6
 
     def test_sampling_prefers_active_users(self, population):
-        sampled = population.sample_many(3000, rng(0))
-        top_user = max(population.clients, key=lambda c: c.activity)
-        hits = sum(1 for c in sampled if c is top_user)
+        sampled = population.pick(rng(0).random(3000))
+        top_user = max(
+            range(len(population)),
+            key=lambda i: population.clients[i].activity,
+        )
+        hits = int((sampled == top_user).sum())
         assert hits > 3000 / 400  # above uniform expectation
 
     def test_nat_shares_addresses(self, population):
@@ -105,7 +108,10 @@ class TestPopulation:
         assert len(set(addresses)) < len(addresses)
 
     def test_risk_pool_sampling(self, population):
-        risk = population.sample_risk_users(50, rng(1))
+        risk = [
+            population.clients[i]
+            for i in population.pick_risk(rng(1).random(50))
+        ]
         assert len(risk) == 50
         distinct = {(c.c_ip, c.user_agent) for c in risk}
         assert len(distinct) <= max(2, int(400 * 0.025))
@@ -138,13 +144,19 @@ class TestCalendar:
         assert weights[dip_bin] < plain[dip_bin] * 0.5
 
     def test_sample_epochs_within_day(self, calendar):
-        epochs = calendar.sample_epochs("2011-08-03", 500, rng(0))
+        u = rng(0).random((500, 2))
+        epochs = calendar.epochs("2011-08-03", u[:, 0], u[:, 1])
         start, end = day_span("2011-08-03")
         assert len(epochs) == 500
         assert epochs.min() >= start and epochs.max() < end
+        edges = calendar.epochs(
+            "2011-08-03", np.array([0.0, 1 - 1e-16]), np.array([0.0, 1 - 1e-16])
+        )
+        assert edges.tolist() == [start, end - 1]
 
     def test_sample_zero(self, calendar):
-        assert len(calendar.sample_epochs("2011-08-03", 0, rng(0))) == 0
+        empty = np.empty(0)
+        assert len(calendar.epochs("2011-08-03", empty, empty)) == 0
 
     def test_surges_only_on_protest_day(self, calendar):
         assert calendar.surge_requests("2011-08-02", 100_000) == []
@@ -154,7 +166,7 @@ class TestCalendar:
 
     def test_surge_epochs_within_window(self, calendar):
         surge = DEFAULT_SURGES[1]
-        epochs = calendar.sample_window_epochs(surge, 200, rng(0))
+        epochs = calendar.window_epochs(surge, rng(0).random(200))
         base = day_epoch(surge.day)
         assert epochs.min() >= base + surge.start_hour * 3600
         assert epochs.max() < base + surge.end_hour * 3600
