@@ -1,6 +1,10 @@
 """End-to-end integration: the full report against scenario ground
 truth — the known-answer validation of the whole pipeline."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 
 from repro.policy.syria import KEYWORDS
@@ -121,3 +125,52 @@ class TestReportEndToEnd:
         quick = build_report(scenario, recover_keywords=False)
         assert quick.recovered_keywords == []
         assert quick.table10  # Table 10 still computed from known list
+
+
+def _canonical(value):
+    """A JSON-ready form of a report value that keeps types and order.
+
+    Dataclasses go field by field, numpy arrays as dtype plus
+    ``tolist()``, dicts in insertion order and sets sorted; every other
+    value is its type name plus ``repr``.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return [
+            type(value).__name__,
+            [
+                [f.name, _canonical(getattr(value, f.name))]
+                for f in dataclasses.fields(value)
+            ],
+        ]
+    if isinstance(value, np.ndarray):
+        return ["ndarray", str(value.dtype), _canonical(value.tolist())]
+    if isinstance(value, dict):
+        return [
+            type(value).__name__,
+            [[_canonical(k), _canonical(v)] for k, v in value.items()],
+        ]
+    if isinstance(value, (set, frozenset)):
+        items = [_canonical(v) for v in value]
+        return [type(value).__name__, sorted(items, key=json.dumps)]
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__, [_canonical(v) for v in value]]
+    return [type(value).__name__, repr(value)]
+
+
+def report_digest(report) -> str:
+    """SHA-256 over the canonical form of every report field."""
+    text = json.dumps(_canonical(report), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Every CensorshipReport field of the shared 50k scenario (seed 11).
+# Any change to an analysis that moves a single table value, a dtype or
+# a result type moves this digest.
+REPORT_DIGEST = (
+    "4c837de92c7c4c4521ed26211b488d21d72900c81b185e052236a4fcbfbc4fb8"
+)
+
+
+class TestReportPin:
+    def test_every_field_pinned(self, report):
+        assert report_digest(report) == REPORT_DIGEST
