@@ -46,8 +46,7 @@ def anonymizer_analysis(
     for host discovery and D_full/D_denied for the ratio)."""
     from repro.stats.distributions import cdf_points
 
-    hosts = frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     is_anonymizer_host = np.array(
         [categorizer.is_anonymizer(str(h)) for h in unique_hosts]
     )

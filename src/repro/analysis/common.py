@@ -1,19 +1,48 @@
-"""Shared building blocks for the analyses."""
+"""Shared building blocks for the analyses.
+
+Call-site rule: an analysis counts, groups and masks on the frame's
+cached column codes (:meth:`~repro.frame.LogFrame.factorize`) or on
+:func:`domain_codes`, never with ``np.unique``/``np.isin`` over a frame
+string column, a masked slice of one, or :func:`domain_column`.  Each
+such call sorts every row again with a Python comparison per step.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.frame import LogFrame
+from repro.frame import LogFrame, factorize
 from repro.logmodel.classify import CENSOR_EXCEPTIONS, NO_EXCEPTION
 from repro.net.url import is_ip_like, registered_domain
 
 _CENSOR_LIST = sorted(CENSOR_EXCEPTIONS)
 
 
+def isin_column(frame: LogFrame, name: str, values) -> np.ndarray:
+    """``np.isin(frame.col(name), values)``, tested once per distinct
+    value of the column and broadcast through its codes."""
+    uniques, codes = frame.factorize(name)
+    return np.isin(uniques, values)[codes]
+
+
+def top_counts(
+    values: np.ndarray, codes: np.ndarray, n: int
+) -> list[tuple[object, int]]:
+    """The *n* most frequent values among *codes*, most frequent first
+    and ties broken by value: ``(value, count)`` pairs, as
+    ``np.unique(values[codes], return_counts=True)`` ranks them.
+
+    *values* must be sorted (a factorization's uniques); values that
+    no code selects are left out.
+    """
+    counts = np.bincount(codes, minlength=len(values))
+    order = np.argsort(-counts, kind="stable")[:n]
+    return [(values[i], int(counts[i])) for i in order if counts[i]]
+
+
 def censored_mask(frame: LogFrame) -> np.ndarray:
     """Requests denied by policy (policy_denied / policy_redirect)."""
-    return np.isin(frame.col("x_exception_id"), _CENSOR_LIST)
+    return isin_column(frame, "x_exception_id", _CENSOR_LIST)
 
 
 def allowed_mask(frame: LogFrame) -> np.ndarray:
@@ -43,24 +72,32 @@ def observed_allowed_mask(frame: LogFrame) -> np.ndarray:
     return allowed_mask(frame) & (frame.col("sc_filter_result") == "OBSERVED")
 
 
+def domain_codes(frame: LogFrame) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(domain_column(frame), return_inverse=True)``.
+
+    Built from the host factorization: one :func:`registered_domain`
+    call per distinct host, then the distinct hosts' domains are
+    factorized and every row's host code is remapped.
+    """
+    hosts, host_codes = frame.factorize("cs_host")
+    domains, domain_of_host = factorize(np.array(
+        [registered_domain(host) for host in hosts.tolist()], dtype=object
+    ))
+    return domains, domain_of_host[host_codes]
+
+
 def domain_column(frame: LogFrame) -> np.ndarray:
     """Registered domain of every row's ``cs_host``.
 
-    IP-address hosts map to themselves.  Computed via the distinct
-    hosts (cheap: hosts repeat massively).
+    IP-address hosts map to themselves.
     """
-    hosts = frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
-    mapped = np.array(
-        [registered_domain(host) for host in unique_hosts], dtype=object
-    )
-    return mapped[inverse]
+    domains, codes = domain_codes(frame)
+    return domains[codes]
 
 
 def ip_host_mask(frame: LogFrame) -> np.ndarray:
     """Rows whose ``cs_host`` is a raw IPv4 address (the D_IPv4 set)."""
-    hosts = frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     flags = np.array([is_ip_like(host) for host in unique_hosts], dtype=bool)
     return flags[inverse]
 

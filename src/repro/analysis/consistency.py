@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import censored_mask, percent
+from repro.analysis.common import (
+    censored_mask,
+    domain_codes,
+    observed_allowed_mask,
+    percent,
+)
 from repro.frame import LogFrame
 
 
@@ -105,34 +110,28 @@ def proxied_consistency_by_domain(frame: LogFrame) -> ProxiedConsistency:
     metacafe.com shows 1,164 clean PROXIED rows against 1.28 M
     censored and zero allowed requests.
     """
-    from repro.analysis.common import domain_column, observed_allowed_mask
-
     filter_results = frame.col("sc_filter_result")
     proxied = filter_results == "PROXIED"
     clean_proxied = proxied & (frame.col("x_exception_id") == "-")
     if not clean_proxied.any():
         return ProxiedConsistency(int(proxied.sum()), 0, 0, 0, 0)
 
-    domains = domain_column(frame)
+    domains, codes = domain_codes(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
-    allowed_domains = set(np.unique(domains[allowed]).tolist())
-    censored_domains = set(np.unique(domains[censored & ~proxied]).tolist())
-
-    consistent = contradictory = undetermined = 0
-    for domain in domains[clean_proxied]:
-        ever_allowed = domain in allowed_domains
-        ever_censored = domain in censored_domains
-        if ever_censored and not ever_allowed:
-            contradictory += 1
-        elif ever_allowed:
-            consistent += 1
-        else:
-            undetermined += 1
+    n = len(domains)
+    # Per clean PROXIED row: was its domain ever allowed / censored?
+    clean_codes = codes[clean_proxied]
+    ever_allowed = (np.bincount(codes[allowed], minlength=n) > 0)[clean_codes]
+    ever_censored = (
+        np.bincount(codes[censored & ~proxied], minlength=n) > 0
+    )[clean_codes]
+    consistent = int(ever_allowed.sum())
+    contradictory = int((ever_censored & ~ever_allowed).sum())
     return ProxiedConsistency(
         proxied_rows=int(proxied.sum()),
         clean_proxied_rows=int(clean_proxied.sum()),
         consistent=consistent,
         contradictory=contradictory,
-        undetermined=undetermined,
+        undetermined=len(clean_codes) - consistent - contradictory,
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis.common import (
     censored_mask,
-    domain_column,
+    domain_codes,
     observed_allowed_mask,
     percent,
 )
@@ -54,9 +54,8 @@ def censorship_economics(frame: LogFrame) -> EconomicsIndices:
     censored = censored_mask(frame)
     censored_total = int(censored.sum())
 
-    domains = domain_column(frame)
     allowed = observed_allowed_mask(frame)
-    unique_domains, inverse = np.unique(domains, return_inverse=True)
+    unique_domains, inverse = domain_codes(frame)
     allowed_per_domain = np.bincount(
         inverse, weights=allowed, minlength=len(unique_domains)
     )

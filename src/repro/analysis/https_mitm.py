@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.analysis.common import https_mask
+from repro.analysis.common import https_mask, isin_column
 from repro.frame import LogFrame
 
 _ABSENT_VALUES = ("", "-")
@@ -49,17 +47,15 @@ def https_mitm_check(frame: LogFrame) -> MitmCheck:
     https = https_mask(frame) & (frame.col("cs_method") == "CONNECT")
     if not https.any():
         return MitmCheck(0, 0, ())
-    paths = frame.col("cs_uri_path")
-    queries = frame.col("cs_uri_query")
-    exts = frame.col("cs_uri_ext")
-    has_content = https & ~(
-        np.isin(paths, _ABSENT_VALUES)
-        & np.isin(queries, _ABSENT_VALUES)
-        & np.isin(exts, _ABSENT_VALUES)
+    tunnels = frame.where(https)
+    has_content = ~(
+        isin_column(tunnels, "cs_uri_path", _ABSENT_VALUES)
+        & isin_column(tunnels, "cs_uri_query", _ABSENT_VALUES)
+        & isin_column(tunnels, "cs_uri_ext", _ABSENT_VALUES)
     )
-    hosts = tuple(sorted(set(frame.col("cs_host")[has_content].tolist())))
+    hosts = tuple(sorted(set(tunnels.col("cs_host")[has_content].tolist())))
     return MitmCheck(
-        https_requests=int(https.sum()),
+        https_requests=len(tunnels),
         suspicious_rows=int(has_content.sum()),
         suspicious_hosts=hosts,
     )

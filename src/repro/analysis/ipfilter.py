@@ -19,7 +19,7 @@ from repro.analysis.common import (
     proxied_mask,
 )
 from repro.categorizer import TrustedSourceCategorizer
-from repro.frame import LogFrame
+from repro.frame import LogFrame, factorize
 from repro.geoip import GeoIPDatabase
 from repro.net.ip import IPv4Network, parse_ipv4
 
@@ -49,19 +49,21 @@ def country_censorship_ratio(
     """
     if len(ip_frame) == 0:
         return []
-    hosts = ip_frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = ip_frame.factorize("cs_host")
     addresses = np.array([parse_ipv4(h) for h in unique_hosts], dtype=np.int64)
-    countries_of_host = geoip.lookup_many(addresses)
-    countries = countries_of_host[inverse]
+    countries, country_of_host = factorize(geoip.lookup_many(addresses))
+    codes = country_of_host[inverse]
 
-    censored = censored_mask(ip_frame)
-    allowed = allowed_mask(ip_frame)
+    censored_counts = np.bincount(
+        codes[censored_mask(ip_frame)], minlength=len(countries)
+    )
+    allowed_counts = np.bincount(
+        codes[allowed_mask(ip_frame)], minlength=len(countries)
+    )
     rows = []
-    for country in np.unique(countries):
-        of_country = countries == country
-        n_censored = int((of_country & censored).sum())
-        n_allowed = int((of_country & allowed).sum())
+    for country, n_censored, n_allowed in zip(
+        countries, censored_counts.tolist(), allowed_counts.tolist()
+    ):
         if n_censored == 0:
             continue
         rows.append(CountryCensorship(
@@ -95,8 +97,7 @@ def israeli_subnets(
     """Compute Table 12: per-subnet request and address counts."""
     if len(ip_frame) == 0:
         return []
-    hosts = ip_frame.col("cs_host")
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = ip_frame.factorize("cs_host")
     addresses = np.array([parse_ipv4(h) for h in unique_hosts], dtype=np.int64)
     censored = censored_mask(ip_frame)
     allowed = allowed_mask(ip_frame)
@@ -110,7 +111,9 @@ def israeli_subnets(
         def stats(mask: np.ndarray) -> tuple[int, int]:
             selected = row_in_subnet & mask
             requests = int(selected.sum())
-            ips = len(np.unique(hosts[selected])) if requests else 0
+            ips = int(np.count_nonzero(
+                np.bincount(inverse[selected], minlength=len(unique_hosts))
+            ))
             return requests, ips
 
         c_req, c_ips = stats(censored)
@@ -139,7 +142,7 @@ def censored_anonymizer_addresses(
     *country* categorize as Anonymizer hosts?  Returns
     (anonymizer count, total censored addresses)."""
     censored = ip_frame.where(censored_mask(ip_frame))
-    hosts = np.unique(censored.col("cs_host"))
+    hosts, _ = censored.factorize("cs_host")
     in_country = [h for h in hosts if geoip.lookup(str(h)) == country]
     anonymizers = sum(
         1 for h in in_country if categorizer.categorize(str(h)) == "Anonymizer"

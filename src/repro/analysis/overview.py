@@ -16,11 +16,12 @@ from repro.analysis.common import (
     allowed_mask,
     censored_mask,
     denied_mask,
-    domain_column,
+    domain_codes,
     https_mask,
     ip_host_mask,
     percent,
     proxied_mask,
+    top_counts,
 )
 from repro.frame import LogFrame
 from repro.logmodel.classify import CENSOR_EXCEPTIONS, NO_EXCEPTION
@@ -134,15 +135,13 @@ class TopDomains:
 
 def top_domains(frame: LogFrame, n: int = 10) -> TopDomains:
     """Compute Table 4."""
-    domains = domain_column(frame)
-    with_dom = frame.with_column("domain", domains)
+    domains, codes = domain_codes(frame)
 
     def rows_for(mask: np.ndarray) -> tuple[DomainRow, ...]:
-        subset = with_dom.where(mask)
-        total = len(subset)
+        total = int(mask.sum())
         return tuple(
             DomainRow(str(domain), count, percent(count, total))
-            for domain, count in subset.groupby("domain").top(n)
+            for domain, count in top_counts(domains, codes[mask], n)
         )
 
     return TopDomains(
@@ -186,15 +185,11 @@ class DomainRequestDistribution:
 
 def domain_request_distribution(frame: LogFrame) -> DomainRequestDistribution:
     """Compute Fig. 2's three curves."""
-    domains = domain_column(frame)
-    with_dom = frame.with_column("domain", domains)
+    domains, codes = domain_codes(frame)
 
     def counts_for(mask: np.ndarray) -> np.ndarray:
-        subset = with_dom.where(mask)
-        if len(subset) == 0:
-            return np.empty(0, dtype=int)
-        _, counts = np.unique(subset.col("domain"), return_counts=True)
-        return counts
+        counts = np.bincount(codes[mask], minlength=len(domains))
+        return counts[counts > 0]
 
     allowed_counts = counts_for(allowed_mask(frame))
     denied_counts = counts_for(denied_mask(frame))

@@ -21,8 +21,7 @@ from repro.timeline import day_span
 
 def proxy_names_column(frame: LogFrame) -> np.ndarray:
     """Map ``s_ip`` to SG-NN names, vectorized over distinct values."""
-    ips = frame.col("s_ip")
-    unique_ips, inverse = np.unique(ips, return_inverse=True)
+    unique_ips, inverse = frame.factorize("s_ip")
     names = np.array([proxy_name_from_ip(ip) for ip in unique_ips], dtype=object)
     return names[inverse]
 
@@ -122,12 +121,11 @@ def category_labels_by_proxy(frame: LogFrame) -> dict[str, dict[str, int]]:
     named ``none`` on two proxies and ``unavailable`` on the rest.
     """
     names = proxy_names_column(frame)
-    labels = frame.col("cs_categories")
+    labels, codes = frame.factorize("cs_categories")
     result: dict[str, dict[str, int]] = {}
     for proxy in PROXY_NAMES:
-        mask = names == proxy
-        values, counts = np.unique(labels[mask], return_counts=True)
+        counts = np.bincount(codes[names == proxy], minlength=len(labels))
         result[proxy] = {
-            str(value): int(count) for value, count in zip(values, counts)
+            str(labels[i]): int(counts[i]) for i in np.flatnonzero(counts)
         }
     return result

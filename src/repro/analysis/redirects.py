@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import percent
+from repro.analysis.common import percent, top_counts
 from repro.frame import LogFrame
 
 
@@ -32,13 +32,11 @@ def redirect_hosts(frame: LogFrame, top: int = 10) -> RedirectHosts:
     of filter result (the paper's Table 7 includes PROXIED rows).
     """
     mask = frame.col("x_exception_id") == "policy_redirect"
-    hosts = frame.col("cs_host")[mask]
+    hosts, codes = frame.factorize("cs_host")
     total = int(mask.sum())
-    values, counts = np.unique(hosts, return_counts=True)
-    order = np.lexsort((values, -counts))[:top]
     rows = tuple(
-        (str(values[i]), int(counts[i]), percent(int(counts[i]), total))
-        for i in order
+        (str(host), count, percent(count, total))
+        for host, count in top_counts(hosts, codes[mask], top)
     )
     return RedirectHosts(total_redirects=total, rows=rows)
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.analysis.common import (
     censored_mask,
-    domain_column,
+    domain_codes,
+    isin_column,
     observed_allowed_mask,
     percent,
     proxied_mask,
@@ -45,8 +46,8 @@ def osn_breakdown(
     ``plus.google.com`` which is matched as a host prefix (otherwise
     google.com's traffic would swallow it).
     """
-    domains = domain_column(frame)
-    hosts = frame.col("cs_host")
+    domains, domain_of_row = domain_codes(frame)
+    hosts, host_of_row = frame.factorize("cs_host")
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
     proxied = proxied_mask(frame)
@@ -54,9 +55,9 @@ def osn_breakdown(
     rows = []
     for network in watchlist:
         if "." in network and network.count(".") >= 2:
-            of_network = hosts == network
+            of_network = (hosts == network)[host_of_row]
         else:
-            of_network = domains == network
+            of_network = (domains == network)[domain_of_row]
         rows.append(OsnRow(
             network=network,
             censored=int((of_network & censored).sum()),
@@ -94,8 +95,7 @@ def facebook_pages(frame: LogFrame, min_requests: int = 1) -> list[FacebookPageR
     is case-sensitive (``Syrian.Revolution`` and ``Syrian.revolution``
     are distinct pages in the logs).
     """
-    hosts = frame.col("cs_host")
-    of_facebook = np.isin(hosts, _FACEBOOK_HOSTS)
+    of_facebook = isin_column(frame, "cs_host", _FACEBOOK_HOSTS)
     paths = frame.col("cs_uri_path")
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
@@ -162,8 +162,7 @@ class PluginRow:
 
 def facebook_plugins(frame: LogFrame, top: int = 10) -> list[PluginRow]:
     """Compute Table 15: per-plugin-element outcomes on facebook.com."""
-    hosts = frame.col("cs_host")
-    of_facebook = np.isin(hosts, _FACEBOOK_HOSTS)
+    of_facebook = isin_column(frame, "cs_host", _FACEBOOK_HOSTS)
     paths = frame.col("cs_uri_path")
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)

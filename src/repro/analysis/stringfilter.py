@@ -25,14 +25,15 @@ import numpy as np
 
 from repro.analysis.common import (
     censored_mask,
-    domain_column,
+    domain_codes,
+    isin_column,
     observed_allowed_mask,
     percent,
     proxied_mask,
 )
 from repro.categorizer import TrustedSourceCategorizer
 from repro.frame import LogFrame
-from repro.net.url import is_ip_like
+from repro.net.url import is_ip_like, registered_domain
 
 _TOKEN_RE = re.compile(r"[a-z0-9]{4,24}")
 
@@ -80,7 +81,6 @@ def recover_censored_domains(
     it.  ``min_censored`` suppresses domains with too little traffic
     to judge.
     """
-    domains = domain_column(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
     proxied = proxied_mask(frame)
@@ -94,7 +94,7 @@ def recover_censored_domains(
         ((paths == "/") | (paths == "") | (paths == "-")) & no_query
     ) | (no_query & (np.char.count(path_strings, "/") <= 1))
 
-    unique_domains, inverse = np.unique(domains, return_inverse=True)
+    unique_domains, inverse = domain_codes(frame)
     n = len(unique_domains)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n).astype(int)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n).astype(int)
@@ -170,8 +170,6 @@ def recover_censored_hosts(
     per hostname, restricted to hosts whose registered domain is *not*
     already suspected (those are explained by the domain rule).
     """
-    hosts = frame.col("cs_host")
-    domains = domain_column(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
     paths = frame.col("cs_uri_path")
@@ -179,20 +177,17 @@ def recover_censored_hosts(
     no_query = (queries == "") | (queries == "-")
     bare = ((paths == "/") | (paths == "") | (paths == "-")) & no_query
 
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     n = len(unique_hosts)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n).astype(int)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n).astype(int)
     bare_censored = np.bincount(inverse, weights=censored & bare, minlength=n).astype(int)
-    domain_of_host = {}
-    for host, domain in zip(hosts, domains):
-        domain_of_host.setdefault(host, domain)
 
     results = []
     for i, host in enumerate(unique_hosts):
         if is_ip_like(str(host)):
             continue
-        if domain_of_host.get(host) in exclude_domains:
+        if registered_domain(host) in exclude_domains:
             continue
         if (
             censored_counts[i] >= min_censored
@@ -219,10 +214,9 @@ def never_allowed_domains(frame: LogFrame) -> frozenset[str]:
     trigger could equally be a domain rule — so the conservative
     keyword hunter excludes them (the paper's step-2 caution).
     """
-    domains = domain_column(frame)
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
-    unique_domains, inverse = np.unique(domains, return_inverse=True)
+    unique_domains, inverse = domain_codes(frame)
     n = len(unique_domains)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n)
@@ -236,10 +230,9 @@ def never_allowed_domains(frame: LogFrame) -> frozenset[str]:
 def never_allowed_hosts(frame: LogFrame) -> frozenset[str]:
     """Hosts with censored traffic and no allowed request (the
     host-level analogue of :func:`never_allowed_domains`)."""
-    hosts = frame.col("cs_host")
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     n = len(unique_hosts)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n)
@@ -281,13 +274,11 @@ def recover_keywords(
         exclude_domains |= never_allowed_domains(frame)
         exclude_hosts |= never_allowed_hosts(frame)
     if exclude_domains:
-        domains = domain_column(frame)
-        censored = censored & ~np.isin(
-            domains, sorted(exclude_domains)
-        )
+        domains, codes = domain_codes(frame)
+        censored = censored & ~np.isin(domains, sorted(exclude_domains))[codes]
     if exclude_hosts:
-        censored = censored & ~np.isin(
-            frame.col("cs_host"), sorted(exclude_hosts)
+        censored = censored & ~isin_column(
+            frame, "cs_host", sorted(exclude_hosts)
         )
     censored_texts = _matchable_texts(frame, censored)
     if not censored_texts:

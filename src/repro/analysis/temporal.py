@@ -15,8 +15,9 @@ import numpy as np
 from repro.analysis.common import (
     allowed_mask,
     censored_mask,
-    domain_column,
+    domain_codes,
     percent,
+    top_counts,
 )
 from repro.frame import LogFrame
 from repro.timeline import day_span
@@ -121,7 +122,7 @@ def top_censored_windows(
     start, _ = day_span(day)
     epochs = frame.col("epoch")
     censored = censored_mask(frame)
-    domains = domain_column(frame)
+    domains, codes = domain_codes(frame)
     results = []
     for start_hour, end_hour in windows:
         window = (
@@ -129,12 +130,10 @@ def top_censored_windows(
             & (epochs >= start + start_hour * 3600)
             & (epochs < start + end_hour * 3600)
         )
-        subset = domains[window]
-        total = len(subset)
-        values, counts = np.unique(subset, return_counts=True)
-        order = np.lexsort((values, -counts))[:top]
+        total = int(window.sum())
         rows = tuple(
-            (str(values[i]), percent(int(counts[i]), total)) for i in order
+            (str(domain), percent(count, total))
+            for domain, count in top_counts(domains, codes[window], top)
         )
         results.append(WindowTopDomains(start_hour, end_hour, rows))
     return results

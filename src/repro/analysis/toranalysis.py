@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.common import censored_mask, error_mask, percent
 from repro.analysis.proxies import proxy_names_column
-from repro.frame import LogFrame
+from repro.frame import LogFrame, factorize
 from repro.tornet import TorDirectory
 
 
@@ -44,7 +44,7 @@ def identify_tor_traffic(frame: LogFrame, directory: TorDirectory) -> TorTraffic
     ports = frame.col("cs_uri_port")
     or_endpoints = directory.or_endpoints()
     dir_endpoints = directory.dir_endpoints()
-    unique_hosts, inverse = np.unique(hosts, return_inverse=True)
+    unique_hosts, inverse = frame.factorize("cs_host")
     relay_ips = directory.relay_ips()
     host_is_relay = np.array([h in relay_ips for h in unique_hosts], dtype=bool)
     candidate = host_is_relay[inverse]
@@ -90,9 +90,9 @@ def tor_overview(tor: TorTraffic) -> TorOverview:
     )
     by_proxy: dict[str, int] = {}
     if len(frame):
-        names = proxy_names_column(frame)
-        for name in np.unique(names[censored]):
-            by_proxy[str(name)] = int((censored & (names == name)).sum())
+        names, codes = factorize(proxy_names_column(frame)[censored])
+        counts = np.bincount(codes, minlength=len(names))
+        by_proxy = {str(n): int(c) for n, c in zip(names, counts)}
     return TorOverview(
         total_requests=len(frame),
         distinct_relays=frame.nunique("cs_host") if len(frame) else 0,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import censored_mask, percent
+from repro.analysis.common import censored_mask, percent, top_counts
 from repro.frame import LogFrame
 from repro.stats.distributions import cdf_points
 
@@ -62,25 +62,26 @@ def software_agent_analysis(
         from repro.net.useragent import BROWSERS
 
         interactive_agents = frozenset(agent.string for agent in BROWSERS)
-    agents = user_frame.col("cs_user_agent")
+    agents, agent_codes = user_frame.factorize("cs_user_agent")
     censored = censored_mask(user_frame)
-    hosts = user_frame.col("cs_host")
-    clients = user_frame.col("c_ip")
+    hosts, host_codes = user_frame.factorize("cs_host")
+    clients, client_codes = user_frame.factorize("c_ip")
     rows: list[SoftwareAgentRow] = []
-    for agent in np.unique(agents):
+    for code, agent in enumerate(agents):
         if str(agent) in interactive_agents or str(agent) == "-":
             continue
-        of_agent = agents == agent
+        of_agent = agent_codes == code
         requests = int(of_agent.sum())
         agent_censored = of_agent & censored
         censored_count = int(agent_censored.sum())
         top_host = None
         if censored_count:
-            values, counts = np.unique(hosts[agent_censored], return_counts=True)
-            top_host = str(values[int(np.argmax(counts))])
+            [(host, _)] = top_counts(hosts, host_codes[agent_censored], 1)
+            top_host = str(host)
+        users = np.bincount(client_codes[of_agent], minlength=len(clients))
         rows.append(SoftwareAgentRow(
             user_agent=str(agent),
-            users=len(np.unique(clients[of_agent])),
+            users=int(np.count_nonzero(users)),
             requests=requests,
             censored=censored_count,
             censored_pct=percent(censored_count, requests),

@@ -4,7 +4,9 @@ pandas is the natural tool for the paper's analysis but is not
 available in this environment, so this package provides the minimal
 columnar engine the analyses need: typed columns, boolean-mask
 filtering, value counts, group-bys with count/sum/nunique aggregates,
-and CSV round-tripping of log files.
+and CSV round-tripping of log files.  Group-bys and counts run on
+codes: :func:`factorize` is ``np.unique(return_inverse=True)`` without
+sorting every row, and :meth:`LogFrame.factorize` caches it per column.
 
 The central type is :class:`LogFrame`; :func:`frame_from_records`
 builds one from :class:`~repro.logmodel.record.LogRecord` batches.
@@ -22,7 +24,7 @@ from repro.frame.io import (
     read_frame_csv,
     write_frame_csv,
 )
-from repro.frame.logframe import LogFrame, concat
+from repro.frame.logframe import LogFrame, concat, factorize
 
 __all__ = [
     "BATCH_COLUMNS",
@@ -32,6 +34,7 @@ __all__ = [
     "concat",
     "concat_batches",
     "empty_frame",
+    "factorize",
     "frame_from_records",
     "read_frame_csv",
     "write_frame_csv",

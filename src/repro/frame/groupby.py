@@ -1,6 +1,7 @@
 """Group-by aggregation for :class:`~repro.frame.logframe.LogFrame`.
 
-Implemented with ``np.unique(return_inverse=True)`` + ``np.bincount``,
+Implemented over the frame's cached column codes
+(:meth:`~repro.frame.logframe.LogFrame.factorize`) + ``np.bincount``,
 which keeps group-bys over millions of rows in vectorized numpy code.
 """
 
@@ -17,8 +18,7 @@ class GroupBy:
     def __init__(self, frame: LogFrame, key: str):
         self._frame = frame
         self._key = key
-        keys = frame.col(key)
-        self._groups, self._inverse = np.unique(keys, return_inverse=True)
+        self._groups, self._inverse = frame.factorize(key)
 
     @property
     def groups(self) -> np.ndarray:
@@ -67,9 +67,8 @@ class GroupBy:
 
     def nunique(self, column: str) -> dict[object, int]:
         """Per-group distinct count of another column."""
-        other = self._frame.col(column)
         # Deduplicate (group, value) pairs, then count pairs per group.
-        _, value_codes = np.unique(other, return_inverse=True)
+        _, value_codes = self._frame.factorize(column)
         width = int(value_codes.max()) + 1 if len(value_codes) else 1
         pairs = self._inverse.astype(np.int64) * width + value_codes
         unique_pairs = np.unique(pairs)
@@ -96,5 +95,6 @@ class GroupBy:
     def top(self, n: int) -> list[tuple[object, int]]:
         """The *n* largest groups by row count, ties broken by key."""
         counts = np.bincount(self._inverse, minlength=len(self._groups))
-        order = np.lexsort((self._groups, -counts))[:n]
+        # The groups are sorted, so a stable sort breaks ties by key.
+        order = np.argsort(-counts, kind="stable")[:n]
         return [(self._groups[i], int(counts[i])) for i in order]

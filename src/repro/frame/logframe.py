@@ -7,6 +7,27 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 
+def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` of a 1-D column.
+
+    The sorted distinct values and every row's ``intp`` code into them,
+    equal to numpy's result in values, order and dtype, zero rows
+    included.  An object column takes one hash pass over its rows and
+    sorts only its distinct values, where ``np.unique`` sorts every row
+    with a Python comparison per step; other dtypes go to ``np.unique``
+    itself.
+    """
+    if values.dtype != object:
+        return np.unique(values, return_inverse=True)
+    items = values.tolist()
+    distinct = sorted(dict.fromkeys(items))
+    rank = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(
+        map(rank.__getitem__, items), dtype=np.intp, count=len(items)
+    )
+    return np.fromiter(distinct, dtype=object, count=len(distinct)), codes
+
+
 class LogFrame:
     """An immutable table of equal-length numpy columns.
 
@@ -14,6 +35,10 @@ class LogFrame:
     numeric columns use native dtypes.  All transforming operations
     return new frames; columns are shared, never copied, unless an
     operation must materialize a subset.
+
+    Each column is factorized at most once per frame
+    (:meth:`factorize`), and row subsets and column selections carry
+    the factorizations already taken down to the frames they return.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -25,6 +50,11 @@ class LogFrame:
             raise ValueError(f"column lengths differ: {lengths}")
         self._columns: dict[str, np.ndarray] = dict(columns)
         self._length = distinct.pop()
+        # Column name -> (uniques, codes), exactly np.unique's result.
+        self._factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # Column name -> (parent uniques, codes of these rows): taken
+        # from a parent frame, so the uniques may hold absent values.
+        self._inherited: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic protocol ------------------------------------------------
 
@@ -61,9 +91,16 @@ class LogFrame:
         if isinstance(selector, np.ndarray) and selector.dtype == bool:
             if len(selector) != self._length:
                 raise ValueError("boolean mask length mismatch")
-        return LogFrame(
+        frame = LogFrame(
             {name: array[selector] for name, array in self._columns.items()}
         )
+        frame._inherited = {
+            name: (uniques, codes[selector])
+            for name, (uniques, codes) in (
+                *self._factors.items(), *self._inherited.items()
+            )
+        }
+        return frame
 
     def where(self, mask: np.ndarray) -> "LogFrame":
         """Alias of :meth:`take` for boolean masks (reads better)."""
@@ -71,7 +108,7 @@ class LogFrame:
 
     def select(self, names: Sequence[str]) -> "LogFrame":
         """Column subset."""
-        return LogFrame({name: self.col(name) for name in names})
+        return self._same_rows({name: self.col(name) for name in names})
 
     def with_column(self, name: str, values: np.ndarray | Sequence) -> "LogFrame":
         """Return a frame with column *name* added or replaced."""
@@ -80,12 +117,28 @@ class LogFrame:
             raise ValueError("new column length mismatch")
         columns = dict(self._columns)
         columns[name] = array
-        return LogFrame(columns)
+        return self._same_rows(columns, replaced=name)
 
     def drop(self, *names: str) -> "LogFrame":
         """Return a frame without the given columns."""
         remaining = {k: v for k, v in self._columns.items() if k not in names}
-        return LogFrame(remaining)
+        return self._same_rows(remaining)
+
+    def _same_rows(
+        self, columns: dict[str, np.ndarray], replaced: str | None = None
+    ) -> "LogFrame":
+        """A frame over these rows that keeps the factorizations of the
+        columns it shares with this one."""
+        frame = LogFrame(columns)
+        frame._factors = {
+            name: entry for name, entry in self._factors.items()
+            if name in columns and name != replaced
+        }
+        frame._inherited = {
+            name: entry for name, entry in self._inherited.items()
+            if name in columns and name != replaced
+        }
+        return frame
 
     def head(self, n: int) -> "LogFrame":
         """The first *n* rows."""
@@ -113,18 +166,46 @@ class LogFrame:
 
     # -- aggregation -----------------------------------------------------
 
+    def factorize(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``np.unique(frame.col(name), return_inverse=True)``, cached.
+
+        Computed at most once per frame and column.  A row subset
+        starts from its parent's codes and, on first use, compacts them
+        to the values it holds (a ``bincount`` and ``cumsum`` remap, no
+        sort).  Both arrays are read-only: they are shared by every
+        later caller.
+        """
+        entry = self._factors.get(name)
+        if entry is not None:
+            return entry
+        inherited = self._inherited.pop(name, None)
+        if inherited is None:
+            uniques, codes = factorize(self.col(name))
+        else:
+            uniques, codes = inherited
+            present = np.bincount(codes, minlength=len(uniques)) > 0
+            if not present.all():
+                uniques = uniques[present]
+                codes = (np.cumsum(present) - 1)[codes]
+        uniques.flags.writeable = False
+        codes.flags.writeable = False
+        self._factors[name] = uniques, codes
+        return uniques, codes
+
     def value_counts(self, name: str) -> list[tuple[object, int]]:
         """Distinct values of a column with counts, most frequent first.
 
         Ties are broken by value so results are deterministic.
         """
-        values, counts = np.unique(self.col(name), return_counts=True)
-        order = np.lexsort((values, -counts))
+        values, codes = self.factorize(name)
+        counts = np.bincount(codes, minlength=len(values))
+        # The values are sorted, so a stable sort breaks ties by value.
+        order = np.argsort(-counts, kind="stable")
         return [(values[i], int(counts[i])) for i in order]
 
     def nunique(self, name: str) -> int:
         """Number of distinct values in a column."""
-        return len(np.unique(self.col(name)))
+        return len(self.factorize(name)[0])
 
     def groupby(self, name: str) -> "GroupBy":
         """Group rows by one column (see :class:`GroupBy`)."""

@@ -8,6 +8,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.frame.batch import RecordBatch
+from repro.frame.logframe import factorize
 from repro.logmodel.anonymize import hash_client_ip, zero_client_ip
 from repro.logmodel.record import LogRecord
 from repro.metrics import current_registry
@@ -113,7 +114,7 @@ def _map_distinct(values: np.ndarray, func) -> np.ndarray:
     """Apply *func* once per distinct value, broadcast to all rows."""
     if not len(values):
         return values
-    uniques, inverse = np.unique(values, return_inverse=True)
+    uniques, inverse = factorize(values)
     mapped = np.array(
         [func(value) for value in uniques.tolist()], dtype=object
     )

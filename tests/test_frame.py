@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.frame import (
     LogFrame,
     concat,
+    factorize,
     frame_from_records,
     read_frame_csv,
     write_frame_csv,
@@ -20,6 +21,84 @@ def small_frame() -> LogFrame:
         "k": np.array(["a", "b", "a", "c", "b", "a"], dtype=object),
         "v": np.array([1, 2, 3, 4, 5, 6], dtype=np.int64),
     })
+
+
+#: String alphabets for the chained frames: several values, the log's
+#: empty and dash placeholders, and a single value.
+ALPHABETS = (("a", "b", "c", "d"), ("", "-", "x"), ("only",))
+
+ROW_STEPS = ("where", "take", "slice", "head", "sort_values", "sample")
+COLUMN_STEPS = ("select", "drop", "with_column")
+
+
+@st.composite
+def chained_frames(draw):
+    """Frames of string columns ``k`` and ``w`` (small alphabets) and an
+    int column ``v``, through a random chain of row subsets, column
+    selections and column replacements.  Before each step some columns
+    are factorized, so cached codes flow down the chain.
+
+    Returns every frame of the chain and the steps taken.
+    """
+    def strings(size):
+        alphabet = draw(st.sampled_from(ALPHABETS))
+        values = draw(st.lists(
+            st.sampled_from(alphabet), min_size=size, max_size=size
+        ))
+        return np.array(values, dtype=object)
+
+    n = draw(st.integers(0, 30))
+    ints = draw(st.lists(st.integers(0, 100), min_size=n, max_size=n))
+    frame = LogFrame({
+        "k": strings(n), "w": strings(n), "v": np.array(ints, dtype=np.int64),
+    })
+    frames, steps = [frame], []
+    for _ in range(draw(st.integers(0, 6))):
+        for name in draw(st.lists(
+            st.sampled_from(frame.column_names), unique=True
+        )):
+            frame.factorize(name)
+        n = len(frame)
+        step = draw(st.sampled_from(ROW_STEPS + COLUMN_STEPS))
+        if step == "where":
+            mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            frame = frame.where(np.array(mask, dtype=bool))
+        elif step == "take":
+            indices = draw(st.lists(
+                st.integers(0, max(n - 1, 0)), max_size=2 * n
+            ))
+            frame = frame.take(np.array(indices, dtype=np.intp))
+        elif step == "slice":
+            bounds = st.none() | st.integers(-n - 1, n + 1)
+            cut = slice(draw(bounds), draw(bounds),
+                        draw(st.sampled_from([None, 1, 2, -1, -3])))
+            frame = frame.take(cut)
+            step = f"slice {cut}"
+        elif step == "head":
+            frame = frame.head(draw(st.integers(0, n + 2)))
+        elif step == "sort_values":
+            name = draw(st.sampled_from(frame.column_names))
+            frame = frame.sort_values(name, descending=draw(st.booleans()))
+            step = f"sort_values {name}"
+        elif step == "sample":
+            fraction = draw(st.floats(0.0, 1.0))
+            frame = frame.sample(fraction, rng(draw(st.integers(0, 99))))
+        elif step == "select":
+            names = draw(st.permutations(frame.column_names))
+            frame = frame.select(
+                [name for name in names if name != "w" or draw(st.booleans())]
+            )
+        elif step == "drop" and "w" in frame:
+            frame = frame.drop("w")
+        elif step == "with_column":
+            name = draw(st.sampled_from(["k", "w"]))
+            if name in frame:
+                frame.factorize(name)  # replace a factorized column
+            frame = frame.with_column(name, strings(n))
+            step = f"with_column {name}"
+        frames.append(frame)
+        steps.append(step)
+    return frames, steps
 
 
 class TestLogFrame:
@@ -78,6 +157,45 @@ class TestLogFrame:
 
     def test_nunique(self):
         assert small_frame().nunique("k") == 3
+
+    @given(chained_frames())
+    def test_factorize_matches_np_unique(self, chain):
+        """Cached, inherited and compacted codes are exactly
+        ``np.unique(..., return_inverse=True)`` on every frame."""
+        frames, steps = chain
+        for frame in frames:
+            for name in frame.column_names:
+                uniques, codes = frame.factorize(name)
+                want_uniques, want_codes = np.unique(
+                    frame.col(name), return_inverse=True
+                )
+                assert uniques.dtype == want_uniques.dtype, steps
+                assert codes.dtype == want_codes.dtype, steps
+                assert uniques.tolist() == want_uniques.tolist(), steps
+                assert codes.tolist() == want_codes.tolist(), steps
+                assert not uniques.flags.writeable
+                assert not codes.flags.writeable
+                assert frame.factorize(name)[1] is codes  # cached
+
+    def test_factorize_helper_on_zero_rows(self):
+        uniques, codes = factorize(np.empty(0, dtype=object))
+        assert uniques.dtype == object and uniques.shape == (0,)
+        assert codes.dtype == np.intp and codes.shape == (0,)
+
+    def test_cached_codes_are_read_only(self):
+        uniques, codes = small_frame().factorize("k")
+        with pytest.raises(ValueError):
+            codes[0] = 1
+        with pytest.raises(ValueError):
+            uniques[0] = "z"
+
+    def test_with_column_drops_only_its_entry(self):
+        frame = small_frame()
+        frame.factorize("k")
+        frame.factorize("v")
+        replaced = frame.with_column("k", ["z"] * 6)
+        assert replaced.factorize("k")[0].tolist() == ["z"]
+        assert replaced.factorize("v")[1] is frame.factorize("v")[1]
 
     def test_sample_fraction(self):
         frame = small_frame()
@@ -148,25 +266,34 @@ class TestGroupBy:
         frames = groups.frames()
         assert frames["b"]["v"].tolist() == [2, 5]
 
-    @given(
-        st.lists(
-            st.tuples(st.sampled_from("abcd"), st.integers(0, 100)),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    def test_groupby_matches_bruteforce(self, pairs):
-        keys = np.array([k for k, _ in pairs], dtype=object)
-        values = np.array([v for _, v in pairs], dtype=np.int64)
-        frame = LogFrame({"k": keys, "v": values})
-        grouped = frame.groupby("k")
-        expected_counts = {}
-        expected_sums = {}
-        for k, v in pairs:
-            expected_counts[k] = expected_counts.get(k, 0) + 1
-            expected_sums[k] = expected_sums.get(k, 0) + v
-        assert grouped.count() == expected_counts
-        assert grouped.sum("v") == {k: float(v) for k, v in expected_sums.items()}
+    @given(chained_frames())
+    def test_groupby_matches_bruteforce(self, chain):
+        frames, steps = chain
+        for frame in frames:
+            keys = frame.col("k").tolist()
+            grouped = frame.groupby("k")
+            expected_counts = {}
+            expected_sums = {}
+            for k, v in zip(keys, frame.col("v").tolist()):
+                expected_counts[k] = expected_counts.get(k, 0) + 1
+                expected_sums[k] = expected_sums.get(k, 0) + v
+            assert grouped.count() == expected_counts, steps
+            assert grouped.sum("v") == {
+                k: float(v) for k, v in expected_sums.items()
+            }, steps
+            assert grouped.top(2) == sorted(
+                expected_counts.items(), key=lambda kv: (-kv[1], kv[0])
+            )[:2], steps
+            assert frame.value_counts("k") == sorted(
+                expected_counts.items(), key=lambda kv: (-kv[1], kv[0])
+            ), steps
+            if "w" in frame:
+                distinct: dict[str, set] = {}
+                for k, w in zip(keys, frame.col("w").tolist()):
+                    distinct.setdefault(k, set()).add(w)
+                assert grouped.nunique("w") == {
+                    k: len(ws) for k, ws in distinct.items()
+                }, steps
 
 
 class TestIO:
