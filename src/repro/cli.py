@@ -732,10 +732,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.regime == "syria":
         _report_syria(args, datasets, metrics)
     else:
-        _report_regime(args, profile, datasets)
+        _report_regime(args, profile, datasets, metrics)
     _report_quarantine(failures)
     _finish_metrics(args, metrics, started)
     return 0
+
+
+def _analysis_timer(metrics):
+    """One ``analysis.report_seconds`` span around a report's tables
+    (a no-op without --metrics)."""
+    from contextlib import nullcontext
+
+    if metrics is None:
+        return nullcontext()
+    return metrics.timer("analysis.report_seconds")
 
 
 def _report_syria(args, datasets, metrics) -> None:
@@ -743,7 +753,8 @@ def _report_syria(args, datasets, metrics) -> None:
     against the Syrian deployment, so this path is Syria-only."""
     from repro.analysis.report import build_report
 
-    report = build_report(datasets)
+    with _analysis_timer(metrics):
+        report = build_report(datasets)
     full = report.table3["full"]
     print(f"allowed {full.allowed_pct:.2f}%, censored {full.censored_pct:.2f}%")
     print("top censored:", [r.domain for r in report.table4.censored[:5]])
@@ -764,19 +775,20 @@ def _report_syria(args, datasets, metrics) -> None:
         print(f"markdown report -> {args.markdown}")
 
 
-def _report_regime(args, profile, datasets) -> None:
+def _report_regime(args, profile, datasets, metrics) -> None:
     """The regime-generic report: breakdown, top censored domains,
     and the profile's own rule recoveries with precision/recall."""
     from repro.analysis.overview import top_domains, traffic_breakdown
 
-    breakdown = traffic_breakdown(datasets.full)
+    with _analysis_timer(metrics):
+        breakdown = traffic_breakdown(datasets.full)
+        domains = top_domains(datasets.full)
+        recoveries = profile.recover_rules(datasets.full, datasets.policy)
     print(f"regime {profile.name}: "
           f"{', '.join(profile.mechanisms)}")
     print(f"allowed {breakdown.allowed_pct:.2f}%, "
           f"censored {breakdown.censored_pct:.2f}%")
-    domains = top_domains(datasets.full)
     print("top censored:", [r.domain for r in domains.censored[:5]])
-    recoveries = profile.recover_rules(datasets.full, datasets.policy)
     for recovery in recoveries:
         print(f"recovered {recovery.kind}: "
               f"{len(recovery.recovered)}/{len(recovery.truth)} "

@@ -283,6 +283,26 @@ class TestCliMetrics:
         assert document["command"] == "report"
         assert "engine.assemble_seconds" in document["timers"]
 
+    @pytest.mark.parametrize("regime", ["syria", "pakistan"])
+    def test_report_tables_timer(self, tmp_path, capsys, regime):
+        """One analysis.report_seconds span around the report's tables,
+        and the same stdout and markdown with and without --metrics."""
+        argv = ["report", "--requests", "4000", "--seed", "4",
+                "--regime", regime]
+        assert main([*argv, "--markdown", str(tmp_path / "bare.md")]) == 0
+        bare = capsys.readouterr().out
+        metrics_path = tmp_path / "metrics.json"
+        assert main([*argv, "--markdown", str(tmp_path / "timed.md"),
+                     "--metrics", str(metrics_path)]) == 0
+        timed = capsys.readouterr().out
+        assert timed.replace("timed.md", "bare.md").startswith(bare)
+        assert "metrics report" in timed[len(bare):]
+        bare_md = (tmp_path / "bare.md").read_text()
+        assert (tmp_path / "timed.md").read_text().startswith(bare_md)
+        timers = json.loads(metrics_path.read_text())["timers"]
+        assert timers["analysis.report_seconds"]["count"] == 1
+        assert timers["engine.assemble_seconds"]["count"] == 1
+
     def test_markdown_without_metrics_has_no_section(self, tmp_path):
         markdown = tmp_path / "report.md"
         assert main([
