@@ -25,21 +25,6 @@ def isin_column(frame: LogFrame, name: str, values) -> np.ndarray:
     return np.isin(uniques, values)[codes]
 
 
-def top_counts(
-    values: np.ndarray, codes: np.ndarray, n: int
-) -> list[tuple[object, int]]:
-    """The *n* most frequent values among *codes*, most frequent first
-    and ties broken by value: ``(value, count)`` pairs, as
-    ``np.unique(values[codes], return_counts=True)`` ranks them.
-
-    *values* must be sorted (a factorization's uniques); values that
-    no code selects are left out.
-    """
-    counts = np.bincount(codes, minlength=len(values))
-    order = np.argsort(-counts, kind="stable")[:n]
-    return [(values[i], int(counts[i])) for i in order if counts[i]]
-
-
 def censored_mask(frame: LogFrame) -> np.ndarray:
     """Requests denied by policy (policy_denied / policy_redirect)."""
     return isin_column(frame, "x_exception_id", _CENSOR_LIST)

@@ -21,9 +21,8 @@ from repro.analysis.common import (
     ip_host_mask,
     percent,
     proxied_mask,
-    top_counts,
 )
-from repro.frame import LogFrame
+from repro.frame import LogFrame, top_counts
 from repro.logmodel.classify import CENSOR_EXCEPTIONS, NO_EXCEPTION
 from repro.stats.powerlaw import requests_per_domain_histogram
 from repro.timeline import epoch_day

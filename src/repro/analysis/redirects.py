@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import percent, top_counts
-from repro.frame import LogFrame
+from repro.analysis.common import percent
+from repro.frame import LogFrame, top_counts
 
 
 @dataclass(frozen=True)

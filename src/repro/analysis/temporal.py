@@ -17,9 +17,8 @@ from repro.analysis.common import (
     censored_mask,
     domain_codes,
     percent,
-    top_counts,
 )
-from repro.frame import LogFrame
+from repro.frame import LogFrame, top_counts
 from repro.timeline import day_span
 
 BIN_SECONDS = 300  # the paper's 5-minute granularity

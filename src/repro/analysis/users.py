@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import censored_mask, percent, top_counts
-from repro.frame import LogFrame
+from repro.analysis.common import censored_mask, percent
+from repro.frame import LogFrame, top_counts
 from repro.stats.distributions import cdf_points
 
 

@@ -24,7 +24,7 @@ from repro.frame.io import (
     read_frame_csv,
     write_frame_csv,
 )
-from repro.frame.logframe import LogFrame, concat, factorize
+from repro.frame.logframe import LogFrame, concat, factorize, top_counts
 
 __all__ = [
     "BATCH_COLUMNS",
@@ -37,5 +37,6 @@ __all__ = [
     "factorize",
     "frame_from_records",
     "read_frame_csv",
+    "top_counts",
     "write_frame_csv",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.frame.logframe import LogFrame
+from repro.frame.logframe import LogFrame, top_counts
 
 
 class GroupBy:
@@ -94,7 +94,4 @@ class GroupBy:
 
     def top(self, n: int) -> list[tuple[object, int]]:
         """The *n* largest groups by row count, ties broken by key."""
-        counts = np.bincount(self._inverse, minlength=len(self._groups))
-        # The groups are sorted, so a stable sort breaks ties by key.
-        order = np.argsort(-counts, kind="stable")[:n]
-        return [(self._groups[i], int(counts[i])) for i in order]
+        return top_counts(self._groups, self._inverse, n)

@@ -28,6 +28,21 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.fromiter(distinct, dtype=object, count=len(distinct)), codes
 
 
+def top_counts(
+    values: np.ndarray, codes: np.ndarray, n: int | None = None
+) -> list[tuple[object, int]]:
+    """The *n* (default: all) most frequent of *values* among *codes*:
+    ``(value, count)`` pairs, most frequent first, ties broken by value.
+
+    *values* must be sorted and distinct (a factorization's uniques);
+    values that no code selects are left out.
+    """
+    counts = np.bincount(codes, minlength=len(values))
+    # The values are sorted, so a stable sort breaks ties by value.
+    order = np.argsort(-counts, kind="stable")[:n]
+    return [(values[i], int(counts[i])) for i in order if counts[i]]
+
+
 class LogFrame:
     """An immutable table of equal-length numpy columns.
 
@@ -197,11 +212,7 @@ class LogFrame:
 
         Ties are broken by value so results are deterministic.
         """
-        values, codes = self.factorize(name)
-        counts = np.bincount(codes, minlength=len(values))
-        # The values are sorted, so a stable sort breaks ties by value.
-        order = np.argsort(-counts, kind="stable")
-        return [(values[i], int(counts[i])) for i in order]
+        return top_counts(*self.factorize(name))
 
     def nunique(self, name: str) -> int:
         """Number of distinct values in a column."""

@@ -7,10 +7,12 @@ from repro.analysis.common import (
     allowed_mask,
     censored_mask,
     denied_mask,
+    domain_codes,
     domain_column,
     error_mask,
     https_mask,
     ip_host_mask,
+    isin_column,
     observed_allowed_mask,
     percent,
     proxied_mask,
@@ -23,6 +25,8 @@ from repro.analysis.overview import (
     top_domains,
     traffic_breakdown,
 )
+from repro.frame import top_counts
+from repro.net.url import registered_domain
 from tests.helpers import (
     allowed_row,
     censored_row,
@@ -71,6 +75,35 @@ class TestMasks:
         domains = domain_column(mixed_frame)
         assert set(domains) == {"google.com", "facebook.com", "metacafe.com",
                                 "example.com"}
+
+    def test_code_helpers_match_numpy(self, mixed_frame):
+        """domain_codes, isin_column and top_counts equal the np.unique
+        and np.isin forms they replace, on a frame and its subsets."""
+        for frame in (
+            mixed_frame,
+            mixed_frame.where(censored_mask(mixed_frame)),
+            mixed_frame.head(0),
+        ):
+            hosts = frame.col("cs_host")
+            domains, codes = domain_codes(frame)
+            want_domains, want_codes = np.unique(
+                np.array([registered_domain(h) for h in hosts], dtype=object),
+                return_inverse=True,
+            )
+            assert domains.tolist() == want_domains.tolist()
+            assert codes.tolist() == want_codes.tolist()
+            assert codes.dtype == want_codes.dtype
+            wanted = ["www.google.com", "www.metacafe.com", "absent.org"]
+            assert (
+                isin_column(frame, "cs_host", wanted).tolist()
+                == np.isin(hosts, wanted).tolist()
+            )
+            values, counts = np.unique(hosts, return_counts=True)
+            ranked = sorted(
+                zip(values.tolist(), counts.tolist()),
+                key=lambda pair: (-pair[1], pair[0]),
+            )
+            assert top_counts(*frame.factorize("cs_host"), 2) == ranked[:2]
 
     def test_ip_host_mask(self):
         frame = make_frame([
