@@ -52,8 +52,7 @@ class LogFrame:
     operation must materialize a subset.
 
     Each column is factorized at most once per frame
-    (:meth:`factorize`), and row subsets and column selections carry
-    the factorizations already taken down to the frames they return.
+    (:meth:`factorize`).
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -67,9 +66,6 @@ class LogFrame:
         self._length = distinct.pop()
         # Column name -> (uniques, codes), exactly np.unique's result.
         self._factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # Column name -> (parent uniques, codes of these rows): taken
-        # from a parent frame, so the uniques may hold absent values.
-        self._inherited: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- basic protocol ------------------------------------------------
 
@@ -106,16 +102,9 @@ class LogFrame:
         if isinstance(selector, np.ndarray) and selector.dtype == bool:
             if len(selector) != self._length:
                 raise ValueError("boolean mask length mismatch")
-        frame = LogFrame(
+        return LogFrame(
             {name: array[selector] for name, array in self._columns.items()}
         )
-        frame._inherited = {
-            name: (uniques, codes[selector])
-            for name, (uniques, codes) in (
-                *self._factors.items(), *self._inherited.items()
-            )
-        }
-        return frame
 
     def where(self, mask: np.ndarray) -> "LogFrame":
         """Alias of :meth:`take` for boolean masks (reads better)."""
@@ -123,7 +112,7 @@ class LogFrame:
 
     def select(self, names: Sequence[str]) -> "LogFrame":
         """Column subset."""
-        return self._same_rows({name: self.col(name) for name in names})
+        return LogFrame({name: self.col(name) for name in names})
 
     def with_column(self, name: str, values: np.ndarray | Sequence) -> "LogFrame":
         """Return a frame with column *name* added or replaced."""
@@ -132,28 +121,12 @@ class LogFrame:
             raise ValueError("new column length mismatch")
         columns = dict(self._columns)
         columns[name] = array
-        return self._same_rows(columns, replaced=name)
+        return LogFrame(columns)
 
     def drop(self, *names: str) -> "LogFrame":
         """Return a frame without the given columns."""
         remaining = {k: v for k, v in self._columns.items() if k not in names}
-        return self._same_rows(remaining)
-
-    def _same_rows(
-        self, columns: dict[str, np.ndarray], replaced: str | None = None
-    ) -> "LogFrame":
-        """A frame over these rows that keeps the factorizations of the
-        columns it shares with this one."""
-        frame = LogFrame(columns)
-        frame._factors = {
-            name: entry for name, entry in self._factors.items()
-            if name in columns and name != replaced
-        }
-        frame._inherited = {
-            name: entry for name, entry in self._inherited.items()
-            if name in columns and name != replaced
-        }
-        return frame
+        return LogFrame(remaining)
 
     def head(self, n: int) -> "LogFrame":
         """The first *n* rows."""
@@ -184,24 +157,14 @@ class LogFrame:
     def factorize(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``np.unique(frame.col(name), return_inverse=True)``, cached.
 
-        Computed at most once per frame and column.  A row subset
-        starts from its parent's codes and, on first use, compacts them
-        to the values it holds (a ``bincount`` and ``cumsum`` remap, no
-        sort).  Both arrays are read-only: they are shared by every
-        later caller.
+        Computed at most once per frame and column; every frame,
+        row subsets included, factorizes its own columns.  Both arrays
+        are read-only: they are shared by every later caller.
         """
         entry = self._factors.get(name)
         if entry is not None:
             return entry
-        inherited = self._inherited.pop(name, None)
-        if inherited is None:
-            uniques, codes = factorize(self.col(name))
-        else:
-            uniques, codes = inherited
-            present = np.bincount(codes, minlength=len(uniques)) > 0
-            if not present.all():
-                uniques = uniques[present]
-                codes = (np.cumsum(present) - 1)[codes]
+        uniques, codes = factorize(self.col(name))
         uniques.flags.writeable = False
         codes.flags.writeable = False
         self._factors[name] = uniques, codes
