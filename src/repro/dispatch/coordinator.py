@@ -46,7 +46,8 @@ from repro.dispatch.queue import (
     WorkQueue,
     lease_ttl_from_env,
 )
-from repro.metrics import MetricsRegistry, ShardMetrics
+from repro.engine.pool import fold_shard
+from repro.metrics import MetricsRegistry
 from repro.pipeline import BATCH_SIZE
 from repro.runstate import JOURNAL_NAME, RunCheckpoint, read_journal
 
@@ -178,7 +179,7 @@ def run_distributed(
             queue, [label for label in labels if label not in resumed]
         )
         if metrics is not None:
-            _fold_metrics(metrics, verified, labels, len(resumed), counters)
+            _fold_metrics(metrics, verified, labels, resumed, counters)
         output = job.merge(
             [verified[label].result for label in labels], checkpoint.part_dir
         )
@@ -238,25 +239,18 @@ def _fold_metrics(
     metrics: MetricsRegistry,
     verified: dict,
     labels: list[str],
-    resumed_count: int,
+    resumed: dict,
     counters: dict[str, int],
 ) -> None:
     """Aggregate distributed shard metrics exactly like a single-box
-    instrumented run: stored worker registries merge in shard order,
-    one :class:`ShardMetrics` row per shard, plus the lease counters
-    derived from the queue's event journal."""
+    run: every verified artifact goes through the engine's
+    :func:`~repro.engine.pool.fold_shard` in shard order (shards the
+    ledger already held count as resumed), then the lease counters
+    derived from the queue's event journal are added."""
     for label in labels:
-        artifact = verified[label]
-        if isinstance(artifact.registry, MetricsRegistry):
-            metrics.merge(artifact.registry)
-        metrics.add_shard(ShardMetrics(
-            shard_id=label,
-            records=artifact.records,
-            wall_seconds=artifact.wall_seconds,
-            worker_pid=0,
-        ))
-    if resumed_count:
-        metrics.inc("engine.shards.resumed", resumed_count)
+        fold_shard(
+            metrics, label, verified[label], resumed=label in resumed
+        )
     for name, value in sorted(counters.items()):
         if value:
             metrics.inc(name, value)

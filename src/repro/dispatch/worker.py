@@ -21,9 +21,16 @@ Step 4 before step 5 is the crash-safety argument: a worker that dies
 next claimant sees the shard journaled and skips it); a worker that
 dies *before* recording loses nothing but time — the lease expires and
 the shard re-runs elsewhere.  Since every shard replays a
-deterministic stream, a shard that runs twice writes identical
-artifact bytes, and the journal's last-entry-wins read keeps the merge
-single-valued.
+deterministic stream, a shard that runs twice produces an identical
+result and republishes the same content-addressed ELFF parts (its
+artifact bytes differ only in the measured wall time, timer totals
+and worker pid), and the journal's last-entry-wins read keeps the
+merge single-valued.
+
+Execution is the engine's shard executor
+(:func:`repro.engine.pool.run_shard`), the same retry loop a serial
+``run_sharded`` uses; the worker adds only the ``worker.kill`` fault
+site and the lease release or requeue around it.
 """
 
 from __future__ import annotations
@@ -40,15 +47,9 @@ from repro.dispatch.queue import (
     WorkQueue,
     heartbeat_interval_from_env,
 )
-from repro.engine.pool import (
-    RetryPolicy,
-    ShardError,
-    _Instrumented,
-    _run_attempt,
-    _shard_records,
-)
+from repro.engine.pool import RetryPolicy, ShardError, fold_shard, run_shard
 from repro.faults import fault_point, plan_from_env, use_fault_plan
-from repro.metrics import MetricsRegistry, ShardMetrics
+from repro.metrics import MetricsRegistry
 from repro.runstate import JOURNAL_NAME, RunCheckpoint, read_journal
 
 
@@ -160,7 +161,7 @@ def run_worker(
         fault_plan = plan_from_env()
 
     labels = job.labels()
-    task = _Instrumented(job.task())
+    task = job.task()
     # A lock-less RunCheckpoint: record() only appends to the shared
     # journal and writes pid-unique artifacts and content-addressed
     # parts, so workers share the ledger without touching the
@@ -203,30 +204,19 @@ def run_worker(
         publish("running", [lease.shard_id])
         with _Heartbeat(queue, heartbeat_interval) as heartbeat:
             heartbeat.hold(lease)
-            run = _execute_shard(
+            artifact = _execute_shard(
                 queue, lease, task, payloads[lease.shard_id],
                 retry, fault_plan, heartbeat, summary, metrics,
             )
-            ledger.record(
-                lease.shard_id, run.result,
-                records=_shard_records(run),
-                wall_seconds=run.wall_seconds,
-                registry=run.registry,
-            )
+            ledger.record(lease.shard_id, artifact)
             current = heartbeat.drop(lease.shard_id) or lease
             queue.release(current, completed=True)
             summary.executed += 1
-            summary.records += _shard_records(run)
-            summary.wall_seconds += run.wall_seconds
+            summary.records += artifact.records
+            summary.wall_seconds += artifact.wall_seconds
             summary.shards.append(lease.shard_id)
             if metrics is not None:
-                metrics.merge(run.registry)
-                metrics.add_shard(ShardMetrics(
-                    shard_id=lease.shard_id,
-                    records=_shard_records(run),
-                    wall_seconds=run.wall_seconds,
-                    worker_pid=run.worker_pid,
-                ))
+                fold_shard(metrics, lease.shard_id, artifact)
                 metrics.inc("dispatch.shards.executed")
         summary.lost += len(heartbeat.lost)
     publish("done", [])
@@ -244,28 +234,21 @@ def _execute_shard(
     just claimed a shard, which is precisely the state a reclaim must
     recover from.  Execution attempts then run under
     ``lease.attempt + local_attempt``, so retry gating stays monotone
-    across reclaims exactly as it is across single-box retries.
+    across reclaims exactly as it is across single-box retries.  A
+    shard that fails its whole budget is released for requeue.
     """
     if fault_plan is not None:
         with use_fault_plan(
             fault_plan, shard_id=lease.shard_id, attempt=lease.attempt
         ):
             fault_point("worker.kill")
-    attempt = 0
-    while True:
-        try:
-            return _run_attempt(
-                task, payload, lease.shard_id,
-                lease.attempt + attempt, fault_plan,
-            )
-        except Exception as error:
-            if attempt < retry.max_retries:
-                if metrics is not None:
-                    metrics.inc("engine.shard_retries")
-                time.sleep(retry.backoff_seconds(attempt))
-                attempt += 1
-                continue
-            current = heartbeat.drop(lease.shard_id) or lease
-            queue.release(current, completed=False)
-            summary.requeued += 1
-            raise ShardError(lease.shard_id, error) from error
+    try:
+        return run_shard(
+            task, payload, lease.shard_id, retry=retry, plan=fault_plan,
+            metrics=metrics, first_attempt=lease.attempt,
+        )
+    except Exception as error:
+        current = heartbeat.drop(lease.shard_id) or lease
+        queue.release(current, completed=False)
+        summary.requeued += 1
+        raise ShardError(lease.shard_id, error) from error

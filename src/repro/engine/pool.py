@@ -33,6 +33,12 @@ the ``REPRO_FAULT_PLAN`` environment knob), which is how the chaos
 suite injects crashes, transient exceptions, corrupt reads, and slow
 shards through the same code paths production runs use.
 
+The serial loop, the pool and the lease worker (``repro work``) run
+every attempt through :func:`_run_attempt`; the serial loop and the
+worker share the retry loop :func:`run_shard` (the pool resubmits from
+the parent, which alone can abandon a timed-out attempt); and
+:func:`fold_shard` counts any settled shard into a metrics registry.
+
 Results are always returned in shard order, which is what makes the
 parallel paths bit-reproducible: callers merge in a fixed order no
 matter which worker finished first.
@@ -44,8 +50,9 @@ import os
 import time
 import warnings
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from repro.faults import (
     FaultPlan,
@@ -197,112 +204,108 @@ def _run_attempt(
     label: str,
     attempt: int,
     plan: FaultPlan | None,
-) -> R:
-    """Execute one attempt of one shard under the fault-plan context.
+) -> ShardArtifact:
+    """Execute one attempt of one shard and measure it.
 
     Module-level and picklable — this is the callable the pool actually
     submits, so injected faults fire inside the worker exactly where
-    real failures would.
+    real failures would.  The fault-plan context and the
+    ``shard.start`` site wrap the measurement, so a ``slow`` fault
+    stays out of ``wall_seconds``.  The task always runs under a fresh
+    worker-local :class:`~repro.metrics.MetricsRegistry`, whether or
+    not the caller asked for metrics, so every artifact (and the
+    ledger entry that persists it) carries the shard's counters.
+
+    ``records`` is the task's ``shard.records`` counter; a task that
+    declares none counts a sized result by its length, anything else
+    as 0.
     """
-    if plan is None:
-        return task(payload)
-    with use_fault_plan(plan, shard_id=label, attempt=attempt):
-        fault_point("shard.start")
-        return task(payload)
-
-
-@dataclass
-class _ShardRun:
-    """What an instrumented shard sends back to the parent."""
-
-    result: Any
-    registry: MetricsRegistry
-    wall_seconds: float
-    worker_pid: int
-
-
-class _Instrumented:
-    """Picklable task wrapper: runs the shard under a fresh registry
-    and returns the result together with the shard's metrics."""
-
-    __slots__ = ("task",)
-
-    def __init__(self, task: Callable[[P], R]):
-        self.task = task
-
-    def __call__(self, payload: P) -> _ShardRun:
+    with ExitStack() as stack:
+        if plan is not None:
+            stack.enter_context(
+                use_fault_plan(plan, shard_id=label, attempt=attempt)
+            )
+            fault_point("shard.start")
         registry = MetricsRegistry()
         start = time.perf_counter()
         with use_registry(registry):
-            result = self.task(payload)
-        return _ShardRun(
-            result=result,
-            registry=registry,
-            wall_seconds=time.perf_counter() - start,
-            worker_pid=os.getpid(),
-        )
+            result = task(payload)
+        wall_seconds = time.perf_counter() - start
+    records = registry.counters.get("shard.records")
+    if records is None:
+        try:
+            records = len(result)  # type: ignore[arg-type]
+        except TypeError:
+            records = 0
+    return ShardArtifact(
+        result=result,
+        records=records,
+        wall_seconds=wall_seconds,
+        registry=registry,
+        worker_pid=os.getpid(),
+    )
 
 
-def _shard_records(run: _ShardRun) -> int:
-    """How many records the shard produced.
+def run_shard(
+    task: Callable[[P], R],
+    payload: P,
+    label: str,
+    *,
+    retry: RetryPolicy,
+    plan: FaultPlan | None,
+    metrics: MetricsRegistry | None = None,
+    first_attempt: int = 0,
+) -> ShardArtifact:
+    """Run one shard in this process until an attempt succeeds.
 
-    Instrumented shard functions declare it via the ``shard.records``
-    counter; for uninstrumented tasks a sized result is its own count.
+    The in-process retry loop the serial path and the lease worker
+    share: a failed attempt is re-run after
+    :meth:`RetryPolicy.backoff_seconds` (counted as
+    ``engine.shard_retries`` in *metrics*) until the budget is spent,
+    and then the last exception propagates.  Fault plans see attempt
+    ``first_attempt + local attempt``, so a worker that re-runs a
+    reclaimed lease keeps its retry gating monotone.
     """
-    count = run.registry.counters.get("shard.records")
-    if count is not None:
-        return count
-    try:
-        return len(run.result)  # type: ignore[arg-type]
-    except TypeError:
-        return 0
+    attempt = 0
+    while True:
+        try:
+            return _run_attempt(
+                task, payload, label, first_attempt + attempt, plan
+            )
+        except Exception:
+            if attempt >= retry.max_retries:
+                raise
+            _note_retry(metrics)
+            time.sleep(retry.backoff_seconds(attempt))
+            attempt += 1
 
 
-def _collect_metrics(
-    metrics: MetricsRegistry, runs: Sequence[Any], labels: Sequence[str]
-) -> list:
-    """Unwrap instrumented results, folding shard metrics into
-    *metrics* in shard order.
-
-    Called only after dispatch fully succeeded, so shards that ran in a
-    pool that later broke are never folded in — the serial re-run's
-    metrics are the only ones counted (no double counting across the
-    fallback).  Quarantined shards contribute no metrics and stay
-    ``QUARANTINED`` in the result list.
-
-    A :class:`~repro.runstate.ShardArtifact` slot is a shard resumed
-    from a checkpoint ledger: its stored worker registry (when the
-    original run was instrumented) merges in so aggregate counters
-    match an uninterrupted run, its ledger-recorded throughput becomes
-    the :class:`ShardMetrics` row (``worker_pid`` 0 — no process ran
-    it this time), and it counts into ``engine.shards.resumed``.
+def fold_shard(
+    metrics: MetricsRegistry,
+    label: str,
+    artifact: ShardArtifact,
+    *,
+    resumed: bool = False,
+) -> None:
+    """Count one settled shard — executed in this run, resumed from a
+    ledger, or journaled by a distributed worker — into *metrics*:
+    merge its worker registry and append its
+    :class:`~repro.metrics.ShardMetrics` row.  A resumed shard also
+    counts into ``engine.shards.resumed`` and reports ``worker_pid`` 0,
+    since no process ran it this time.  An artifact without a registry
+    (a ledger an older build wrote without ``--metrics``) adds its row
+    only.
     """
-    results = []
-    for label, run in zip(labels, runs):
-        if run is QUARANTINED:
-            results.append(QUARANTINED)
-            continue
-        if isinstance(run, ShardArtifact):
-            metrics.inc("engine.shards.resumed")
-            if isinstance(run.registry, MetricsRegistry):
-                metrics.merge(run.registry)
-            metrics.add_shard(ShardMetrics(
-                shard_id=label,
-                records=run.records,
-                wall_seconds=run.wall_seconds,
-                worker_pid=0,
-            ))
-            results.append(run.result)
-            continue
-        metrics.merge(run.registry)
-        metrics.add_shard(ShardMetrics(
-            shard_id=label,
-            records=_shard_records(run),
-            wall_seconds=run.wall_seconds,
-            worker_pid=run.worker_pid,
-        ))
-        results.append(run.result)
-    return results
+    if resumed:
+        metrics.inc("engine.shards.resumed")
+    if artifact.registry is not None:
+        metrics.merge(artifact.registry)
+    metrics.add_shard(ShardMetrics(
+        shard_id=label,
+        records=artifact.records,
+        wall_seconds=artifact.wall_seconds,
+        worker_pid=0 if resumed else artifact.worker_pid,
+    ))
 
 
 def _note_retry(metrics: MetricsRegistry | None) -> None:
@@ -368,25 +371,30 @@ def run_sharded(
     ``REPRO_FAULT_PLAN`` environment knob is consulted, and when that
     is unset too, the fault sites are inert.
 
-    With a *metrics* registry, every shard executes under a fresh
-    worker-local registry (activated via
-    :func:`repro.metrics.use_registry`, so the hot-path hooks record
-    into it); the per-shard registries are merged into *metrics* in
-    shard order after the whole dispatch succeeds, along with one
-    :class:`~repro.metrics.ShardMetrics` per shard.  Merging last means
-    a pool that breaks mid-run and falls back to serial counts each
-    shard exactly once, and a failed attempt's partial metrics are
-    never counted at all.
+    Every shard attempt executes under a fresh worker-local registry
+    (activated via :func:`repro.metrics.use_registry`, so the hot-path
+    hooks record into it) and settles as a
+    :class:`~repro.runstate.ShardArtifact`.  With a *metrics*
+    registry, :func:`fold_shard` merges each artifact's registry into
+    *metrics* in shard order after the whole dispatch succeeds, along
+    with one :class:`~repro.metrics.ShardMetrics` per shard.  Folding
+    last means a pool that breaks mid-run and falls back to serial
+    counts each shard exactly once, and a failed attempt's partial
+    metrics are never counted at all.
 
     A *checkpoint* (:class:`~repro.runstate.RunCheckpoint`) makes the
     dispatch crash-safe across process death: on start the ledger's
     fingerprint and shard plan are verified (mismatch refuses the
     run), every journaled shard whose artifact still hashes clean is
-    loaded into its result slot instead of being dispatched (counted
-    as ``engine.shards.resumed`` when *metrics* is given), and every
-    freshly completed shard is durably recorded — atomic artifact
-    write, then an fsync'd journal line — the moment it settles.
-    Quarantined shards are never recorded; they re-run on resume.
+    loaded into its result slot instead of being dispatched (folded
+    like a fresh shard and counted as ``engine.shards.resumed`` when
+    *metrics* is given), and every freshly completed shard's artifact
+    is durably recorded — atomic artifact write, then an fsync'd
+    journal line — the moment it settles.  Recording is not an
+    attempt: it happens once, after the shard's attempts succeeded,
+    and a ledger write error propagates instead of re-running the
+    shard.  Quarantined shards are never recorded; they re-run on
+    resume.
     """
     payloads = list(payloads)
     if workers < 1:
@@ -408,65 +416,33 @@ def run_sharded(
     record = None
     if checkpoint is not None:
         resumed = checkpoint.begin(labels)
-
-        def record(label: str, outcome) -> None:
-            if isinstance(outcome, _ShardRun):
-                checkpoint.record(
-                    label, outcome.result,
-                    records=_shard_records(outcome),
-                    wall_seconds=outcome.wall_seconds,
-                    registry=outcome.registry,
-                )
-                return
-            try:
-                records = len(outcome)  # type: ignore[arg-type]
-            except TypeError:
-                records = 0
-            checkpoint.record(label, outcome, records=records)
+        record = checkpoint.record
 
     pending = [
         index for index, label in enumerate(labels)
         if label not in resumed
     ]
-    pending_payloads = [payloads[index] for index in pending]
-    pending_labels = [labels[index] for index in pending]
     try:
-        if metrics is not None:
-            runs = _dispatch(
-                _Instrumented(task), pending_payloads, pending_labels,
-                workers, retry, fault_plan, strict, failures, metrics,
-                record,
-            )
-            return _collect_metrics(
-                metrics, _weave(labels, resumed, runs), labels
-            )
-        results = _dispatch(
-            task, pending_payloads, pending_labels, workers, retry,
-            fault_plan, strict, failures, None, record,
-        )
-        return [
-            part.result if isinstance(part, ShardArtifact) else part
-            for part in _weave(labels, resumed, results)
-        ]
+        dispatched = iter(_dispatch(
+            task,
+            [payloads[index] for index in pending],
+            [labels[index] for index in pending],
+            workers, retry, fault_plan, strict, failures, metrics, record,
+        ))
+        results = []
+        for label in labels:
+            was_resumed = label in resumed
+            artifact = resumed[label] if was_resumed else next(dispatched)
+            if artifact is QUARANTINED:
+                results.append(QUARANTINED)
+                continue
+            if metrics is not None:
+                fold_shard(metrics, label, artifact, resumed=was_resumed)
+            results.append(artifact.result)
+        return results
     finally:
         if checkpoint is not None:
             checkpoint.close()
-
-
-def _weave(
-    labels: Sequence[str],
-    resumed: dict[str, ShardArtifact],
-    dispatched: Sequence[Any],
-) -> list:
-    """Interleave resumed artifacts with dispatched results back into
-    full shard order."""
-    if not resumed:
-        return list(dispatched)
-    parts = iter(dispatched)
-    return [
-        resumed[label] if label in resumed else next(parts)
-        for label in labels
-    ]
 
 
 class _PoolBroke(Exception):
@@ -496,9 +472,11 @@ def _dispatch(
     strict: bool,
     failures: ShardFailureReport | None,
     metrics: MetricsRegistry | None,
-    record: Callable[[str, Any], None] | None = None,
-) -> list[R]:
-    """The execution core: serial loop, pool fan-out, or fallback."""
+    record: Callable[[str, ShardArtifact], None] | None = None,
+) -> list[ShardArtifact | None]:
+    """The execution core: serial loop, pool fan-out, or fallback.
+    One artifact per payload, :data:`QUARANTINED` for a quarantined
+    shard."""
     effective = min(workers, len(payloads))
     if effective <= 1:
         return _run_serial(
@@ -541,15 +519,17 @@ def _run_pool(
     strict: bool,
     failures: ShardFailureReport | None,
     metrics: MetricsRegistry | None,
-    record: Callable[[str, Any], None] | None = None,
-) -> list[R]:
+    record: Callable[[str, ShardArtifact], None] | None = None,
+) -> list[ShardArtifact | None]:
     """Pool fan-out with per-shard retries and timeouts.
 
     All shards are submitted up front (attempt 0); results are
     consumed in shard order, and a failed shard is re-submitted while
-    the later shards keep running.  Any ``BrokenProcessPool`` converts
+    the later shards keep running.  This resubmit loop stays in the
+    parent, apart from :func:`run_shard`, because only the parent can
+    abandon a timed-out attempt.  Any ``BrokenProcessPool`` converts
     to :class:`_PoolBroke` so the caller can degrade to serial.
-    *record* (the checkpoint hook) fires as each shard's result is
+    *record* (the checkpoint hook) fires as each shard's artifact is
     consumed, so a crash loses only the not-yet-consumed shards.
     """
     from concurrent.futures import TimeoutError as FutureTimeout
@@ -569,13 +549,11 @@ def _run_pool(
             raise _PoolBroke(pool_error, dict(originals)) from pool_error
 
     futures = [submit(index) for index in range(count)]
-    results: list[Any] = [QUARANTINED] * count
+    results: list[ShardArtifact | None] = [QUARANTINED] * count
     for index in range(count):
         while True:
             try:
                 results[index] = futures[index].result(timeout=retry.timeout)
-                if record is not None:
-                    record(labels[index], results[index])
                 break
             except BrokenProcessPool as pool_error:
                 raise _PoolBroke(pool_error, dict(originals)) from pool_error
@@ -598,6 +576,8 @@ def _run_pool(
                 failures, metrics,
             )
             break
+        if record is not None and results[index] is not QUARANTINED:
+            record(labels[index], results[index])
     return results
 
 
@@ -611,9 +591,10 @@ def _run_serial(
     failures: ShardFailureReport | None,
     metrics: MetricsRegistry | None,
     originals: dict[int, BaseException] | None = None,
-    record: Callable[[str, Any], None] | None = None,
-) -> list[R]:
-    """Serial loop with the same retry/quarantine semantics.
+    record: Callable[[str, ShardArtifact], None] | None = None,
+) -> list[ShardArtifact | None]:
+    """Serial loop over :func:`run_shard` with the pool's quarantine
+    semantics.
 
     *originals* carries shard exceptions observed before a pool break:
     if the serial re-run of such a shard also fails, the raised
@@ -621,28 +602,24 @@ def _run_serial(
     shard id) rather than only the re-run's error — the pool failure
     stays in the ``__cause__`` chain for forensics.
     """
-    results: list[Any] = []
+    results: list[ShardArtifact | None] = []
     for index, (label, payload) in enumerate(zip(labels, payloads)):
-        attempt = 0
-        while True:
-            try:
-                outcome = _run_attempt(task, payload, label, attempt, plan)
-                if record is not None:
-                    record(label, outcome)
-                results.append(outcome)
-                break
-            except Exception as error:
-                if attempt < retry.max_retries:
-                    _note_retry(metrics)
-                    time.sleep(retry.backoff_seconds(attempt))
-                    attempt += 1
-                    continue
-                original = (originals or {}).get(index)
-                if strict and original is not None:
-                    raise ShardError(label, original) from error
-                _settle_failure(
-                    label, error, attempt + 1, strict, failures, metrics
-                )
-                results.append(QUARANTINED)
-                break
+        try:
+            artifact = run_shard(
+                task, payload, label, retry=retry, plan=plan,
+                metrics=metrics,
+            )
+        except Exception as error:
+            original = (originals or {}).get(index)
+            if strict and original is not None:
+                raise ShardError(label, original) from error
+            _settle_failure(
+                label, error, retry.max_retries + 1, strict, failures,
+                metrics,
+            )
+            results.append(QUARANTINED)
+            continue
+        if record is not None:
+            record(label, artifact)
+        results.append(artifact)
     return results

@@ -107,19 +107,25 @@ class LedgerExists(RunStateError):
 
 @dataclass
 class ShardArtifact:
-    """What the ledger persists for one completed shard.
+    """One settled shard: what the executor returns and the ledger
+    persists.
 
     ``result`` is the shard's merge-ready value (a pipeline sink, a
     ``(StreamingAnalysis, ReadStats)`` pair, a frame — whatever the
-    task returned); ``registry`` carries the shard's worker-local
-    metrics when the run was instrumented, so a resumed run's
-    aggregate counters match an uninterrupted one.
+    task returned); ``records`` and ``wall_seconds`` measure the
+    attempt that produced it; ``registry`` is the worker-local
+    :class:`~repro.metrics.MetricsRegistry` the attempt ran under
+    (always kept, so a resumed run's aggregate counters match an
+    uninterrupted one whether or not the original run asked for
+    metrics); ``worker_pid`` names the process that ran it.  Pickles
+    from ledgers written before the pid was kept read it as 0.
     """
 
     result: Any
     records: int = 0
     wall_seconds: float = 0.0
     registry: Any = None
+    worker_pid: int = 0
 
 
 def _canonical(value):
@@ -477,17 +483,11 @@ class RunCheckpoint:
             return None
         return artifact
 
-    def record(
-        self,
-        label: str,
-        result,
-        *,
-        records: int = 0,
-        wall_seconds: float = 0.0,
-        registry=None,
-    ) -> None:
-        """Persist one completed shard: atomic artifact, then a
-        fsync'd journal line pointing at it and at its ELFF parts.
+    def record(self, label: str, artifact: ShardArtifact) -> None:
+        """Persist one completed shard's artifact as the executor
+        returned it: atomic artifact, then a fsync'd journal line
+        pointing at it and at its ELFF parts, with the artifact's
+        record count and wall time.
 
         Ordering is the durability argument: the parts are sealed
         (fsync + rename) as the result pickles, and the artifact is
@@ -495,12 +495,6 @@ class RunCheckpoint:
         it, so a journal entry always points at complete bytes, and a
         crash between the steps merely re-runs one shard.
         """
-        artifact = ShardArtifact(
-            result=result,
-            records=records,
-            wall_seconds=wall_seconds,
-            registry=registry,
-        )
         data = pickle.dumps(artifact, protocol=PICKLE_PROTOCOL)
         self.artifact_dir.mkdir(parents=True, exist_ok=True)
         relative = f"{ARTIFACT_DIR}/{artifact_name(label)}"
@@ -509,9 +503,9 @@ class RunCheckpoint:
             "shard_id": label,
             "artifact": relative,
             "sha256": _sha256(data),
-            "parts": _part_names(result),
-            "records": records,
-            "wall_seconds": wall_seconds,
+            "parts": _part_names(artifact.result),
+            "records": artifact.records,
+            "wall_seconds": artifact.wall_seconds,
         })
 
     def close(self) -> None:

@@ -513,13 +513,13 @@ class TestStatusServer:
                                                  monkeypatch):
         """One ``/healthz`` snapshot costs one journal read, not one
         per planned shard."""
-        from repro.runstate import RunCheckpoint, read_journal
+        from repro.runstate import RunCheckpoint, ShardArtifact, read_journal
         from repro.service import queue_status, status
 
         job = small_job(tmp_path)
         checkpoint = RunCheckpoint(tmp_path / "run", job.fingerprint())
         checkpoint.begin(job.labels())
-        checkpoint.record(job.labels()[0], "done", records=1)
+        checkpoint.record(job.labels()[0], ShardArtifact("done", records=1))
         checkpoint.close()
         reads = []
 

@@ -29,7 +29,7 @@ import pytest
 
 from repro.engine import RetryPolicy, run_sharded
 from repro.faults import FaultPlan, FaultRule, parse_fault_plan
-from repro.metrics import MetricsRegistry
+from repro.metrics import MetricsRegistry, current_registry
 from repro.runstate import (
     LEDGER_SCHEMA,
     CheckpointLocked,
@@ -37,6 +37,7 @@ from repro.runstate import (
     LedgerExists,
     RunCheckpoint,
     RunStateError,
+    ShardArtifact,
     artifact_name,
     audit_run,
     config_digest,
@@ -56,6 +57,31 @@ FP = run_fingerprint("test", seed=7)
 def double(value: int) -> int:
     """Module-level so the pool path can pickle it."""
     return value * 2
+
+
+def counted_double(value: int) -> int:
+    """`double` that declares its records and counts one more thing,
+    the way the real shard functions instrument themselves."""
+    registry = current_registry()
+    if registry is not None:
+        registry.inc("shard.records", value)
+        registry.inc("task.doubled")
+    return value * 2
+
+
+def logged_run(path: str) -> str:
+    """Appends one line to *path* per execution, so a test can count
+    executions across pool processes."""
+    with open(path, "a") as handle:
+        handle.write("ran\n")
+    return path
+
+
+class _UnwritableLedger(RunCheckpoint):
+    """A ledger whose disk is full."""
+
+    def record(self, label, artifact):
+        raise OSError(28, "No space left on device")
 
 
 def _complete_ledger(directory, values=(1, 2, 3)) -> list[str]:
@@ -192,7 +218,7 @@ class TestRunCheckpoint:
             sink.add(record)
         with checkpoint:
             checkpoint.begin(["s1"])
-            checkpoint.record("s1", sink, records=len(sink))
+            checkpoint.record("s1", ShardArtifact(sink, records=len(sink)))
         [entry] = read_journal(tmp_path / "run" / "journal.jsonl").values()
         assert entry["parts"] == sink.part_names()
         resumed = RunCheckpoint(tmp_path / "run", FP, resume=True)
@@ -219,7 +245,9 @@ class TestRunCheckpoint:
                 sink = ElffSink(checkpoint.part_dir).consume(
                     [make_record(cs_uri_path=f"/{label}")] * (index + 1)
                 )
-                checkpoint.record(label, sink, records=len(sink))
+                checkpoint.record(
+                    label, ShardArtifact(sink, records=len(sink))
+                )
         [victim] = read_journal(
             tmp_path / "run" / "journal.jsonl"
         )["s2"]["parts"]
@@ -288,18 +316,51 @@ class TestEngineResume:
         audit = audit_run(tmp_path / "run")
         assert audit.ok and audit.completed == 3
 
-    def test_resumed_metrics_match_uninterrupted_run(self, tmp_path):
-        clean = MetricsRegistry()
-        run_sharded(double, [1, 2, 3], metrics=clean,
-                    labels=["item:1", "item:2", "item:3"])
-        labels = _complete_ledger(tmp_path / "run")
-        resumed_metrics = MetricsRegistry()
-        resumed = RunCheckpoint(tmp_path / "run", FP, resume=True)
-        run_sharded(double, [1, 2, 3], labels=labels,
-                    metrics=resumed_metrics, checkpoint=resumed)
-        assert resumed_metrics.total_records() == clean.total_records()
-        assert [s.shard_id for s in resumed_metrics.shards] == \
-            [s.shard_id for s in clean.shards]
+    def test_resumed_metrics_match_uninterrupted_run(
+        self, tmp_path, monkeypatch
+    ):
+        """A ledger written without metrics resumes (one shard
+        re-executed, two loaded) into the counters and per-shard
+        records of an uninterrupted metered run."""
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        labels = ["item:1", "item:2", "item:3"]
+        for workers in (1, 2):
+            clean = MetricsRegistry()
+            run_sharded(counted_double, [1, 2, 3], workers=workers,
+                        labels=labels, metrics=clean)
+            ledger = tmp_path / f"run-{workers}"
+            run_sharded(counted_double, [1, 2, 3], workers=workers,
+                        labels=labels, checkpoint=RunCheckpoint(ledger, FP))
+            (ledger / "artifacts" / artifact_name("item:2")).unlink()
+            resumed = MetricsRegistry()
+            run_sharded(counted_double, [1, 2, 3], workers=workers,
+                        labels=labels, metrics=resumed,
+                        checkpoint=RunCheckpoint(ledger, FP, resume=True))
+            assert resumed.counters.pop("engine.shards.resumed") == 2
+            assert resumed.counters == clean.counters
+            assert clean.counters["task.doubled"] == 3
+            assert [(s.shard_id, s.records) for s in resumed.shards] == \
+                [(s.shard_id, s.records) for s in clean.shards] == \
+                [("item:1", 1), ("item:2", 2), ("item:3", 3)]
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ledger_write_error_is_not_a_shard_failure(
+        self, tmp_path, monkeypatch, workers, strict
+    ):
+        """Recording happens once, outside the retry budget: a failed
+        journal write propagates after one execution of the shard,
+        instead of re-running it (or quarantining it in partial mode)."""
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        logs = [str(tmp_path / "shard-0.runs"), str(tmp_path / "shard-1.runs")]
+        with pytest.raises(OSError, match="No space left"):
+            run_sharded(
+                logged_run, logs, workers=workers, strict=strict,
+                retry=RetryPolicy(max_retries=2, backoff_base=0.0),
+                checkpoint=_UnwritableLedger(tmp_path / "run", FP),
+            )
+        assert Path(logs[0]).read_text() == "ran\n"
+        assert not (tmp_path / "run" / "LOCK").exists()
 
     def test_checkpoint_lock_released_after_run(self, tmp_path):
         _complete_ledger(tmp_path / "run")
@@ -537,6 +598,68 @@ class TestPartTamperResume:
         assert [p.name for p in clean] == [p.name for p in resumed]
         for a, b in zip(clean, resumed):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def _metered(path: Path) -> tuple[dict, dict, int]:
+    """What a resume must reproduce from a --metrics document: the
+    counters (bar the resume count), every timer's span count, and
+    the total record count."""
+    document = json.loads(path.read_text())
+    counters = dict(document["counters"])
+    counters.pop("engine.shards.resumed", None)
+    spans = {name: timer["count"]
+             for name, timer in document["timers"].items()}
+    return counters, spans, document["totals"]["records"]
+
+
+class TestResumedMetricsCli:
+    """A ledger written without --metrics resumes into the metrics of
+    an uninterrupted --metrics run."""
+
+    SIM = ["simulate", "--requests", "6000", "--seed", "3", "--per-day"]
+
+    def test_analyze_resume_matches_uninterrupted_metrics(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        assert main(self.SIM + ["--out", str(tmp_path / "logs")]) == 0
+        logs = sorted(str(p) for p in (tmp_path / "logs").glob("*.log"))
+        analyze = ["analyze", *logs, "--streaming"]
+        ledger = ["--checkpoint-dir", str(tmp_path / "ledger")]
+        assert main(analyze + ["--metrics", str(tmp_path / "clean.json")]) == 0
+        assert main(analyze + ledger) == 0
+        assert main(analyze + ledger + [
+            "--resume", "--metrics", str(tmp_path / "resumed.json"),
+        ]) == 0
+        clean = _metered(tmp_path / "clean.json")
+        assert clean[2] == clean[0]["shard.records"] > 2 * len(logs)
+        assert _metered(tmp_path / "resumed.json") == clean
+
+    def test_distributed_resume_of_a_simulate_ledger(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        ledger = str(tmp_path / "ledger")
+        assert main(self.SIM + [
+            "--out", str(tmp_path / "clean"),
+            "--metrics", str(tmp_path / "clean.json"),
+        ]) == 0
+        assert main(self.SIM + [
+            "--out", str(tmp_path / "first"), "--checkpoint-dir", ledger,
+        ]) == 0
+        assert main([
+            "run-distributed", *self.SIM[1:], "--out", str(tmp_path / "dist"),
+            "--queue-dir", ledger, "--resume", "--spawn", "0",
+            "--wait-timeout", "60",
+            "--metrics", str(tmp_path / "resumed.json"),
+        ]) == 0
+        clean = _metered(tmp_path / "clean.json")
+        assert clean[0]["shard.records"] == clean[2] > 0
+        assert _metered(tmp_path / "resumed.json") == clean
 
 
 class TestCliErrors:
