@@ -30,13 +30,15 @@ Endpoints:
 from __future__ import annotations
 
 import asyncio
+import csv
 import io
 import json
 import signal
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.logmodel.elff import ReadStats, read_log
+from repro.batching import BATCH_SIZE
+from repro.logmodel.elff import LogFormatError, ReadStats, read_log_batches
 from repro.metrics import MetricsRegistry, MetricsSnapshot, use_registry
 from repro.service.tailer import LogTailer
 from repro.service.window import WindowStore
@@ -168,13 +170,25 @@ class IngestService:
     # -- folding -----------------------------------------------------------
 
     def _fold_payload(self, payload: str) -> int:
-        """Fold one POSTed payload's records into the window store."""
+        """Fold one POSTed payload's records into the window store.
+
+        The payload is read leniently in column batches, so malformed
+        rows are skipped and counted (``read.skipped``).  A payload the
+        reader rejects outright — a foreign ``#Fields`` directive, a
+        region the csv tokenizer refuses — counts as
+        ``service.fold.rejected`` instead of ending the fold loop; the
+        records folded before the bad line stay folded.
+        """
         before = self.store.total + self.store.evicted_records
-        with use_registry(self.registry):
-            for record in read_log(
-                io.StringIO(payload), lenient=True, stats=self.read_stats
-            ):
-                self.store.add(record)
+        try:
+            with use_registry(self.registry):
+                for batch in read_log_batches(
+                    io.StringIO(payload), BATCH_SIZE,
+                    lenient=True, stats=self.read_stats,
+                ):
+                    self.store.add_batch(batch)
+        except (LogFormatError, csv.Error):
+            self.registry.inc("service.fold.rejected")
         folded = self.store.total + self.store.evicted_records - before
         self.registry.inc("service.fold.records", folded)
         return folded

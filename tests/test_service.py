@@ -489,6 +489,40 @@ class TestIngestService:
         assert live == batch
         assert live.total == 10
 
+    def test_rejected_payloads_do_not_stop_the_fold(self):
+        """A payload the reader refuses is counted and skipped; later
+        payloads still fold and the service still stops."""
+        clean = build_payload(0, 5, 2)
+        rows = [line for line in clean.splitlines() if line[:1] != "#"]
+        oversized = '"' + "x" * 200_000 + '"'
+        cells = rows[0].split(",")
+        cells[17], cells[20] = oversized, '"Mozilla, 5.0"'
+        payloads = [
+            "#Fields: date time foo bar\n" + "\n".join(rows) + "\n",
+            oversized + "\n",
+            ",".join(cells) + "\n",
+            clean,
+        ]
+
+        async def run():
+            service = IngestService()
+            await service.start()
+            url = f"http://{service.host}:{service.port}"
+            for payload in payloads:
+                status, _, _ = await asyncio.to_thread(
+                    _post, url + "/ingest", payload.encode()
+                )
+                assert status == 202
+            await asyncio.wait_for(service.drain(), timeout=10)
+            _, stats = await asyncio.to_thread(_get, url + "/stats")
+            await asyncio.wait_for(service.stop(), timeout=10)
+            return stats
+
+        stats = asyncio.run(run())
+        assert stats["records"] == 5
+        assert stats["totals"]["service.fold.rejected"] == 2
+        assert stats["read"]["skipped"] == 1
+
     def test_stop_leaves_no_tasks(self):
         async def run():
             service = IngestService(tail_paths=())
