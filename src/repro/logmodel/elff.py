@@ -482,10 +482,12 @@ def read_log_batches(
     Semantics mirror :func:`read_log`: ``lenient`` skips malformed
     rows, path reads survive corrupted streams (records batched before
     the corruption point are still yielded), and the same metrics
-    counters and fault sites (``elff.read``, ``gzip.open``) fire.  The
-    one intended difference: in strict mode a malformed row aborts the
-    read before its chunk-mates are yielded, rather than after the
-    rows preceding it — strict errors abort the whole read either way.
+    counters and fault sites (``elff.read``, ``gzip.open``) fire, and
+    a foreign ``#Fields`` directive raises only after the rows before
+    it are yielded.  The one intended difference: in strict mode a
+    malformed row aborts the read before its chunk-mates are yielded,
+    rather than after the rows preceding it — strict errors abort the
+    whole read either way.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -528,7 +530,7 @@ def _read_batches(
     """
     registry = current_registry()
     kept_total = skipped_total = 0
-    corruption: BaseException | None = None
+    failure: BaseException | None = None
     rows: list[list[str]] = []
     try:
         try:
@@ -559,12 +561,12 @@ def _read_batches(
                     else:
                         rows.append(stripped.split(","))
                         if len(rows) >= batch_size:
+                            chunk, rows = rows, []
                             batch, kept, skipped = _rows_to_batch(
-                                rows, lenient, stats
+                                chunk, lenient, stats
                             )
                             kept_total += kept
                             skipped_total += skipped
-                            rows = []
                             if len(batch):
                                 yield batch
                         continue
@@ -576,28 +578,32 @@ def _read_batches(
                         continue
                     rows.append(row)
                     if len(rows) >= batch_size:
+                        chunk, rows = rows, []
                         batch, kept, skipped = _rows_to_batch(
-                            rows, lenient, stats
+                            chunk, lenient, stats
                         )
                         kept_total += kept
                         skipped_total += skipped
-                        rows = []
                         if len(batch):
                             yield batch
-        except _STREAM_CORRUPTION as error:
-            if path is None:
-                raise
-            corruption = error
+        except (LogFormatError, *_STREAM_CORRUPTION) as error:
+            failure = error
+        # The rows read before a failure are still yielded, as read_log
+        # yields the records before the line it stops at.  Full chunks
+        # leave ``rows`` before they convert, so a chunk whose
+        # conversion raised is not converted again here.
         if rows:
             batch, kept, skipped = _rows_to_batch(rows, lenient, stats)
             kept_total += kept
             skipped_total += skipped
             if len(batch):
                 yield batch
-        if corruption is not None:
+        if failure is not None:
+            if path is None or isinstance(failure, LogFormatError):
+                raise failure
             _settle_corruption(
                 path, offset_handle if offset_handle is not None else handle,
-                corruption, lenient, stats,
+                failure, lenient, stats,
             )
     finally:
         # Flushed on exhaustion *and* early close, matching read_log.

@@ -30,7 +30,6 @@ Endpoints:
 from __future__ import annotations
 
 import asyncio
-import csv
 import io
 import json
 import signal
@@ -38,7 +37,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from repro.batching import BATCH_SIZE
-from repro.logmodel.elff import LogFormatError, ReadStats, read_log_batches
+from repro.logmodel.elff import ReadStats, read_log_batches
 from repro.metrics import MetricsRegistry, MetricsSnapshot, use_registry
 from repro.service.tailer import LogTailer
 from repro.service.window import WindowStore
@@ -173,11 +172,13 @@ class IngestService:
         """Fold one POSTed payload's records into the window store.
 
         The payload is read leniently in column batches, so malformed
-        rows are skipped and counted (``read.skipped``).  A payload the
-        reader rejects outright — a foreign ``#Fields`` directive, a
-        region the csv tokenizer refuses — counts as
-        ``service.fold.rejected`` instead of ending the fold loop; the
-        records folded before the bad line stay folded.
+        rows are skipped and counted (``read.skipped``).  Any error
+        that stops the read — a foreign ``#Fields`` directive, a
+        region the csv tokenizer refuses, a numeric cell beyond int64
+        — counts as ``service.fold.rejected`` instead of ending the
+        fold loop, the queue's only consumer.  The rows before a
+        rejected directive or csv region stay folded; a chunk whose
+        conversion fails is lost whole.
         """
         before = self.store.total + self.store.evicted_records
         try:
@@ -187,7 +188,7 @@ class IngestService:
                     lenient=True, stats=self.read_stats,
                 ):
                     self.store.add_batch(batch)
-        except (LogFormatError, csv.Error):
+        except Exception:
             self.registry.inc("service.fold.rejected")
         folded = self.store.total + self.store.evicted_records - before
         self.registry.inc("service.fold.records", folded)

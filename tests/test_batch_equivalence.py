@@ -386,6 +386,37 @@ class TestElffEquivalence:
             list(read_log(path))
         assert str(batch_err.value) == str(scalar_err.value)
 
+    def test_rows_before_a_foreign_directive_are_yielded(self, tmp_path):
+        """A foreign ``#Fields`` directive mid-log stops both readers
+        after yielding the rows before it, from a stream or a file."""
+        records = [
+            make_record(cs_host=f"host-{index}.example.com")
+            for index in range(5)
+        ]
+        buffer = io.StringIO()
+        write_log(records, buffer)
+        rows = buffer.getvalue().splitlines(keepends=True)
+        text = "".join(rows[:-2] + ["#Fields: date time foo bar\r\n"]
+                       + rows[-2:])
+        path = tmp_path / "foreign.log"
+        path.write_text(text, newline="")
+
+        for source in (lambda: io.StringIO(text), lambda: path):
+            scalar = []
+            with pytest.raises(LogFormatError, match="unexpected field set"):
+                scalar.extend(read_log(source(), lenient=True))
+            assert len(scalar) == 3
+            for batch_size in BATCH_SIZES:
+                batched = []
+                with pytest.raises(
+                    LogFormatError, match="unexpected field set"
+                ):
+                    for batch in read_log_batches(
+                        source(), batch_size, lenient=True
+                    ):
+                        batched.extend(batch.iter_records())
+                assert batched == scalar
+
     def test_corrupted_stream_path_mode(self, tmp_path):
         """A gzip member cut off mid-stream dies at the decompression
         layer: both readers keep the decodable prefix, count the file

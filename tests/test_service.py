@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.analysis.streaming import StreamingAnalysis
 from repro.frame.batch import RecordBatch
 from repro.logmodel.elff import read_log, write_log
+from repro.logmodel.fields import FIELDS
 from repro.service import (
     IngestService,
     LoadGenerator,
@@ -490,17 +491,22 @@ class TestIngestService:
         assert live.total == 10
 
     def test_rejected_payloads_do_not_stop_the_fold(self):
-        """A payload the reader refuses is counted and skipped; later
-        payloads still fold and the service still stops."""
+        """A payload whose read raises is counted and skipped, keeping
+        the rows before its bad line; later payloads still fold and the
+        service still stops."""
         clean = build_payload(0, 5, 2)
         rows = [line for line in clean.splitlines() if line[:1] != "#"]
         oversized = '"' + "x" * 200_000 + '"'
         cells = rows[0].split(",")
         cells[17], cells[20] = oversized, '"Mozilla, 5.0"'
+        huge = rows[0].split(",")
+        huge[FIELDS.index("sc-bytes")] = "99999999999999999999"
         payloads = [
-            "#Fields: date time foo bar\n" + "\n".join(rows) + "\n",
+            "\n".join(rows[:3] + ["#Fields: date time foo bar"] + rows[3:])
+            + "\n",
             oversized + "\n",
             ",".join(cells) + "\n",
+            ",".join(huge) + "\n",
             clean,
         ]
 
@@ -519,8 +525,8 @@ class TestIngestService:
             return stats
 
         stats = asyncio.run(run())
-        assert stats["records"] == 5
-        assert stats["totals"]["service.fold.rejected"] == 2
+        assert stats["records"] == 3 + 5
+        assert stats["totals"]["service.fold.rejected"] == 3
         assert stats["read"]["skipped"] == 1
 
     def test_stop_leaves_no_tasks(self):
