@@ -26,15 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.atomicio import AtomicTextFile
+from repro.batching import BATCH_SIZE
 from repro.faults import fault_point
 from repro.frame.batch import (
     BATCH_COLUMNS,
     RecordBatch,
     _day_strings,
     _time_strings,
+    concat_batches,
 )
 from repro.logmodel.fields import FIELDS
-from repro.logmodel.record import LogRecord, date_time_to_epoch
+from repro.logmodel.record import INT_FIELD_BITS, LogRecord, date_time_to_epoch
 from repro.metrics import current_registry
 
 _DIRECTIVE_PREFIX = "#"
@@ -402,7 +404,7 @@ def read_log(
     the line is left unread, counted into ``stats.incomplete_tail``,
     and its starting byte offset reported as
     ``stats.incomplete_tail_offset`` so a tailer can resume exactly
-    there — see :func:`tail_records`.
+    there — see :func:`tail_batches`.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -449,10 +451,6 @@ def read_log(
             registry.inc("elff.read.records", kept)
             registry.inc("elff.read.skipped", skipped)
 
-
-#: Record attributes whose wire cells parse with ``int()``.
-_NUMERIC_ATTRS = ("time_taken", "sc_status", "cs_uri_port", "sc_bytes",
-                  "cs_bytes")
 
 #: Position of every wire field in a 26-column row.
 _FIELD_INDEX = {name: index for index, name in enumerate(FIELDS)}
@@ -521,7 +519,8 @@ def _read_batches(
     goes through :func:`_split_quoted_line`, which handles exactly the
     cases it can prove equivalent to csv semantics.  Everything else —
     multiple quoted fields, quoted fields spanning physical lines,
-    stray quotes, NULs, bare carriage returns — is handed to
+    stray quotes, NULs, bare carriage returns, lines longer than csv's
+    field size limit — is handed to
     :func:`_referee_rows`, which gathers exactly the continuation
     lines the csv tokenizer would pull and lets a real ``csv.reader``
     rule on the region, so malformed input raises the same
@@ -532,15 +531,15 @@ def _read_batches(
     kept_total = skipped_total = 0
     failure: BaseException | None = None
     rows: list[list[str]] = []
+    # A line this long may hold a field csv refuses: let csv rule.
+    field_limit = csv.field_size_limit()
     try:
         try:
             for line in handle:
-                if '"' in line or "\x00" in line:
-                    parsed = (
-                        None
-                        if "\x00" in line
-                        else _split_quoted_line(line.rstrip("\r\n"))
-                    )
+                if "\x00" in line or len(line) > field_limit:
+                    emitted = _referee_rows(line, handle)
+                elif '"' in line:
+                    parsed = _split_quoted_line(line.rstrip("\r\n"))
                     emitted = (
                         (parsed,)
                         if parsed is not None
@@ -708,8 +707,9 @@ def _rows_to_batch(
 
     Returns ``(batch, kept, skipped)``.  The vectorized path handles
     every row it can *prove* parses like ``LogRecord.from_row``; rows
-    it cannot (wrong width, non-integer numeric cell, a date or time
-    outside the canonical zero-padded in-range form) fall back to
+    it cannot (wrong width, a numeric cell that is no integer or does
+    not fit its column, a date or time outside the canonical
+    zero-padded in-range form) fall back to
     ``from_row`` itself, in stream order, so values, error messages,
     and skip decisions are identical to the scalar reader — including
     oddities the fast path refuses but ``strptime`` accepts.
@@ -734,14 +734,20 @@ def _rows_to_batch(
 
         bad_positions: set[int] = set()
         numeric: dict[str, np.ndarray] = {}
-        for attr in _NUMERIC_ATTRS:
-            column = grid[:, _FIELD_INDEX[attr.replace("_", "-")]]
+        for field, bits in INT_FIELD_BITS.items():
+            column = grid[:, _FIELD_INDEX[field]]
             try:
-                numeric[attr] = column.astype(np.int64)
+                values = column.astype(np.int64)
             except (ValueError, TypeError, OverflowError):
                 values, bad = _salvage_ints(column)
-                numeric[attr] = np.asarray(values, dtype=np.int64)
                 bad_positions.update(bad)
+            if bits < 64:
+                # A cell beyond the narrower column is malformed too.
+                limit = 1 << (bits - 1)
+                bad_positions.update(np.flatnonzero(
+                    (values < -limit) | (values >= limit)
+                ).tolist())
+            numeric[field.replace("-", "_")] = values
 
         dates = grid[:, _FIELD_INDEX["date"]].tolist()
         distinct_dates = set(dates)
@@ -769,7 +775,8 @@ def _rows_to_batch(
         candidate_index, bad_positions = [], set()
         grid = np.empty((0, width), dtype=object)
         numeric = {
-            attr: np.empty(0, dtype=np.int64) for attr in _NUMERIC_ATTRS
+            field.replace("-", "_"): np.empty(0, dtype=np.int64)
+            for field in INT_FIELD_BITS
         }
         epochs = np.empty(0, dtype=np.int64)
 
@@ -844,19 +851,23 @@ def _rows_to_batch(
     return RecordBatch(columns), kept, len(dropped)
 
 
-def _salvage_ints(column: np.ndarray) -> tuple[list[int], list[int]]:
-    """Per-cell retry after a wholesale ``int()`` conversion failed:
+def _salvage_ints(column: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Per-cell retry after a wholesale int64 conversion failed:
     returns the values (0 placeholders at failures) and the failing
-    positions."""
+    positions — a cell that is no integer, or one beyond int64."""
     values: list[int] = []
     bad: list[int] = []
     for position, cell in enumerate(column):
         try:
-            values.append(int(cell))
+            value = int(cell)
+            if -(1 << 63) <= value < 1 << 63:
+                values.append(value)
+                continue
         except ValueError:
-            values.append(0)
-            bad.append(position)
-    return values, bad
+            pass
+        values.append(0)
+        bad.append(position)
+    return np.asarray(values, dtype=np.int64), bad
 
 
 def _parse_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -884,37 +895,45 @@ def _parse_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hours * 3600 + minutes * 60 + seconds, ok
 
 
-def tail_records(
+def tail_batches(
     path: Path | str,
     *,
     offset: int = 0,
     stats: ReadStats | None = None,
-) -> tuple[list[LogRecord], int]:
+) -> tuple[RecordBatch, int, LogFormatError | None]:
     """One tail-safe poll over a growing ELFF log (gzip-transparent).
 
-    Parses the complete records found at or after byte *offset* (for
+    Reads the complete rows found at or after byte *offset* (for
     ``.gz`` paths an offset into the *uncompressed* stream, reached by
-    re-inflating the prefix) and returns ``(records, next_offset)``,
-    where *next_offset* is the position the next poll should resume
-    from.  Reads are lenient and line-framed:
+    re-inflating the prefix) with the lenient batch reader, and returns
+    ``(batch, next_offset, refusal)``: the poll's records as one batch,
+    the position the next poll should resume from, and the
+    :class:`LogFormatError` that ended the poll early, if any.
 
     * a torn final line — a writer caught mid-flush, no terminator
       yet — is left unread, counted into ``stats.incomplete_tail``,
       and *next_offset* points at its first byte, so no record is ever
       dropped or double-read across polls;
     * a stream that dies mid-read (a ``.gz`` member still being
-      written, byte noise) is settled like :func:`read_log` lenient
-      mode — the records on complete lines before the failure are
-      returned, the corruption counted — and *next_offset* advances
-      exactly past the lines that parsed.
+      written, byte noise, a region the csv tokenizer refuses) is
+      settled like a lenient :func:`read_log_batches` path read — the
+      rows before the failure are returned, the corruption counted;
+    * a line the reader refuses (a foreign ``#Fields`` directive) is
+      settled the same way, and returned as *refusal* instead of
+      raised.
+
+    After a failure *next_offset* is just past the lines the reader
+    consumed, the failing one included, so the next poll resumes
+    after it.  On a file that has stopped growing, a poll from offset
+    0 returns the records and :class:`ReadStats` counts of a lenient
+    :func:`read_log_batches` path read.
 
     The one framing assumption is one record per physical line (quoted
     fields must not span lines), which holds for every SG-9000 field.
     """
     path = Path(path)
-    if stats is None:
-        stats = ReadStats()
-    records: list[LogRecord] = []
+    batches: list[RecordBatch] = []
+    refusal: LogFormatError | None = None
     fault_point("elff.read")
     with open_log_reader(path) as handle:
         sentry = _TailSentry(handle, count_bytes=True, base_offset=offset)
@@ -926,13 +945,18 @@ def tail_records(
             buffer = getattr(handle, "buffer", None)
             if offset and buffer is not None:
                 buffer.seek(offset)
-            for record in read_log(iter(sentry), lenient=True, stats=stats):
-                records.append(record)
+            # One by one: a refused line raises only after the rows
+            # before it are yielded, and those rows stay in the poll.
+            for batch in _read_batches(iter(sentry), BATCH_SIZE, True, stats,
+                                       path, offset_handle=handle):
+                batches.append(batch)
         except _STREAM_CORRUPTION as error:
             _settle_corruption(path, handle, error, True, stats)
+        except LogFormatError as error:
+            refusal = error
         if sentry.torn is not None:
             _settle_incomplete_tail(sentry, stats)
-    return records, sentry.consumed
+    return concat_batches(batches), sentry.consumed, refusal
 
 
 def read_log_rows(source: Path | io.TextIOBase) -> Iterator[list[str]]:

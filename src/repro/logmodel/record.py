@@ -29,6 +29,28 @@ def date_time_to_epoch(date: str, time: str) -> int:
     return int((stamp.replace(tzinfo=dt.timezone.utc) - _EPOCH).total_seconds())
 
 
+#: The integer wire fields and the bit width of the column that stores
+#: each: analysis frames keep the status and the port as int32
+#: (:data:`repro.frame.io.FRAME_COLUMNS`), batches keep every integer
+#: as int64.  A cell beyond its width is as malformed as a non-integer.
+INT_FIELD_BITS = {
+    "time-taken": 64,
+    "sc-status": 32,
+    "cs-uri-port": 32,
+    "sc-bytes": 64,
+    "cs-bytes": 64,
+}
+
+
+def _int_cell(values: dict[str, str], field: str) -> int:
+    """The integer in *field*'s cell; ValueError beyond its width."""
+    value = int(values[field])
+    bits = INT_FIELD_BITS[field]
+    if not -(1 << (bits - 1)) <= value < 1 << (bits - 1):
+        raise ValueError(f"{field} {value} does not fit int{bits}")
+    return value
+
+
 @dataclass(slots=True)
 class LogRecord:
     """One access-log line.
@@ -109,13 +131,18 @@ class LogRecord:
 
     @classmethod
     def from_row(cls, row: list[str]) -> "LogRecord":
-        """Parse a 26-column CSV row (inverse of :meth:`to_row`)."""
+        """Parse a 26-column CSV row (inverse of :meth:`to_row`).
+
+        Raises ValueError on a wrong width, a bad date or time, or an
+        integer cell that is not an integer or does not fit its
+        column (:data:`INT_FIELD_BITS`).
+        """
         if len(row) != len(FIELDS):
             raise ValueError(f"expected {len(FIELDS)} columns, got {len(row)}")
         values = dict(zip(FIELDS, row))
         return cls(
             epoch=date_time_to_epoch(values["date"], values["time"]),
-            time_taken=int(values["time-taken"]),
+            time_taken=_int_cell(values, "time-taken"),
             c_ip=values["c-ip"],
             cs_username=values["cs-username"],
             cs_auth_group=values["cs-auth-group"],
@@ -123,20 +150,20 @@ class LogRecord:
             sc_filter_result=values["sc-filter-result"],
             cs_categories=values["cs-categories"],
             cs_referer=values["cs-referer"],
-            sc_status=int(values["sc-status"]),
+            sc_status=_int_cell(values, "sc-status"),
             s_action=values["s-action"],
             cs_method=values["cs-method"],
             rs_content_type=values["rs-content-type"],
             cs_uri_scheme=values["cs-uri-scheme"],
             cs_host=values["cs-host"],
-            cs_uri_port=int(values["cs-uri-port"]),
+            cs_uri_port=_int_cell(values, "cs-uri-port"),
             cs_uri_path=values["cs-uri-path"],
             cs_uri_query=values["cs-uri-query"],
             cs_uri_ext=values["cs-uri-ext"],
             cs_user_agent=values["cs-user-agent"],
             s_ip=values["s-ip"],
-            sc_bytes=int(values["sc-bytes"]),
-            cs_bytes=int(values["cs-bytes"]),
+            sc_bytes=_int_cell(values, "sc-bytes"),
+            cs_bytes=_int_cell(values, "cs-bytes"),
             x_virus_id=values["x-virus-id"],
             s_supplier_name=values["s-supplier-name"],
         )

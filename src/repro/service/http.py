@@ -1,12 +1,15 @@
 """The live ingestion service: HTTP + file tailing over asyncio.
 
 ``repro serve`` runs one process that accepts ELFF log lines two ways
-— POSTed over HTTP and tailed from growing log files — and folds them
-through the batch pipeline's sink contract into a sliding-window
+— POSTed over HTTP and tailed from growing log files — and reads both
+with the batch reader, folding its batches through the pipeline's sink
+contract into a sliding-window
 :class:`~repro.service.window.WindowStore`.  Everything is stdlib: the
-HTTP layer is ``asyncio.start_server`` plus a small hand-written
-HTTP/1.1 parser (keep-alive, Content-Length framing), which is all
-four endpoints need.
+HTTP layer, :func:`serve_http`, is ``asyncio.start_server`` plus a
+small hand-written HTTP/1.1 parser (keep-alive, Content-Length
+framing) that serves any JSON route; it serves these four endpoints
+and the ``run-distributed`` status sidecar
+(:class:`~repro.service.status.WorkerStatusServer`).
 
 Backpressure is explicit and bounded: POSTed payloads land on a
 bounded :class:`asyncio.Queue` and a single fold task drains it.  When
@@ -33,6 +36,9 @@ import asyncio
 import io
 import json
 import signal
+import socket
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -47,6 +53,113 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Largest accepted request head (request line + headers).
 _MAX_HEAD_BYTES = 64 * 1024
+
+#: A JSON endpoint set: ``route(method, target, body)`` returns the
+#: status code, the JSON payload and any extra response headers.
+Route = Callable[[str, str, bytes], tuple[int, dict, dict[str, str]]]
+
+
+async def serve_http(
+    route: Route,
+    host: str | None = None,
+    port: int | None = None,
+    *,
+    sock: socket.socket | None = None,
+) -> asyncio.Server:
+    """Serve *route* over HTTP/1.1 on a new asyncio server, bound to
+    *host*/*port* (``port=0`` picks a free port) or listening on an
+    already bound *sock*."""
+    return await asyncio.start_server(
+        partial(_handle_connection, route), host, port, sock=sock
+    )
+
+
+async def _handle_connection(
+    route: Route, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    try:
+        while True:
+            request = await _read_request(reader)
+            if request is None:
+                break
+            method, target, headers, body = request
+            status, payload, extra = route(method, target, body)
+            keep_alive = headers.get("connection", "") != "close"
+            writer.write(_encode_response(status, payload, extra, keep_alive))
+            await writer.drain()
+            if not keep_alive:
+                break
+    except (
+        asyncio.IncompleteReadError,
+        ConnectionResetError,
+        ValueError,
+    ):
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, dict[str, str], bytes] | None:
+    """Parse one HTTP/1.1 request; None on clean EOF between requests.
+    Raises ValueError on malformed input (connection is dropped — a
+    framing error leaves no safe way to answer)."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+    except asyncio.IncompleteReadError as error:
+        if not error.partial:
+            return None
+        raise
+    except asyncio.LimitOverrunError as error:
+        raise ValueError("request head too large") from error
+    if len(head) > _MAX_HEAD_BYTES:
+        raise ValueError("request head too large")
+    request_line, *header_lines = head.decode("latin-1").split("\r\n")
+    parts = request_line.split(" ")
+    if len(parts) != 3:
+        raise ValueError(f"malformed request line: {request_line!r}")
+    method, target, _version = parts
+    headers: dict[str, str] = {}
+    for line in header_lines:
+        if not line:
+            continue
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip().lower()
+    length = int(headers.get("content-length", "0"))
+    if length > MAX_BODY_BYTES:
+        raise ValueError(f"body of {length} bytes exceeds the cap")
+    body = await reader.readexactly(length) if length else b""
+    return method, target, headers, body
+
+
+_STATUS_LINES = {
+    200: "200 OK",
+    202: "202 Accepted",
+    400: "400 Bad Request",
+    404: "404 Not Found",
+    405: "405 Method Not Allowed",
+    413: "413 Content Too Large",
+    429: "429 Too Many Requests",
+}
+
+
+def _encode_response(
+    status: int, payload: dict, extra: dict[str, str], keep_alive: bool
+) -> bytes:
+    body = json.dumps(payload).encode("utf-8")
+    headers = [
+        f"HTTP/1.1 {_STATUS_LINES[status]}",
+        "Content-Type: application/json",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    headers.extend(f"{name}: {value}" for name, value in extra.items())
+    return "\r\n".join(headers).encode("latin-1") + b"\r\n\r\n" + body
 
 
 class IngestService:
@@ -95,9 +208,7 @@ class IngestService:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind the server (``port=0`` picks a free port) and launch
         the fold and tail loops."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port
-        )
+        self._server = await serve_http(self._route, host, port)
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         self._started_at = asyncio.get_running_loop().time()
         self._stats_mark = self.registry.snapshot()
@@ -204,14 +315,26 @@ class IngestService:
                 self.queue.task_done()
 
     def _poll_tailer(self, tailer: LogTailer) -> int:
-        """One poll of one tailed file, folded into the store."""
-        with use_registry(self.registry):
-            records = tailer.poll()
-            for record in records:
-                self.store.add(record)
-        if records:
-            self.registry.inc("service.tail.records", len(records))
-        return len(records)
+        """One poll of one tailed file, folded into the store.
+
+        A poll the reader refuses part-way (a foreign ``#Fields``
+        directive), or one that fails any other way, counts as
+        ``service.tail.rejected`` instead of ending the tail loop, the
+        only consumer of every tailed file.  The rows before a refused
+        line still fold, and the next poll resumes past it.
+        """
+        try:
+            with use_registry(self.registry):
+                batch = tailer.poll()
+                self.store.add_batch(batch)
+        except Exception:
+            self.registry.inc("service.tail.rejected")
+            return 0
+        if tailer.refusal is not None:
+            self.registry.inc("service.tail.rejected")
+        if len(batch):
+            self.registry.inc("service.tail.records", len(batch))
+        return len(batch)
 
     async def _tail_loop(self) -> None:
         """Poll every tailed file on a fixed interval."""
@@ -220,70 +343,7 @@ class IngestService:
                 self._poll_tailer(tailer)
             await asyncio.sleep(self.poll_interval)
 
-    # -- the HTTP layer ----------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                status, payload, extra = self._route(method, target, body)
-                keep_alive = headers.get("connection", "") != "close"
-                writer.write(
-                    _encode_response(status, payload, extra, keep_alive)
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            ValueError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one HTTP/1.1 request; None on clean EOF between
-        requests.  Raises ValueError on malformed input (connection is
-        dropped — a framing error leaves no safe way to answer)."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as error:
-            if not error.partial:
-                return None
-            raise
-        except asyncio.LimitOverrunError as error:
-            raise ValueError("request head too large") from error
-        if len(head) > _MAX_HEAD_BYTES:
-            raise ValueError("request head too large")
-        request_line, *header_lines = head.decode("latin-1").split("\r\n")
-        parts = request_line.split(" ")
-        if len(parts) != 3:
-            raise ValueError(f"malformed request line: {request_line!r}")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        for line in header_lines:
-            if not line:
-                continue
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0"))
-        if length > MAX_BODY_BYTES:
-            raise ValueError(f"body of {length} bytes exceeds the cap")
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+    # -- the endpoints -----------------------------------------------------
 
     def _route(
         self, method: str, target: str, body: bytes
@@ -411,27 +471,3 @@ class IngestService:
             {},
         )
 
-
-_STATUS_LINES = {
-    200: "200 OK",
-    202: "202 Accepted",
-    400: "400 Bad Request",
-    404: "404 Not Found",
-    405: "405 Method Not Allowed",
-    413: "413 Content Too Large",
-    429: "429 Too Many Requests",
-}
-
-
-def _encode_response(
-    status: int, payload: dict, extra: dict[str, str], keep_alive: bool
-) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    headers = [
-        f"HTTP/1.1 {_STATUS_LINES[status]}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    headers.extend(f"{name}: {value}" for name, value in extra.items())
-    return "\r\n".join(headers).encode("latin-1") + b"\r\n\r\n" + body

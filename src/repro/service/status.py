@@ -11,22 +11,25 @@ watch a campaign the same way ``/healthz`` watches ``repro serve``:
 
 Everything it serves is derived from the shared queue directory — the
 server holds no state of its own and never writes, so it can also be
-pointed at a directory worked by processes on other machines.  It runs
-a stdlib :class:`ThreadingHTTPServer` on a daemon thread: the asyncio
-ingest service and this server solve different problems (hot ingest
-path vs. a coordinator sidecar) and stay independent.
+pointed at a directory worked by processes on other machines.  It is
+served by the ingest service's HTTP layer
+(:func:`repro.service.http.serve_http`), on an event loop of its own
+in a daemon thread, so the synchronous coordinator needs no loop.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from repro.dispatch.queue import WorkQueue
 from repro.runstate import JOURNAL_NAME, MANIFEST_NAME, read_journal
+from repro.service.http import serve_http
 
 
 def queue_status(directory: Path | str) -> dict:
@@ -73,61 +76,60 @@ def queue_status(directory: Path | str) -> dict:
     }
 
 
-class _StatusHandler(BaseHTTPRequestHandler):
-    server_version = "repro-dispatch/1"
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        directory = self.server.directory  # type: ignore[attr-defined]
-        if self.path in ("/", "/healthz"):
-            status = queue_status(directory)
-            status["status"] = "ok"
-            status["uptime_seconds"] = round(
-                time.time() - self.server.started_at, 3  # type: ignore[attr-defined]
-            )
-            self._reply(200, status)
-        elif self.path == "/workers":
-            queue = WorkQueue(directory, worker_id="status-reader")
-            self._reply(200, {"workers": queue.read_worker_statuses()})
-        else:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-    def _reply(self, code: int, payload: dict) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args) -> None:  # quiet by default
-        pass
-
-
 class WorkerStatusServer:
-    """The coordinator's status sidecar (daemon-threaded)."""
+    """The coordinator's status sidecar (daemon-threaded).
+
+    The socket is bound at construction, so :attr:`port` is known
+    before :meth:`start`; the thread runs the server on its own event
+    loop until :meth:`stop`.
+    """
 
     def __init__(
         self, directory: Path | str, host: str = "127.0.0.1", port: int = 0
     ):
         self.directory = Path(directory)
-        self._server = ThreadingHTTPServer((host, port), _StatusHandler)
-        self._server.directory = self.directory  # type: ignore[attr-defined]
-        self._server.started_at = time.time()  # type: ignore[attr-defined]
+        self.started_at = time.time()
+        self._socket = socket.create_server((host, port))
+        self._loop = asyncio.new_event_loop()
+        self._stopping = asyncio.Event()
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-status",
-            daemon=True,
+            target=self._run, name="repro-status", daemon=True
         )
 
     @property
     def port(self) -> int:
-        return self._server.server_address[1]
+        return self._socket.getsockname()[1]
 
     def start(self) -> "WorkerStatusServer":
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self._loop.call_soon_threadsafe(self._stopping.set)
         self._thread.join(timeout=5.0)
+
+    def _run(self) -> None:
+        try:
+            self._loop.run_until_complete(self._serve())
+        finally:
+            self._loop.close()
+
+    async def _serve(self) -> None:
+        async with await serve_http(self._route, sock=self._socket):
+            await self._stopping.wait()
+
+    def _route(
+        self, method: str, target: str, body: bytes
+    ) -> tuple[int, dict, dict[str, str]]:
+        path = urlsplit(target).path
+        if method != "GET":
+            return 405, {"error": "GET only"}, {}
+        if path in ("/", "/healthz"):
+            status = queue_status(self.directory)
+            status["status"] = "ok"
+            status["uptime_seconds"] = round(time.time() - self.started_at, 3)
+            return 200, status, {}
+        if path == "/workers":
+            queue = WorkQueue(self.directory, worker_id="status-reader")
+            return 200, {"workers": queue.read_worker_statuses()}, {}
+        return 404, {"error": f"unknown path {path!r}"}, {}

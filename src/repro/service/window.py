@@ -9,8 +9,8 @@ accumulator, and any window's analysis is a fresh merge of the
 retained day accumulators — no re-scan of records, ever.
 
 :class:`WindowStore` is itself a pipeline :class:`~repro.pipeline.
-Sink` (``add``/``add_batch``/``fresh``/``merge``), so the service's
-fold path is the same contract every batch sink satisfies, and with
+Sink` (``add_batch``/``fresh``/``merge``), so the service's fold
+path is the same contract every batch sink satisfies, and with
 ``retention_days=None`` it obeys the full monoid laws the engine's
 reduce relies on.  With retention, the weaker *eviction-restriction*
 law holds instead — the windowed analysis equals a fresh batch analyze
@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.analysis.streaming import StreamingAnalysis
 from repro.frame.batch import RecordBatch
-from repro.logmodel.record import LogRecord
 from repro.pipeline.core import Sink
 
 #: Seconds per log-day; day ids are ``epoch // DAY_SECONDS``, matching
@@ -57,12 +56,6 @@ class WindowStore(Sink):
         self.evicted_records = 0
 
     # -- folding -----------------------------------------------------------
-
-    def add(self, record: LogRecord) -> None:
-        """Fold one record into its day's accumulator."""
-        acc = self._accumulator(record.epoch // DAY_SECONDS, 1)
-        if acc is not None:
-            acc.add(record)
 
     def add_batch(self, batch: RecordBatch) -> None:
         """Fold one column batch as maximal runs of one day, in stream

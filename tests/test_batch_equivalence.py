@@ -42,7 +42,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.streaming import StreamingAnalysis
 from repro.cli import main
-from repro.engine import analyze_logs, simulate_to_logs
+from repro.engine import (
+    ShardError,
+    analyze_logs,
+    load_frames,
+    simulate_to_logs,
+)
 from repro.frame.batch import RecordBatch
 from repro.logmodel.elff import (
     LogFormatError,
@@ -53,9 +58,11 @@ from repro.logmodel.elff import (
     read_log_batches,
     write_log,
 )
+from repro.logmodel.fields import FIELDS
 from repro.pipeline import (
     AnonymizeStage,
     CountSink,
+    ElffSource,
     ElffSink,
     FrameSink,
     Pipeline,
@@ -447,6 +454,80 @@ class TestElffEquivalence:
 
         with pytest.raises(LogFormatError, match="corrupted log stream"):
             list(read_log_batches(path, 64))
+
+    # Cells the two readers once disagreed on: a field beyond csv's
+    # field size limit, quoted or not, and integer cells beyond the
+    # column that stores them (int64, and int32 for the status).
+    _OUT_OF_BOUNDS = pytest.mark.parametrize("field, cell", [
+        ("cs-uri-path", '"' + "x" * 200_000 + '"'),
+        ("cs-uri-path", "x" * 200_000),
+        ("sc-bytes", "9" * 20),
+        ("sc-status", "3000000000"),
+    ], ids=["quoted-field", "unquoted-field", "sc-bytes", "sc-status"])
+
+    @_OUT_OF_BOUNDS
+    def test_out_of_bounds_cells_match_scalar(self, tmp_path, field, cell):
+        """Both readers keep the same records and ReadStats, or raise
+        the same exception, from a stream and from a path, lenient and
+        strict."""
+        text = _log_with_cell(field, cell)
+        path = tmp_path / "bounds.log"
+        path.write_text(text, newline="")
+        for source in (lambda: io.StringIO(text), lambda: path):
+            for lenient in (True, False):
+                scalar = _read_outcome(lambda stats: read_log(
+                    source(), lenient=lenient, stats=stats
+                ))
+                for batch_size in BATCH_SIZES:
+                    batched = _read_outcome(lambda stats: (
+                        record
+                        for batch in read_log_batches(
+                            source(), batch_size,
+                            lenient=lenient, stats=stats,
+                        )
+                        for record in batch.iter_records()
+                    ))
+                    assert batched == scalar
+
+    def test_frame_mode_skips_an_out_of_range_status(self, tmp_path):
+        """Frames store the status as int32: a lenient frame read skips
+        a status beyond it as a malformed row, and frame-mode analyze,
+        a strict read, refuses it as one, instead of overflowing when
+        the frame is built."""
+        path = tmp_path / "status.log"
+        path.write_text(_log_with_cell("sc-status", "3000000000"), newline="")
+        stats = ReadStats()
+        frame = Pipeline(ElffSource(path, lenient=True, stats=stats)).run(
+            FrameSink(), 7
+        ).frame()
+        assert len(frame) == 3 and stats.skipped == 1
+        assert frame.col("sc_status").tolist() == [200, 200, 200]
+        with pytest.raises(ShardError) as error:
+            load_frames([path])
+        assert isinstance(error.value.error, LogFormatError)
+        assert "sc-status 3000000000 does not fit int32" in str(
+            error.value.error
+        )
+
+
+def _log_with_cell(field: str, cell: str) -> str:
+    """A clean four-row log whose third row carries *cell* raw in
+    *field*."""
+    good = make_record().to_row()
+    odd = list(good)
+    odd[FIELDS.index(field)] = cell
+    rows = [good, good, odd, good]
+    return elff_header() + "".join(",".join(row) + "\r\n" for row in rows)
+
+
+def _read_outcome(read) -> tuple:
+    """``(records, stats)`` of ``read(stats)``, or the type and message
+    of the exception it raises."""
+    stats = ReadStats()
+    try:
+        return list(read(stats)), stats
+    except Exception as error:
+        return type(error), str(error)
 
 
 # -- engine output -----------------------------------------------------------

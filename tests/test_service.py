@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.streaming import StreamingAnalysis
+from repro.engine import analyze_logs
 from repro.frame.batch import RecordBatch
-from repro.logmodel.elff import read_log, write_log
+from repro.logmodel.elff import elff_header, read_log, write_log
 from repro.logmodel.fields import FIELDS
 from repro.service import (
     IngestService,
@@ -231,7 +232,7 @@ class TestLogTailer:
 
         tailer = LogTailer(log)
         acc = StreamingAnalysis()
-        acc.consume(tailer.poll())
+        acc.add_batch(tailer.poll())
         assert acc.total == 4
         assert tailer.stats.incomplete_tail == 1
         assert tailer.stats.skipped == 0
@@ -248,7 +249,7 @@ class TestLogTailer:
         )
         with open(log, "a", newline="") as handle:
             handle.write(body)
-        acc.consume(tailer.poll())
+        acc.add_batch(tailer.poll())
 
         batch = StreamingAnalysis()
         batch.consume(read_log(log, lenient=True))
@@ -260,12 +261,12 @@ class TestLogTailer:
         write_log([make_record()], log)
         tailer = LogTailer(log)
         assert len(tailer.poll()) == 1
-        assert tailer.poll() == []
+        assert len(tailer.poll()) == 0
         assert tailer.polls == 1
 
     def test_missing_file_polls_empty(self, tmp_path):
         tailer = LogTailer(tmp_path / "not-yet.log")
-        assert tailer.poll() == []
+        assert len(tailer.poll()) == 0
         assert tailer.polls == 0
 
     def test_rotation_resets_offset(self, tmp_path):
@@ -276,7 +277,7 @@ class TestLogTailer:
         # rotation: the file is replaced by a shorter successor
         write_log([make_record(cs_host="new.com")], log)
         records = tailer.poll()
-        assert [r.cs_host for r in records] == ["new.com"]
+        assert records.col("cs_host").tolist() == ["new.com"]
         assert tailer.rotations == 1
 
     def test_gzip_tail(self, tmp_path):
@@ -285,7 +286,7 @@ class TestLogTailer:
         write_log(records, log)
         tailer = LogTailer(log)
         got = tailer.poll()
-        assert [r.cs_host for r in got] == [r.cs_host for r in records]
+        assert got.col("cs_host").tolist() == [r.cs_host for r in records]
 
 
 # -- the HTTP service -------------------------------------------------------
@@ -490,6 +491,94 @@ class TestIngestService:
         assert live == batch
         assert live.total == 10
 
+    @pytest.mark.parametrize("shape", [
+        "clean", "torn", "oversized-field", "sc-bytes", "sc-status",
+    ])
+    def test_tail_equals_analyze_on_a_stopped_file(self, tmp_path, shape):
+        """On a file that has stopped growing, the tail folds exactly
+        what ``analyze --streaming`` folds: the same window state and
+        the same ReadStats counts — a torn line completed later, a
+        field csv refuses and integers beyond their column included."""
+        odd = {
+            "oversized-field": ("cs-uri-path", '"' + "x" * 200_000 + '"'),
+            "sc-bytes": ("sc-bytes", "9" * 20),
+            "sc-status": ("sc-status", "3000000000"),
+        }.get(shape)
+        rows = []
+        for i in range(7):
+            row = make_record(
+                epoch=DEFAULT_EPOCH + i * 3 * 3600, cs_host=f"h{i}.com"
+            ).to_row()
+            if odd is not None and i == 2:
+                row[FIELDS.index(odd[0])] = odd[1]
+            rows.append(",".join(row) + "\r\n")
+        text = elff_header() + "".join(rows)
+        cut = len(text) - 15 if shape == "torn" else len(text)
+        log = tmp_path / "stopped.log"
+        log.write_text(text[:cut], newline="")
+
+        async def run():
+            service = IngestService(tail_paths=(log,), poll_interval=0.02)
+            await service.start()
+            try:
+                await _until_polled(service)
+                with open(log, "a", newline="") as handle:
+                    handle.write(text[cut:])
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+            return service
+
+        service = asyncio.run(run())
+        analysis, stats = analyze_logs([log])
+        tailed = service.tailers[0].stats
+        assert service.store.window() == analysis
+        assert (tailed.records, tailed.skipped, tailed.corrupted) == (
+            stats.records, stats.skipped, stats.corrupted
+        )
+
+    def test_refused_tailed_file_does_not_stop_the_tail(self, tmp_path):
+        """A foreign ``#Fields`` directive in a tailed file counts as
+        ``service.tail.rejected``: the rows before it fold once, rows
+        appended after it fold, another tailed file keeps folding, and
+        the service still stops."""
+
+        def rows(prefix: str, count: int) -> str:
+            return "".join(
+                ",".join(make_record(cs_host=f"{prefix}{i}.com").to_row())
+                + "\r\n"
+                for i in range(count)
+            )
+
+        refused, clean = tmp_path / "refused.log", tmp_path / "clean.log"
+        refused.write_text(
+            elff_header() + rows("a", 3) + "#Fields: date time foo bar\r\n",
+            newline="",
+        )
+        clean.write_text(elff_header() + rows("c", 4), newline="")
+
+        async def run():
+            service = IngestService(
+                tail_paths=(refused, clean), poll_interval=0.02
+            )
+            await service.start()
+            try:
+                await _until_polled(service)
+                for path, prefix in ((refused, "b"), (clean, "d")):
+                    with open(path, "a", newline="") as handle:
+                        handle.write(rows(prefix, 2))
+            finally:
+                await asyncio.wait_for(service.stop(), timeout=10)
+            return service
+
+        service = asyncio.run(run())
+        window = service.store.window()
+        expected = [f"{p}{i}.com" for p, n in zip("abcd", (3, 2, 4, 2))
+                    for i in range(n)]
+        assert sorted(window.top_allowed(20)) == [
+            (host, 1) for host in sorted(expected)
+        ]
+        assert service.registry.counters["service.tail.rejected"] == 1
+
     def test_rejected_payloads_do_not_stop_the_fold(self):
         """A payload whose read raises is counted and skipped, keeping
         the rows before its bad line; later payloads still fold and the
@@ -540,6 +629,14 @@ class TestIngestService:
             ]
 
         assert asyncio.run(run()) == []
+
+
+async def _until_polled(service, timeout: float = 10.0) -> None:
+    """Wait until every tailer of *service* has read its file once."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while any(tailer.polls == 0 for tailer in service.tailers):
+        assert asyncio.get_running_loop().time() < deadline
+        await asyncio.sleep(0.01)
 
 
 def _get_allowing_errors(url: str):
