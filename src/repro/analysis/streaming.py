@@ -127,25 +127,6 @@ class StreamingAnalysis:
             self.censored_domains[domain] += volume
         self.errors += int(denied.sum()) - int(censored.sum())
 
-    def consume_batch(self, batch: RecordBatch) -> "StreamingAnalysis":
-        """Timed :meth:`add_batch`; returns self for chaining.
-
-        The batched counterpart of :meth:`consume` for a single batch:
-        the same ``analysis.rows`` / ``analysis.consume_seconds``
-        metrics are recorded when a registry is active.
-        """
-        registry = current_registry()
-        if registry is None:
-            self.add_batch(batch)
-            return self
-        start = time.perf_counter()
-        self.add_batch(batch)
-        registry.inc("analysis.rows", len(batch))
-        registry.observe(
-            "analysis.consume_seconds", time.perf_counter() - start
-        )
-        return self
-
     def consume_batches(
         self, batches: Iterable[RecordBatch]
     ) -> "StreamingAnalysis":

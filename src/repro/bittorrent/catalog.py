@@ -122,10 +122,6 @@ class TorrentCatalog:
         """Weighted indices into :data:`TRACKERS`, one per uniform."""
         return inverse_cdf(_TRACKER_CDF, u)
 
-    def by_hash(self) -> dict[str, TorrentContent]:
-        """Index the catalog by info hash."""
-        return {content.info_hash: content for content in self.contents}
-
 
 def make_peer_id(user_index: int) -> str:
     """A 20-byte peer id in uTorrent convention (urlencoded form).

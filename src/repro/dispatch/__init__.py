@@ -20,7 +20,6 @@ from repro.dispatch.coordinator import (
     spawn_worker,
 )
 from repro.dispatch.jobs import (
-    AnalyzeJob,
     SimulateJob,
     config_from_spec,
     job_from_spec,
@@ -40,7 +39,6 @@ from repro.dispatch.queue import (
 from repro.dispatch.worker import WorkerSummary, run_worker
 
 __all__ = [
-    "AnalyzeJob",
     "DEFAULT_LEASE_TTL",
     "DispatchError",
     "DistributedRun",

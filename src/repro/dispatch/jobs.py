@@ -7,14 +7,9 @@ shard plan from, so both sides derive the *identical* ordered shard
 labels, payloads, and task callable — that determinism is half of the
 byte-identity guarantee (the other half is the sinks' merge laws).
 
-Two kinds exist, mirroring the engine's two shard shapes:
-
-* ``simulate`` — one shard per log-day; the task is
-  :func:`repro.engine.simulate.simulate_sink_shard` and the merged
-  sinks write an ELFF directory exactly like ``repro simulate``;
-* ``analyze`` — one shard per log file; the task is
-  :func:`repro.engine.analyze.analyze_shard` and the merge folds
-  the per-file accumulators in input order.
+One kind exists, ``simulate``: one shard per log-day; the task is
+:func:`repro.engine.simulate.simulate_sink_shard` and the merged sinks
+write an ELFF directory exactly like ``repro simulate``.
 
 A spec also owns the run *fingerprint* — deliberately identical to
 the one the single-box CLI writes, so a ledger produced by
@@ -32,7 +27,6 @@ from typing import Any
 
 from repro.dispatch.queue import DispatchError
 from repro.pipeline import BATCH_SIZE
-from repro.runstate import run_fingerprint
 from repro.workload.config import ScenarioConfig
 
 
@@ -117,59 +111,6 @@ class SimulateJob:
         }
 
 
-@dataclass(frozen=True)
-class AnalyzeJob:
-    """A distributed streaming ``analyze``: one shard per log file."""
-
-    logs: tuple[str, ...]
-    regime: str = "syria"
-    batch_size: int = BATCH_SIZE
-
-    kind = "analyze"
-
-    def fingerprint(self) -> dict:
-        paths = [Path(log) for log in self.logs]
-        return run_fingerprint(
-            "analyze-streaming",
-            logs=[str(path) for path in paths],
-            sizes=[path.stat().st_size for path in paths],
-            regime=self.regime,
-        )
-
-    def labels(self) -> list[str]:
-        return [f"log:{Path(log).name}" for log in self.logs]
-
-    def payloads(self, spool: Path) -> dict[str, Any]:
-        """Shard payloads (analyze shards spool nothing)."""
-        return dict(zip(self.labels(), [str(log) for log in self.logs]))
-
-    def task(self):
-        from repro.engine.analyze import analyze_shard
-
-        return partial(analyze_shard, batch_size=self.batch_size)
-
-    def merge(self, results: list, spool: Path):
-        """Fold (analysis, stats) pairs in input order — the reduce
-        :func:`repro.engine.analyze.analyze_logs` performs."""
-        from repro.analysis.streaming import StreamingAnalysis
-        from repro.logmodel.elff import ReadStats
-
-        analysis = StreamingAnalysis()
-        stats = ReadStats()
-        for part_analysis, part_stats in results:
-            analysis += part_analysis
-            stats += part_stats
-        return analysis, stats
-
-    def to_spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "logs": list(self.logs),
-            "regime": self.regime,
-            "batch_size": self.batch_size,
-        }
-
-
 def config_from_spec(data: dict) -> ScenarioConfig:
     """Rebuild a :class:`ScenarioConfig` from its JSON form (tuples
     come back from JSON as lists and must be re-frozen)."""
@@ -190,7 +131,7 @@ def config_from_spec(data: dict) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)
 
 
-def job_from_spec(spec: dict) -> "SimulateJob | AnalyzeJob":
+def job_from_spec(spec: dict) -> SimulateJob:
     """Reconstruct the job a queue manifest describes."""
     kind = spec.get("kind")
     if kind == "simulate":
@@ -202,13 +143,7 @@ def job_from_spec(spec: dict) -> "SimulateJob | AnalyzeJob":
             compress=bool(spec.get("compress", False)),
             batch_size=spec.get("batch_size") or BATCH_SIZE,
         )
-    if kind == "analyze":
-        return AnalyzeJob(
-            logs=tuple(str(log) for log in spec.get("logs", ())),
-            regime=str(spec.get("regime", "syria")),
-            batch_size=spec.get("batch_size") or BATCH_SIZE,
-        )
     raise DispatchError(
         f"unknown job kind {kind!r} in queue manifest — "
-        "this build dispatches 'simulate' and 'analyze'"
+        "this build dispatches 'simulate'"
     )

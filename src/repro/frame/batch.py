@@ -21,7 +21,6 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.logmodel.classify import classify_batch
 from repro.logmodel.fields import FIELDS
 from repro.logmodel.record import LogRecord, epoch_to_date_time
 
@@ -226,14 +225,6 @@ class RecordBatch:
                 continue
             wire[_FIELD_TO_COLUMN[name]] = self._columns[name].tolist()
         return list(zip(*(wire[field] for field in FIELDS)))
-
-    def traffic_classes(self, proxied_separate: bool = False) -> np.ndarray:
-        """Vectorized :attr:`LogRecord.traffic_class` for every row."""
-        return classify_batch(
-            self._columns["sc_filter_result"],
-            self._columns["x_exception_id"],
-            proxied_separate=proxied_separate,
-        )
 
 
 def _day_strings(days: np.ndarray) -> list[str]:

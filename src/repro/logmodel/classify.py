@@ -109,33 +109,6 @@ def censor_mask(exception_ids: np.ndarray) -> np.ndarray:
     return mask
 
 
-def classify_batch(
-    filter_results: np.ndarray,
-    exception_ids: np.ndarray,
-    proxied_separate: bool = False,
-) -> np.ndarray:
-    """Vectorized :func:`classify` over whole columns.
-
-    Takes the ``sc-filter-result`` and ``x-exception-id`` columns as
-    object arrays and returns an object array of :class:`TrafficClass`
-    values, row for row identical to calling :func:`classify` on each
-    pair.
-    """
-    filter_results = np.asarray(filter_results, dtype=object)
-    exception_ids = np.asarray(exception_ids, dtype=object)
-    if len(filter_results) != len(exception_ids):
-        raise ValueError(
-            f"column lengths differ: {len(filter_results)} filter "
-            f"results, {len(exception_ids)} exception ids"
-        )
-    classes = np.full(len(exception_ids), TrafficClass.ERROR, dtype=object)
-    classes[exception_ids == NO_EXCEPTION] = TrafficClass.ALLOWED
-    classes[censor_mask(exception_ids)] = TrafficClass.CENSORED
-    if proxied_separate:
-        classes[filter_results == "PROXIED"] = TrafficClass.PROXIED
-    return classes
-
-
 def is_denied(exception_id: str) -> bool:
     """True when the request was not served (censored or errored)."""
     return exception_id != NO_EXCEPTION

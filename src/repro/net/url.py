@@ -9,7 +9,7 @@ serialization all share a single representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -53,10 +53,6 @@ class URL:
         port = f":{self.port}" if self.port is not None else ""
         query = f"?{self.query}" if self.query else ""
         return f"{self.scheme}://{self.host}{port}{self.path}{query}"
-
-    def with_query(self, query: str) -> "URL":
-        """A copy of this URL with the query replaced."""
-        return replace(self, query=query)
 
     def registered_domain(self) -> str:
         """Best-effort eTLD+1 used by the per-domain analyses.

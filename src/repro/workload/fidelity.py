@@ -34,12 +34,6 @@ class FidelityReport:
             return 0.0 if measured == 0.0 else float("inf")
         return abs(measured - expected) / expected
 
-    def worst_component_error(self) -> float:
-        return max(
-            (self.component_error(c) for c in self.expected_component_shares),
-            default=0.0,
-        )
-
 
 def measure_fidelity(
     config: ScenarioConfig,

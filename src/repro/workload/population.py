@@ -99,10 +99,6 @@ class ClientPopulation:
         """Client indices from the risk pool (activity-weighted)."""
         return self._risk_indices[inverse_cdf(self._risk_cdf, u)]
 
-    def distinct_identities(self) -> int:
-        """Number of unique (c-ip, agent) pairs — the paper's user unit."""
-        return len({(c.c_ip, c.user_agent) for c in self.clients})
-
 
 def population_size_for(total_requests: int, user_scale: float = 1.0) -> int:
     """Derive a population size from the request volume.
