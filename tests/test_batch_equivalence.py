@@ -455,9 +455,9 @@ class TestElffEquivalence:
         with pytest.raises(LogFormatError, match="corrupted log stream"):
             list(read_log_batches(path, 64))
 
-    # Cells the two readers once disagreed on: a field beyond csv's
-    # field size limit, quoted or not, and integer cells beyond the
-    # column that stores them (int64, and int32 for the status).
+    # Cells at the edge of what the readers accept: a field beyond
+    # csv's field size limit, quoted or not, and integer cells beyond
+    # the column that stores them (int64, and int32 for the status).
     _OUT_OF_BOUNDS = pytest.mark.parametrize("field, cell", [
         ("cs-uri-path", '"' + "x" * 200_000 + '"'),
         ("cs-uri-path", "x" * 200_000),
@@ -492,8 +492,7 @@ class TestElffEquivalence:
     def test_frame_mode_skips_an_out_of_range_status(self, tmp_path):
         """Frames store the status as int32: a lenient frame read skips
         a status beyond it as a malformed row, and frame-mode analyze,
-        a strict read, refuses it as one, instead of overflowing when
-        the frame is built."""
+        a strict read, refuses it as one."""
         path = tmp_path / "status.log"
         path.write_text(_log_with_cell("sc-status", "3000000000"), newline="")
         stats = ReadStats()
