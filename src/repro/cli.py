@@ -43,10 +43,10 @@ comparison, the live ingestion service, and distributed execution:
 
 ``repro run-distributed``
     Coordinate a distributed simulate: plan shards, seed a lease
-    queue in ``--queue-dir``, spawn (or wait for) ``repro work``
-    processes, and merge the results byte-identically to a
-    single-box run (see the "Distributed execution" section of
-    docs/ARCHITECTURE.md).
+    queue in ``--queue-dir``, fork ``--spawn`` workers (or wait for
+    ``repro work`` processes), and merge the results
+    byte-identically to a single-box run (see the "Distributed
+    execution" section of docs/ARCHITECTURE.md).
 
 ``repro work``
     One distributed worker: lease unfinished shards from a queue
@@ -451,9 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "(every worker must see this path)")
     distributed.add_argument("--spawn", type=_nonnegative_int, default=2,
                              metavar="N",
-                             help="local worker processes to start "
-                                  "(default 2; 0 = workers are started "
-                                  "elsewhere with `repro work DIR`)")
+                             help="local workers to fork from the "
+                                  "coordinator (default 2; 0 = workers "
+                                  "are started elsewhere with `repro "
+                                  "work DIR`)")
     distributed.add_argument("--lease-ttl", type=_positive_float,
                              default=None, metavar="SECONDS",
                              help="lease time-to-live before a shard is "
@@ -465,7 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "after SECONDS (default: wait forever)")
     distributed.add_argument("--poll-interval", type=_positive_float,
                              default=0.2, metavar="SECONDS",
-                             help="journal poll cadence (default 0.2)")
+                             help="longest wait between journal reads "
+                                  "(default 0.2)")
     distributed.add_argument("--status-port", type=_nonnegative_int,
                              default=None, metavar="PORT",
                              help="serve /healthz + /workers progress on "
@@ -491,7 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="stable worker identity (default <host>:<pid>)")
     work.add_argument("--poll-interval", type=_positive_float, default=0.2,
                       metavar="SECONDS",
-                      help="idle poll cadence (default 0.2)")
+                      help="longest idle wait between journal reads "
+                           "(default 0.2)")
     work.add_argument("--startup-timeout", type=_positive_float,
                       default=None, metavar="SECONDS",
                       help="give up if no coordinator seeds the queue "

@@ -2,10 +2,12 @@
 
 Promotes the crash-safe run ledger (:mod:`repro.runstate`) into a
 multi-process coordination substrate: a coordinator seeds a job into a
-shared directory, N independent ``repro work`` processes lease shards
-via atomic ``O_EXCL`` lease files, renew heartbeats while executing,
-and record completions into the shared journal; expired leases are
-reclaimed so a SIGKILLed or wedged worker's shard re-runs elsewhere.
+shared directory, N independent workers (children it forks, or
+``repro work`` processes started anywhere that sees the directory)
+lease shards via atomic ``O_EXCL`` lease files, renew heartbeats while
+executing, and record completions into the shared journal; expired
+leases are reclaimed so a SIGKILLed or wedged worker's shard re-runs
+elsewhere.
 Results merge in shard-plan order, so output is byte-identical to a
 single-box ``--workers N`` run at every worker count and under churn.
 

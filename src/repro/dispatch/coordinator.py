@@ -8,11 +8,16 @@ queue.  Its loop is deliberately thin:
 
 1. open the ledger (:class:`~repro.runstate.RunCheckpoint`) — fresh or
    ``--resume`` — and seed ``queue/QUEUE.json`` with the job spec;
-2. optionally spawn N local ``repro work`` subprocesses (``--spawn``;
-   0 means workers are started elsewhere, e.g. other boxes sharing the
-   directory);
-3. poll the journal until every planned shard is recorded, reclaiming
-   expired leases as a backstop for workers that died holding one;
+2. optionally fork N local workers (``--spawn``), each running
+   :func:`~repro.dispatch.worker.run_worker` — the ``repro work``
+   loop — with every module this process has imported; 0 means
+   workers are started elsewhere, e.g. other boxes sharing the
+   directory.  No thread of this function is alive at the fork;
+3. read the journal until every planned shard is recorded, reclaiming
+   expired leases as a backstop for workers that died holding one.
+   Between reads it waits on the live workers' exit sentinels for at
+   most ``poll_interval`` seconds: workers exit once every shard is
+   journaled, so the run merges as soon as the first of them leaves;
 4. if every spawned worker exited with shards still pending, finish
    the remainder inline (the coordinator is always a capable worker, so
    a local run can never stall on worker churn);
@@ -33,8 +38,6 @@ matter how many workers ran, died, or ran a shard twice.
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +49,7 @@ from repro.dispatch.queue import (
     WorkQueue,
     lease_ttl_from_env,
 )
+from repro.dispatch.worker import run_worker
 from repro.engine.pool import fold_shard
 from repro.metrics import MetricsRegistry
 from repro.pipeline import BATCH_SIZE
@@ -66,36 +70,40 @@ class DistributedRun:
 
 
 def spawn_worker(
-    directory: Path | str,
-    worker_id: str,
-    *,
-    extra_env: dict[str, str] | None = None,
-) -> subprocess.Popen:
-    """Start one ``repro work`` subprocess on *directory*.
+    directory: Path | str, worker_id: str, *, poll_interval: float = 0.2
+):
+    """Fork one local worker that runs :func:`run_worker` on *directory*.
 
-    The child inherits this interpreter and environment, with the
-    repro package root prepended to ``PYTHONPATH`` so the spawn works
-    from a source checkout without installation.  Worker stdout is
-    discarded (the coordinator owns the console); stderr is inherited
-    so a dying worker's traceback lands in the coordinator's log.
+    The child is a fork of this process, so it starts with every module
+    the coordinator has imported instead of a fresh interpreter that
+    imports them again.  Its stdout is discarded (the coordinator owns
+    the console); stderr is inherited so a dying worker's traceback
+    lands in the coordinator's log.  It leaves through ``os._exit``: no
+    atexit handler or coordinator ``finally`` runs in it, and the
+    standard streams are flushed before the fork, so it never repeats
+    the coordinator's buffered output.  Returns the started
+    ``multiprocessing`` process, whose ``sentinel`` becomes ready when
+    the child exits.
     """
-    package_root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        f"{package_root}{os.pathsep}{existing}" if existing
-        else str(package_root)
+    import multiprocessing
+
+    process = multiprocessing.get_context("fork").Process(
+        target=_worker_main,
+        args=(str(directory), worker_id, poll_interval),
+        name=worker_id,
+        daemon=True,
     )
-    if extra_env:
-        env.update(extra_env)
-    return subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "work", str(directory),
-            "--worker-id", worker_id,
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-    )
+    process.start()
+    return process
+
+
+def _worker_main(directory: str, worker_id: str, poll_interval: float):
+    """The forked child's body: the ``repro work`` loop, stdout
+    pointed at ``/dev/null``."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    run_worker(directory, worker_id=worker_id, poll_interval=poll_interval)
 
 
 def run_distributed(
@@ -111,11 +119,12 @@ def run_distributed(
 ) -> DistributedRun:
     """Execute *job* over *directory* with leased workers and merge.
 
-    *spawn* local workers are started (0 = rely on externally started
+    *spawn* local workers are forked (0 = rely on externally started
     ``repro work`` processes); *ttl* is the lease time-to-live
-    (default: ``REPRO_LEASE_TTL`` or 30 s); *wait_timeout* bounds the
-    whole wait for completion — mainly a guard for ``--spawn 0`` runs
-    whose external workers never appear.
+    (default: ``REPRO_LEASE_TTL`` or 30 s); *poll_interval* caps the
+    wait between journal reads, here and in the forked workers;
+    *wait_timeout* bounds the whole wait for completion — mainly a
+    guard for ``--spawn 0`` runs whose external workers never appear.
     """
     directory = Path(directory)
     if spawn < 0:
@@ -126,14 +135,15 @@ def run_distributed(
     checkpoint = RunCheckpoint(directory, job.fingerprint(), resume=resume)
     resumed = checkpoint.begin(labels)
     queue = WorkQueue(directory, worker_id=f"coordinator:{os.getpid()}")
-    procs: list[subprocess.Popen] = []
+    procs: list = []
     inline_shards = 0
     try:
         queue.seed(job.to_spec(), ttl=ttl, resume=resume)
-        procs = [
-            spawn_worker(directory, f"spawn-{index}:{os.getpid()}")
-            for index in range(spawn)
-        ]
+        for index in range(spawn):
+            procs.append(spawn_worker(
+                directory, f"spawn-{index}:{os.getpid()}",
+                poll_interval=poll_interval,
+            ))
         journal_path = directory / JOURNAL_NAME
         started = time.time()
         while True:
@@ -143,12 +153,11 @@ def run_distributed(
                 break
             for label in pending:
                 queue.reclaim_expired(label)
-            if procs and all(p.poll() is not None for p in procs):
+            live = [proc for proc in procs if proc.is_alive()]
+            if procs and not live:
                 # Every spawned worker is gone with work remaining —
                 # churn ate the whole fleet.  The coordinator finishes
                 # the job itself rather than waiting for nobody.
-                from repro.dispatch.worker import run_worker
-
                 summary = run_worker(
                     directory,
                     worker_id=f"coordinator-inline:{os.getpid()}",
@@ -165,7 +174,14 @@ def run_distributed(
                     f"{len(pending)} shard(s) pending "
                     f"({', '.join(pending[:5])}{'…' if len(pending) > 5 else ''})"
                 )
-            time.sleep(poll_interval)
+            if live:
+                # A worker exits once it finds every shard journaled
+                # (or when it dies): wake on the first exit.
+                from multiprocessing.connection import wait
+
+                wait([proc.sentinel for proc in live], poll_interval)
+            else:
+                time.sleep(poll_interval)
 
         verified = checkpoint.load_completed(labels)
         damaged = [label for label in labels if label not in verified]
@@ -183,24 +199,27 @@ def run_distributed(
         output = job.merge(
             [verified[label].result for label in labels], checkpoint.part_dir
         )
+        for proc in procs:
+            proc.join()
         return DistributedRun(
             output=output,
             labels=labels,
             resumed=len(resumed),
             spawned=spawn,
             counters=counters,
-            worker_exits=[p.wait() for p in procs],
+            worker_exits=[proc.exitcode for proc in procs],
             inline_shards=inline_shards,
         )
     finally:
         for proc in procs:
-            if proc.poll() is None:
+            if proc.is_alive():
                 proc.terminate()
         for proc in procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
                 proc.kill()
+                proc.join()
+            proc.close()
         checkpoint.close()
 
 
@@ -220,7 +239,7 @@ def settled_counters(queue: WorkQueue, labels: list[str]) -> dict[str, int]:
     until each of *labels* has a ``complete`` (or ``lost``, for a
     worker whose lease was reclaimed) event, for at most
     :data:`SETTLE_TIMEOUT` seconds — never waiting for workers to exit,
-    which idle in ``poll_interval`` sleeps.
+    which may still be idling on their backoff.
     """
     deadline = time.monotonic() + SETTLE_TIMEOUT
     wanted = set(labels)

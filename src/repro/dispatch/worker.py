@@ -7,7 +7,10 @@ stateless — everything it knows comes from the shared directory:
    (config, shard plan, task) from it — every worker derives the same
    ordered shard labels and payloads;
 2. claim the next unfinished shard (an ``O_EXCL`` lease file; one
-   shard per cycle, so idle workers keep sharing what is left);
+   shard per cycle, so idle workers keep sharing what is left); when
+   other workers hold every remaining lease, re-read the journal after
+   a backoff that starts at :data:`IDLE_BACKOFF` and doubles up to
+   *poll_interval*;
 3. renew the held lease from a background heartbeat thread while the
    shard executes under the engine's retry policy and fault plan;
 4. record the finished shard into the run ledger exactly as a
@@ -51,6 +54,12 @@ from repro.engine.pool import RetryPolicy, ShardError, fold_shard, run_shard
 from repro.faults import fault_point, plan_from_env, use_fault_plan
 from repro.metrics import MetricsRegistry
 from repro.runstate import JOURNAL_NAME, RunCheckpoint, read_journal
+
+
+#: The first idle re-check of the journal comes this many seconds after
+#: the claim that found nothing; each further one doubles the wait, up
+#: to the worker's *poll_interval*.
+IDLE_BACKOFF = 0.01
 
 
 @dataclass
@@ -171,6 +180,7 @@ def run_worker(
     summary = WorkerSummary(worker_id=queue.worker_id)
     journal_path = directory / JOURNAL_NAME
     idle_since: float | None = None
+    first_backoff = backoff = min(IDLE_BACKOFF, poll_interval)
 
     def publish(state: str, holding: list[str]) -> None:
         queue.write_worker_status({
@@ -198,9 +208,11 @@ def run_worker(
                     f"{len(remaining)} shard(s) still leased elsewhere"
                 )
             publish("idle", [])
-            time.sleep(poll_interval)
+            time.sleep(backoff)
+            backoff = min(2 * backoff, poll_interval)
             continue
         idle_since = None
+        backoff = first_backoff
         publish("running", [lease.shard_id])
         with _Heartbeat(queue, heartbeat_interval) as heartbeat:
             heartbeat.hold(lease)

@@ -329,6 +329,15 @@ class _TailSentry:
             else:
                 self.torn = line
 
+    def unread(self, lines: list[str]) -> None:
+        """Hand back yielded *lines* that run into the torn line: they
+        join it as the unread tail, and the resume offset moves to
+        their start."""
+        text = "".join(lines)
+        self.torn = text + self.torn
+        if self._count_bytes:
+            self.consumed -= len(text.encode(self._encoding))
+
     def resume_offset(self) -> int | None:
         """Byte offset a tailer should continue from: the start of the
         torn line when one was withheld, end-of-stream otherwise.  For
@@ -510,6 +519,7 @@ def _read_batches(
     stats: ReadStats | None,
     path: Path | None,
     offset_handle=None,
+    tail: _TailSentry | None = None,
 ) -> Iterator[RecordBatch]:
     """The chunking loop behind :func:`read_log_batches`.
 
@@ -526,6 +536,10 @@ def _read_batches(
     rule on the region, so malformed input raises the same
     ``csv.Error`` and one physical line may yield several rows (or a
     row span several lines) exactly as in the scalar reader.
+
+    *tail* is the sentry of a :func:`tail_batches` poll: a quoted
+    field still open when the poll reaches the torn last line is handed
+    back to it unread rather than parsed short.
     """
     registry = current_registry()
     kept_total = skipped_total = 0
@@ -537,13 +551,13 @@ def _read_batches(
         try:
             for line in handle:
                 if "\x00" in line or len(line) > field_limit:
-                    emitted = _referee_rows(line, handle)
+                    emitted = _referee_rows(line, handle, tail)
                 elif '"' in line:
                     parsed = _split_quoted_line(line.rstrip("\r\n"))
                     emitted = (
                         (parsed,)
                         if parsed is not None
-                        else _referee_rows(line, handle)
+                        else _referee_rows(line, handle, tail)
                     )
                 else:
                     stripped = line.rstrip("\r\n")
@@ -556,7 +570,7 @@ def _read_batches(
                         # An interior CR (a StringIO source; file
                         # handles pre-split these) may terminate a row
                         # mid-line for the csv tokenizer: let it rule.
-                        emitted = _referee_rows(line, handle)
+                        emitted = _referee_rows(line, handle, tail)
                     else:
                         rows.append(stripped.split(","))
                         if len(rows) >= batch_size:
@@ -643,7 +657,9 @@ def _split_quoted_line(stripped: str) -> list[str] | None:
     return row
 
 
-def _referee_rows(line: str, handle) -> Iterator[list[str]]:
+def _referee_rows(
+    line: str, handle, tail: _TailSentry | None = None
+) -> Iterator[list[str]]:
     """All rows the csv tokenizer derives from *line*, letting csv rule.
 
     A physical line the fast paths cannot prove safe may map to
@@ -657,12 +673,19 @@ def _referee_rows(line: str, handle) -> Iterator[list[str]]:
     and error semantics.  A generator so that rows parsed before a
     mid-region ``csv.Error`` still reach the caller, as they would
     from the scalar reader's stream tokenizer.
+
+    When *handle* runs out with the field still open and *tail* holds a
+    torn last line, the record is as unfinished as that line: the
+    region goes back to *tail* unread and no row is derived from it.
     """
     region = [line]
     open_field = _quote_open(line, False)
     while open_field:
         more = next(handle, None)
         if more is None:
+            if tail is not None and tail.torn is not None:
+                tail.unread(region)
+                return
             break
         region.append(more)
         open_field = _quote_open(more, open_field)
@@ -913,7 +936,9 @@ def tail_batches(
     * a torn final line — a writer caught mid-flush, no terminator
       yet — is left unread, counted into ``stats.incomplete_tail``,
       and *next_offset* points at its first byte, so no record is ever
-      dropped or double-read across polls;
+      dropped or double-read across polls; a record whose quoted field
+      spans physical lines into the torn line is left unread whole,
+      with *next_offset* at its first line;
     * a stream that dies mid-read (a ``.gz`` member still being
       written, byte noise, a region the csv tokenizer refuses) is
       settled like a lenient :func:`read_log_batches` path read — the
@@ -926,10 +951,9 @@ def tail_batches(
     consumed, the failing one included, so the next poll resumes
     after it.  On a file that has stopped growing, a poll from offset
     0 returns the records and :class:`ReadStats` counts of a lenient
-    :func:`read_log_batches` path read.
-
-    The one framing assumption is one record per physical line (quoted
-    fields must not span lines), which holds for every SG-9000 field.
+    :func:`read_log_batches` path read — except when it stopped inside
+    a quoted field that runs into a torn last line: that read parses
+    the region as it stands, and the tail leaves it unread.
     """
     path = Path(path)
     batches: list[RecordBatch] = []
@@ -948,7 +972,8 @@ def tail_batches(
             # One by one: a refused line raises only after the rows
             # before it are yielded, and those rows stay in the poll.
             for batch in _read_batches(iter(sentry), BATCH_SIZE, True, stats,
-                                       path, offset_handle=handle):
+                                       path, offset_handle=handle,
+                                       tail=sentry):
                 batches.append(batch)
         except _STREAM_CORRUPTION as error:
             _settle_corruption(path, handle, error, True, stats)

@@ -345,6 +345,34 @@ class TestRunDistributed:
             worker.join(timeout=60.0)
         self._assert_identical(tmp_path)
 
+    def test_spawn_with_a_thread_alive_at_fork(self, tmp_path, monkeypatch):
+        """The status sidecar's thread is alive when the coordinator
+        forks its workers.  The run completes with the serial bytes,
+        and each line the coordinator printed before the fork is in
+        its block-buffered stdout once: no forked child flushes a copy
+        of the buffer."""
+        from repro.cli import main
+
+        simulate = ["--requests", "900", "--seed", "17"]
+        assert main(["simulate", *simulate,
+                     "--out", str(tmp_path / "serial")]) == 0
+        stdout = tmp_path / "stdout.txt"
+        with open(stdout, "w") as handle, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", handle)
+            assert main([
+                "run-distributed", *simulate,
+                "--out", str(tmp_path / "out"),
+                "--queue-dir", str(tmp_path / "queue"),
+                "--spawn", "2", "--status-port", "0",
+                "--poll-interval", "0.05", "--wait-timeout", "120",
+            ]) == 0
+        self._assert_identical(tmp_path)
+        lines = stdout.read_text().splitlines()
+        assert len(lines) == len(set(lines)), lines
+        assert lines[0].startswith("status -> http://127.0.0.1:")
+        assert lines[1].startswith("distributing 900 requests")
+        assert lines[-1].startswith("leases: ")
+
     def test_wait_timeout_with_no_workers(self, tmp_path):
         job = small_job(tmp_path)
         with pytest.raises(DispatchError, match="pending"):
@@ -469,6 +497,31 @@ class TestWorkerChurn:
         audit = json.loads(verify.stdout)
         assert audit["ok"] is True
         assert audit["counts"]["damaged"] == 0
+
+    def test_forked_worker_killed_mid_shard_is_reclaimed(
+        self, tmp_path, monkeypatch
+    ):
+        """The same fault on ``--spawn 2``: the forked worker that first
+        claims KILL is SIGKILLed, the other reclaims the shard once its
+        2 s lease expires, and the merged bytes are the serial ones."""
+        config = ScenarioConfig(total_requests=900, seed=17)
+        simulate_to_logs(config, tmp_path / "serial")
+        monkeypatch.setenv(
+            "REPRO_FAULT_PLAN", f"kill={self.KILL},kill_site=worker.kill"
+        )
+        run = run_distributed(
+            simulate_job_for(config, tmp_path / "dist"), tmp_path / "queue",
+            spawn=2, ttl=2.0, poll_interval=0.05, wait_timeout=120.0,
+        )
+        assert run.worker_exits.count(-signal.SIGKILL) == 1, run.worker_exits
+        assert run.counters["dispatch.lease.reclaimed"] >= 1
+        assert run.inline_shards == 0
+        serial_files = sorted((tmp_path / "serial").iterdir())
+        dist_files = sorted((tmp_path / "dist").iterdir())
+        assert [p.name for p in serial_files] == \
+            [p.name for p in dist_files]
+        for a, b in zip(serial_files, dist_files):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
 
 # -- the status surface ------------------------------------------------------

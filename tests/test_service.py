@@ -22,8 +22,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.streaming import StreamingAnalysis
 from repro.engine import analyze_logs
-from repro.frame.batch import RecordBatch
-from repro.logmodel.elff import elff_header, read_log, write_log
+from repro.frame.batch import BATCH_COLUMNS, RecordBatch, concat_batches
+from repro.logmodel.elff import (
+    ReadStats,
+    elff_header,
+    read_log,
+    read_log_batches,
+    write_log,
+)
 from repro.logmodel.fields import FIELDS
 from repro.service import (
     IngestService,
@@ -255,6 +261,45 @@ class TestLogTailer:
         batch.consume(read_log(log, lenient=True))
         assert acc == batch
         assert acc.total == 8
+
+    def test_torn_quoted_field_spanning_lines_folds_once(self, tmp_path):
+        """A poll that ends 4 bytes into the second physical line of a
+        quoted user agent leaves that record unread (the offset stays
+        at its first line); the next poll folds it once, so the tail
+        keeps the 5 records a batch read of the finished file keeps."""
+        log = tmp_path / "multiline.log"
+        records = [
+            make_record(
+                epoch=DEFAULT_EPOCH + i * 60, cs_host=f"h{i}.com",
+                cs_user_agent="multi\nline agent" if i == 2 else "agent",
+            )
+            for i in range(5)
+        ]
+        write_log(records, log)
+        raw = log.read_bytes()
+        second_line = raw.index(b"multi\n") + len(b"multi\n")
+        log.write_bytes(raw[:second_line + 4])
+
+        tailer = LogTailer(log)
+        first = tailer.poll()
+        assert first.col("cs_host").tolist() == ["h0.com", "h1.com"]
+        assert tailer.offset == raw.rindex(b"\n", 0, second_line - 1) + 1
+        assert tailer.stats.incomplete_tail == 1
+
+        log.write_bytes(raw)
+        second = tailer.poll()
+        assert second.col("cs_user_agent").tolist() == [
+            "multi\nline agent", "agent", "agent"
+        ]
+        assert (tailer.stats.records, tailer.stats.skipped) == (5, 0)
+        stats = ReadStats()
+        finished = concat_batches(
+            list(read_log_batches(log, 1024, lenient=True, stats=stats))
+        )
+        tailed = concat_batches([first, second])
+        for name in BATCH_COLUMNS:
+            assert tailed.col(name).tolist() == finished.col(name).tolist()
+        assert stats.records == 5
 
     def test_unchanged_file_is_not_reread(self, tmp_path):
         log = tmp_path / "static.log"
