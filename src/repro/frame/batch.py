@@ -1,26 +1,29 @@
 """The :class:`RecordBatch` columnar record container.
 
 A :class:`RecordBatch` is the unit of the pipeline's column-batch
-execution mode: one numpy array per
-:class:`~repro.logmodel.record.LogRecord` field, all equal length,
-carrying **every** wire field (not just the analysis subset in
+execution mode: a :class:`~repro.frame.logframe.LogFrame` with the
+fixed schema :data:`BATCH_COLUMNS`, one numpy column per
+:class:`~repro.logmodel.record.LogRecord` field.  It carries **every**
+wire field (not just the analysis subset in
 :data:`~repro.frame.io.FRAME_COLUMNS`) so a batch can round-trip to
 records and to ELFF rows byte-identically.
 
-Batches are immutable in spirit: transforming operations
-(:meth:`~RecordBatch.take`, :meth:`~RecordBatch.with_column`,
-:func:`concat_batches`) return new batches sharing column arrays where
-possible.  The laws the batched pipeline relies on — concat/slice
-round-trips, ``from_records``/``to_records`` inversion — are
-property-tested in ``tests/test_pipeline.py``.
+The schema check, column access, row selection (``take``, ``where``,
+``batch[rows]``), ``with_column`` and concatenation are
+:class:`LogFrame`'s, and a row selection or a concatenation of batches
+is a batch; this module adds the record and wire views.  The laws the
+batched pipeline relies on — concat/slice round-trips,
+``from_records``/``to_records`` inversion — are property-tested in
+``tests/test_pipeline.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from repro.frame.logframe import LogFrame, concat
 from repro.logmodel.fields import FIELDS
 from repro.logmodel.record import LogRecord, epoch_to_date_time
 
@@ -60,7 +63,7 @@ BATCH_COLUMNS: dict[str, str] = {
 _FIELD_TO_COLUMN = {name.replace("-", "_"): name for name in FIELDS}
 
 
-class RecordBatch:
+class RecordBatch(LogFrame):
     """A column-oriented batch of log records.
 
     The pipeline's record currency: sources yield batches, stages
@@ -71,27 +74,7 @@ class RecordBatch:
     equivalence suite lean on.
     """
 
-    __slots__ = ("_columns", "_length")
-
-    def __init__(self, columns: dict[str, np.ndarray]):
-        if set(columns) != set(BATCH_COLUMNS):
-            missing = set(BATCH_COLUMNS) - set(columns)
-            extra = set(columns) - set(BATCH_COLUMNS)
-            raise ValueError(
-                f"RecordBatch needs exactly the record columns "
-                f"(missing {sorted(missing)}, extra {sorted(extra)})"
-            )
-        lengths = {len(array) for array in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(
-                f"column lengths differ: "
-                f"{ {name: len(a) for name, a in columns.items()} }"
-            )
-        self._columns = {
-            name: np.asarray(columns[name], dtype=BATCH_COLUMNS[name])
-            for name in BATCH_COLUMNS
-        }
-        self._length = lengths.pop() if lengths else 0
+    SCHEMA = BATCH_COLUMNS
 
     # -- construction ----------------------------------------------------
 
@@ -123,25 +106,6 @@ class RecordBatch:
             }
         )
 
-    # -- basic protocol --------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def column_names(self) -> list[str]:
-        """Column names, in LogRecord attribute order."""
-        return list(self._columns)
-
-    def col(self, name: str) -> np.ndarray:
-        """The raw numpy array behind column *name*."""
-        try:
-            return self._columns[name]
-        except KeyError:
-            raise KeyError(
-                f"no column {name!r}; have {sorted(self._columns)}"
-            ) from None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordBatch):
             return NotImplemented
@@ -152,19 +116,7 @@ class RecordBatch:
             for name in BATCH_COLUMNS
         )
 
-    def __repr__(self) -> str:
-        return f"RecordBatch({self._length} records)"
-
     # -- transformation --------------------------------------------------
-
-    def take(self, selector: np.ndarray | slice) -> "RecordBatch":
-        """Row subset by boolean mask, integer indices, or slice."""
-        if isinstance(selector, np.ndarray) and selector.dtype == bool:
-            if len(selector) != self._length:
-                raise ValueError("boolean mask length mismatch")
-        return RecordBatch(
-            {name: array[selector] for name, array in self._columns.items()}
-        )
 
     def slice(self, start: int, stop: int | None = None) -> "RecordBatch":
         """Contiguous row range (shares the underlying arrays)."""
@@ -176,19 +128,6 @@ class RecordBatch:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         for start in range(0, self._length, batch_size):
             yield self.slice(start, start + batch_size)
-
-    def with_column(
-        self, name: str, values: np.ndarray | Sequence
-    ) -> "RecordBatch":
-        """A new batch with column *name* replaced."""
-        if name not in BATCH_COLUMNS:
-            raise KeyError(f"no column {name!r}")
-        array = np.asarray(values, dtype=BATCH_COLUMNS[name])
-        if len(array) != self._length:
-            raise ValueError("replacement column length mismatch")
-        columns = dict(self._columns)
-        columns[name] = array
-        return RecordBatch(columns)
 
     # -- record / wire views ---------------------------------------------
 
@@ -250,15 +189,11 @@ def _time_strings(seconds: np.ndarray) -> list[str]:
 
 
 def concat_batches(batches: Iterable[RecordBatch]) -> RecordBatch:
-    """Concatenate batches in order (empty input → the empty batch)."""
+    """Concatenate batches in order (empty input → the empty batch, one
+    batch → that batch, uncopied)."""
     batches = [batch for batch in batches if len(batch)]
     if not batches:
         return RecordBatch.empty()
     if len(batches) == 1:
         return batches[0]
-    return RecordBatch(
-        {
-            name: np.concatenate([batch.col(name) for batch in batches])
-            for name in BATCH_COLUMNS
-        }
-    )
+    return concat(batches)

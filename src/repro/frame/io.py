@@ -1,11 +1,9 @@
-"""Loading log records into columnar form and CSV round-tripping."""
+"""Loading log records into analysis frames."""
 
 from __future__ import annotations
 
-import csv
 import sys
 from collections.abc import Iterable
-from pathlib import Path
 
 import numpy as np
 
@@ -91,68 +89,3 @@ def empty_frame() -> LogFrame:
     return LogFrame(
         {name: np.empty(0, dtype=dtype) for name, dtype in FRAME_COLUMNS.items()}
     )
-
-
-def write_frame_csv(frame: LogFrame, destination: Path) -> None:
-    """Persist a frame as a plain CSV with a header row."""
-    names = frame.column_names
-    with open(destination, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        columns = [frame.col(name) for name in names]
-        for i in range(len(frame)):
-            writer.writerow([column[i] for column in columns])
-
-
-def read_frame_csv(source: Path) -> LogFrame:
-    """Load a frame written by :func:`write_frame_csv`.
-
-    Column dtypes are restored from :data:`FRAME_COLUMNS` when the name
-    is known, and left as strings otherwise.  Malformed input raises
-    :class:`ValueError` naming the file and 1-based line number: rows
-    with a cell count different from the header (previously silently
-    zip-truncated into misaligned columns) and non-numeric cells in
-    numeric columns (previously a bare numpy ``ValueError``).
-    """
-    with open(source, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty CSV file: {source}") from None
-        buffers: list[list[str]] = [[] for _ in names]
-        line_numbers: list[int] = []
-        intern = sys.intern
-        for row in reader:
-            if len(row) != len(names):
-                raise ValueError(
-                    f"{source}: line {reader.line_num}: expected "
-                    f"{len(names)} cells, got {len(row)}"
-                )
-            line_numbers.append(reader.line_num)
-            for buffer, value in zip(buffers, row):
-                buffer.append(intern(value))
-    columns = {}
-    for name, buffer in zip(names, buffers):
-        dtype = FRAME_COLUMNS.get(name, "object")
-        try:
-            columns[name] = np.asarray(buffer, dtype=dtype)
-        except (ValueError, OverflowError):
-            line = _first_bad_numeric_line(buffer, line_numbers)
-            raise ValueError(
-                f"{source}: line {line}: non-numeric value in "
-                f"{dtype} column {name!r}"
-            ) from None
-    return LogFrame(columns)
-
-
-def _first_bad_numeric_line(
-    buffer: list[str], line_numbers: list[int]
-) -> int:
-    """Locate the first cell that cannot convert to a number."""
-    for value, line in zip(buffer, line_numbers):
-        try:
-            int(value)
-        except ValueError:
-            return line
-    return line_numbers[-1] if line_numbers else 1

@@ -51,12 +51,36 @@ class LogFrame:
     return new frames; columns are shared, never copied, unless an
     operation must materialize a subset.
 
+    A subclass that sets :attr:`SCHEMA` is a fixed-schema table
+    (:class:`~repro.frame.batch.RecordBatch`,
+    :class:`~repro.traffic.RequestBatch`): it holds exactly the schema's
+    columns, in schema order and at schema dtypes.  Row selections
+    (:meth:`take` and everything built on it) and :func:`concat` keep
+    the caller's class; :meth:`select` and :meth:`drop` return a plain
+    frame.
+
     Each column is factorized at most once per frame
     (:meth:`factorize`).
     """
 
+    #: Column name -> dtype of a fixed-schema table; ``None`` for a
+    #: free-form analysis frame.
+    SCHEMA: dict[str, str] | None = None
+
     def __init__(self, columns: dict[str, np.ndarray]):
-        if not columns:
+        schema = self.SCHEMA
+        if schema is not None:
+            if columns.keys() != schema.keys():
+                raise ValueError(
+                    f"{type(self).__name__} needs exactly its schema's "
+                    f"columns (missing {sorted(schema.keys() - columns.keys())}"
+                    f", extra {sorted(columns.keys() - schema.keys())})"
+                )
+            columns = {
+                name: np.asarray(columns[name], dtype=dtype)
+                for name, dtype in schema.items()
+            }
+        elif not columns:
             raise ValueError("a LogFrame needs at least one column")
         lengths = {name: len(array) for name, array in columns.items()}
         distinct = set(lengths.values())
@@ -102,7 +126,7 @@ class LogFrame:
         if isinstance(selector, np.ndarray) and selector.dtype == bool:
             if len(selector) != self._length:
                 raise ValueError("boolean mask length mismatch")
-        return LogFrame(
+        return type(self)(
             {name: array[selector] for name, array in self._columns.items()}
         )
 
@@ -111,20 +135,22 @@ class LogFrame:
         return self.take(mask)
 
     def select(self, names: Sequence[str]) -> "LogFrame":
-        """Column subset."""
+        """Column subset, as a plain frame."""
         return LogFrame({name: self.col(name) for name in names})
 
     def with_column(self, name: str, values: np.ndarray | Sequence) -> "LogFrame":
-        """Return a frame with column *name* added or replaced."""
+        """Return a frame with column *name* added or replaced.
+
+        A fixed-schema table stores the column at its schema dtype and
+        refuses a name outside its schema (``ValueError``).
+        """
         array = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
         if len(array) != self._length:
             raise ValueError("new column length mismatch")
-        columns = dict(self._columns)
-        columns[name] = array
-        return LogFrame(columns)
+        return type(self)({**self._columns, name: array})
 
     def drop(self, *names: str) -> "LogFrame":
-        """Return a frame without the given columns."""
+        """Return a plain frame without the given columns."""
         remaining = {k: v for k, v in self._columns.items() if k not in names}
         return LogFrame(remaining)
 
@@ -201,11 +227,15 @@ class LogFrame:
         return {name: array[index] for name, array in self._columns.items()}
 
     def __repr__(self) -> str:
-        return f"LogFrame({self._length} rows × {len(self._columns)} cols)"
+        return (
+            f"{type(self).__name__}({self._length} rows × "
+            f"{len(self._columns)} cols)"
+        )
 
 
 def concat(frames: Iterable[LogFrame]) -> LogFrame:
-    """Concatenate frames with identical column sets."""
+    """Concatenate frames with identical column sets, in order; the
+    result has the first frame's class."""
     frames = list(frames)
     if not frames:
         raise ValueError("nothing to concatenate")
@@ -213,7 +243,7 @@ def concat(frames: Iterable[LogFrame]) -> LogFrame:
     for frame in frames[1:]:
         if set(frame.column_names) != first_names:
             raise ValueError("frames have differing column sets")
-    return LogFrame(
+    return type(frames[0])(
         {
             name: np.concatenate([frame.col(name) for frame in frames])
             for name in frames[0].column_names

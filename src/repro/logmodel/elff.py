@@ -330,11 +330,11 @@ class _TailSentry:
                 self.torn = line
 
     def unread(self, lines: list[str]) -> None:
-        """Hand back yielded *lines* that run into the torn line: they
-        join it as the unread tail, and the resume offset moves to
+        """Hand back yielded *lines* as the unread tail: they join the
+        torn line, if there is one, and the resume offset moves to
         their start."""
         text = "".join(lines)
-        self.torn = text + self.torn
+        self.torn = text + (self.torn or "")
         if self._count_bytes:
             self.consumed -= len(text.encode(self._encoding))
 
@@ -538,8 +538,8 @@ def _read_batches(
     row span several lines) exactly as in the scalar reader.
 
     *tail* is the sentry of a :func:`tail_batches` poll: a quoted
-    field still open when the poll reaches the torn last line is handed
-    back to it unread rather than parsed short.
+    field still open when the poll's input runs out is handed back to
+    it unread rather than parsed short (see :func:`_referee_rows`).
     """
     registry = current_registry()
     kept_total = skipped_total = 0
@@ -674,16 +674,22 @@ def _referee_rows(
     mid-region ``csv.Error`` still reach the caller, as they would
     from the scalar reader's stream tokenizer.
 
-    When *handle* runs out with the field still open and *tail* holds a
-    torn last line, the record is as unfinished as that line: the
-    region goes back to *tail* unread and no row is derived from it.
+    When *handle* runs out with the field still open, a tail poll
+    (*tail* given) may have caught the record half written: if *tail*
+    holds a torn last line, or the region is no longer than csv's
+    field size limit, the region goes back to *tail* unread and no row
+    is derived from it.  A longer region is parsed as it stands, as a
+    batch read does, so a stopped file never stalls the tail.
     """
     region = [line]
     open_field = _quote_open(line, False)
     while open_field:
         more = next(handle, None)
         if more is None:
-            if tail is not None and tail.torn is not None:
+            if tail is not None and (
+                tail.torn is not None
+                or sum(map(len, region)) <= csv.field_size_limit()
+            ):
                 tail.unread(region)
                 return
             break
@@ -937,8 +943,9 @@ def tail_batches(
       yet — is left unread, counted into ``stats.incomplete_tail``,
       and *next_offset* points at its first byte, so no record is ever
       dropped or double-read across polls; a record whose quoted field
-      spans physical lines into the torn line is left unread whole,
-      with *next_offset* at its first line;
+      spans physical lines into the torn line, or is still open at the
+      end of the input within csv's field size limit, is left unread
+      whole the same way, with *next_offset* at its first line;
     * a stream that dies mid-read (a ``.gz`` member still being
       written, byte noise, a region the csv tokenizer refuses) is
       settled like a lenient :func:`read_log_batches` path read — the
@@ -952,8 +959,10 @@ def tail_batches(
     after it.  On a file that has stopped growing, a poll from offset
     0 returns the records and :class:`ReadStats` counts of a lenient
     :func:`read_log_batches` path read — except when it stopped inside
-    a quoted field that runs into a torn last line: that read parses
-    the region as it stands, and the tail leaves it unread.
+    a quoted field that runs into a torn last line or is still open
+    within csv's field size limit: that read parses the region as it
+    stands (a skipped row), and the tail leaves it unread
+    (``incomplete_tail``).
     """
     path = Path(path)
     batches: list[RecordBatch] = []
@@ -982,21 +991,3 @@ def tail_batches(
         if sentry.torn is not None:
             _settle_incomplete_tail(sentry, stats)
     return concat_batches(batches), sentry.consumed, refusal
-
-
-def read_log_rows(source: Path | io.TextIOBase) -> Iterator[list[str]]:
-    """Stream raw CSV rows (no parsing into records).
-
-    Used by the columnar loader, which converts straight to arrays and
-    does not need per-row ``LogRecord`` objects.
-    """
-    if isinstance(source, (str, Path)):
-        with open_log_reader(source) as handle:
-            yield from read_log_rows(handle)
-        return
-    for row in csv.reader(source):
-        if not row or row[0].startswith(_DIRECTIVE_PREFIX):
-            continue
-        if len(row) != len(FIELDS):
-            raise LogFormatError(f"expected {len(FIELDS)} columns, got {len(row)}")
-        yield row

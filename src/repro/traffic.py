@@ -1,11 +1,12 @@
 """The pre-policy request abstraction.
 
 The workload generator emits a day of requests as a
-:class:`RequestBatch` — one numpy column per :class:`Request` field —
-and the batch fleets filter it column-wise; a :class:`Request` is one
-row of it, the reference form the per-record fleets take.  The
-``component`` tag is simulation ground truth (which traffic model
-produced the request) and never reaches the logs.
+:class:`RequestBatch` — a :class:`~repro.frame.LogFrame` with one
+column per :class:`Request` field as its fixed schema — and the batch
+fleets filter it column-wise; a :class:`Request` is one row of it, the
+reference form the per-record fleets take.  The ``component`` tag is
+simulation ground truth (which traffic model produced the request) and
+never reaches the logs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from repro.frame.logframe import LogFrame
 from repro.net.url import extension_of
 
 
@@ -105,24 +107,19 @@ def constant_column(value, count: int) -> np.ndarray:
     return column
 
 
-class RequestBatch:
+class RequestBatch(LogFrame):
     """A column-oriented chunk of requests, in stream order.
 
-    ``len()`` is the number of requests; slicing returns a batch of
-    views; iteration yields :class:`Request` rows.
+    A :class:`~repro.frame.LogFrame` whose schema is the
+    :class:`Request` fields (:data:`REQUEST_COLUMNS`): ``len()`` is the
+    number of requests, ``batch[rows]`` a batch of column views, and
+    iteration yields :class:`Request` rows.
     """
 
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: dict[str, np.ndarray]):
-        if set(columns) != set(REQUEST_COLUMNS):
-            raise ValueError(
-                f"RequestBatch needs exactly the columns {REQUEST_COLUMNS}; "
-                f"got {sorted(columns)}"
-            )
-        if len({len(column) for column in columns.values()}) > 1:
-            raise ValueError("request columns differ in length")
-        self.columns = {name: columns[name] for name in REQUEST_COLUMNS}
+    SCHEMA = {
+        name: "int64" if name in INT_COLUMNS else "object"
+        for name in REQUEST_COLUMNS
+    }
 
     @classmethod
     def from_requests(cls, requests: Iterable[Request]) -> "RequestBatch":
@@ -130,24 +127,19 @@ class RequestBatch:
         rows = list(map(attrgetter(*REQUEST_COLUMNS), requests))
         columns = list(zip(*rows)) if rows else [()] * len(REQUEST_COLUMNS)
         return cls({
-            name: np.array(
-                values, dtype=np.int64 if name in INT_COLUMNS else object
-            )
+            name: np.array(values, dtype=cls.SCHEMA[name])
             for name, values in zip(REQUEST_COLUMNS, columns)
         })
 
-    def __len__(self) -> int:
-        return len(self.columns["epoch"])
+    @property
+    def columns(self) -> dict[str, np.ndarray]:
+        """The batch's own column dict, in :data:`REQUEST_COLUMNS` order.
 
-    def col(self, name: str) -> np.ndarray:
-        """The column *name*."""
-        return self.columns[name]
-
-    def __getitem__(self, rows: slice) -> "RequestBatch":
-        """The requests in *rows*, as a batch of column views."""
-        return RequestBatch(
-            {name: column[rows] for name, column in self.columns.items()}
-        )
+        The workload's concatenations pop each column from it as they
+        copy, so a day's parts are freed while the day is assembled;
+        the batch is not used after that.
+        """
+        return self._columns
 
     def __iter__(self) -> Iterator[Request]:
         columns = (column.tolist() for column in self.columns.values())

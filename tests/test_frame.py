@@ -6,14 +6,14 @@ from hypothesis import given, strategies as st
 
 from repro.frame import (
     LogFrame,
+    RecordBatch,
     concat,
     factorize,
     frame_from_records,
-    read_frame_csv,
-    write_frame_csv,
 )
 from repro.frame.io import empty_frame
-from tests.helpers import make_frame, make_record, rng
+from repro.traffic import Request, RequestBatch
+from tests.helpers import make_record, rng
 
 
 def small_frame() -> LogFrame:
@@ -210,6 +210,89 @@ class TestLogFrame:
         assert "6 rows" in repr(small_frame())
 
 
+def _record_columns() -> dict[str, np.ndarray]:
+    batch = RecordBatch.from_records(
+        [make_record(cs_host=f"h{i}.com", sc_status=200 + i) for i in range(4)]
+    )
+    return {name: batch.col(name) for name in batch.column_names}
+
+
+def _request_columns() -> dict[str, np.ndarray]:
+    return dict(RequestBatch.from_requests(
+        Request(epoch=i, c_ip="10.0.0.1", user_agent="UA", host=f"h{i}.com")
+        for i in range(4)
+    ).columns)
+
+
+#: The one container and its two fixed-schema subclasses: four rows of
+#: columns for each, and (for the subclasses) an int64 schema column.
+CONTAINERS = {
+    "LogFrame": (LogFrame, lambda: {
+        "k": np.array(["a", "b", "a", "c"], dtype=object),
+        "v": np.arange(4, dtype=np.int32),
+    }, None),
+    "RecordBatch": (RecordBatch, _record_columns, "sc_status"),
+    "RequestBatch": (RequestBatch, _request_columns, "port"),
+}
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_one_container(name):
+    """Every table is a :class:`LogFrame`: the schema check is
+    LogFrame's, row selections and ``concat`` keep the caller's class,
+    its column order and dtypes, ``select``/``drop`` give a plain
+    frame, and ``with_column`` on a fixed-schema table keeps the schema
+    dtype and refuses a new name."""
+    cls, make_columns, int_column = CONTAINERS[name]
+    columns = make_columns()
+    frame = cls(columns)
+    names = frame.column_names
+    dtypes = [frame.col(column).dtype for column in names]
+    if cls.SCHEMA is not None:
+        assert names == list(cls.SCHEMA)
+        assert dtypes == [np.dtype(dtype) for dtype in cls.SCHEMA.values()]
+
+    first = names[0]
+    bad = [dict(columns, **{first: columns[first][:2]})]  # unequal lengths
+    if cls.SCHEMA is None:
+        bad.append({})
+    else:
+        bad.append({k: v for k, v in columns.items() if k != first})
+        bad.append(dict(columns, extra=columns[first]))
+    for each in bad:
+        with pytest.raises(ValueError):
+            cls(each)
+
+    def assert_same_kind(table, rows):
+        assert type(table) is cls
+        assert table.column_names == names
+        assert [table.col(column).dtype for column in names] == dtypes
+        assert len(table) == rows
+
+    mask = np.array([True, False, True, True])
+    assert_same_kind(frame.take(mask), 3)
+    assert_same_kind(frame.take(np.array([3, 0])), 2)
+    assert_same_kind(frame.take(slice(1, 3)), 2)
+    assert_same_kind(frame.where(mask), 3)
+    assert_same_kind(frame.head(1), 1)
+    assert_same_kind(frame[mask], 3)
+    assert_same_kind(frame[1:], 3)
+    assert_same_kind(concat([frame, frame.head(2)]), 6)
+
+    assert type(frame.select(names[:1])) is LogFrame
+    assert type(frame.drop(first)) is LogFrame
+
+    if cls.SCHEMA is None:
+        added = frame.with_column("new", [0] * 4)
+        assert added.column_names == [*names, "new"]
+    else:
+        replaced = frame.with_column(int_column, [7, 8, 9, 10])
+        assert_same_kind(replaced, 4)
+        assert replaced.col(int_column).tolist() == [7, 8, 9, 10]
+        with pytest.raises(ValueError):
+            frame.with_column("new", [0] * 4)
+
+
 class TestConcat:
     def test_concat(self):
         combined = concat([small_frame(), small_frame()])
@@ -303,51 +386,3 @@ class TestIO:
     def test_empty_frame_has_standard_columns(self):
         frame = empty_frame()
         assert "x_exception_id" in frame and len(frame) == 0
-
-    def test_csv_roundtrip(self, tmp_path):
-        frame = make_frame([
-            dict(cs_host="a.com"),
-            dict(cs_host="b.com", x_exception_id="policy_denied"),
-        ])
-        path = tmp_path / "frame.csv"
-        write_frame_csv(frame, path)
-        restored = read_frame_csv(path)
-        assert len(restored) == 2
-        assert restored["cs_host"].tolist() == frame["cs_host"].tolist()
-        assert restored["epoch"].dtype == frame["epoch"].dtype
-
-    def test_read_empty_csv_raises(self, tmp_path):
-        path = tmp_path / "nothing.csv"
-        path.write_text("")
-        with pytest.raises(ValueError):
-            read_frame_csv(path)
-
-    def test_ragged_row_raises_with_file_and_line(self, tmp_path):
-        """Rows with fewer cells than the header used to be silently
-        zip-truncated into misaligned columns."""
-        path = tmp_path / "ragged.csv"
-        path.write_text("epoch,cs_host,sc_status\n"
-                        "1,a.com,200\n"
-                        "2,b.com\n")
-        with pytest.raises(ValueError, match=r"line 3.*expected 3.*got 2"):
-            read_frame_csv(path)
-        assert "ragged.csv" in str(pytest.raises(
-            ValueError, read_frame_csv, path
-        ).value)
-
-    def test_extra_cells_also_raise(self, tmp_path):
-        path = tmp_path / "wide.csv"
-        path.write_text("epoch,cs_host\n1,a.com,extra\n")
-        with pytest.raises(ValueError, match="line 2"):
-            read_frame_csv(path)
-
-    def test_non_numeric_cell_raises_with_file_and_line(self, tmp_path):
-        """A non-numeric cell in an int column used to die with a bare
-        numpy ValueError that named neither file nor line."""
-        path = tmp_path / "bad.csv"
-        path.write_text("epoch,cs_host\n"
-                        "100,a.com\n"
-                        "oops,b.com\n"
-                        "300,c.com\n")
-        with pytest.raises(ValueError, match=r"bad\.csv.*line 3.*'epoch'"):
-            read_frame_csv(path)

@@ -25,7 +25,6 @@ from repro.logmodel.elff import (
     LogFormatError,
     ReadStats,
     read_log,
-    read_log_rows,
     write_log,
 )
 from repro.logmodel.fields import (
@@ -170,18 +169,6 @@ class TestElff:
         bad = io.StringIO("#Fields: date time\n")
         with pytest.raises(LogFormatError):
             list(read_log(bad))
-
-    def test_read_rows_skips_directives(self, tmp_path):
-        path = tmp_path / "log.csv"
-        write_log([make_record(), make_record()], path)
-        rows = list(read_log_rows(path))
-        assert len(rows) == 2
-        assert all(len(row) == 26 for row in rows)
-
-    def test_read_rows_rejects_short_rows(self):
-        bad = io.StringIO("a,b,c\n")
-        with pytest.raises(LogFormatError):
-            list(read_log_rows(bad))
 
     def test_record_with_commas_survives_csv(self, tmp_path):
         record = make_record(cs_categories="Blocked sites; unavailable",

@@ -267,6 +267,15 @@ class TestLogTailer:
         quoted user agent leaves that record unread (the offset stays
         at its first line); the next poll folds it once, so the tail
         keeps the 5 records a batch read of the finished file keeps."""
+        self._poll_cut_then_finished(tmp_path, into_second_line=4)
+
+    def test_quoted_field_open_at_a_line_break_folds_once(self, tmp_path):
+        """The same, with the poll ending right after ``multi\\n``: no
+        line is torn, but the quoted field is still open where the
+        input ends, so the record is left unread just the same."""
+        self._poll_cut_then_finished(tmp_path, into_second_line=0)
+
+    def _poll_cut_then_finished(self, tmp_path, into_second_line):
         log = tmp_path / "multiline.log"
         records = [
             make_record(
@@ -278,7 +287,7 @@ class TestLogTailer:
         write_log(records, log)
         raw = log.read_bytes()
         second_line = raw.index(b"multi\n") + len(b"multi\n")
-        log.write_bytes(raw[:second_line + 4])
+        log.write_bytes(raw[:second_line + into_second_line])
 
         tailer = LogTailer(log)
         first = tailer.poll()
@@ -537,15 +546,19 @@ class TestIngestService:
         assert live.total == 10
 
     @pytest.mark.parametrize("shape", [
-        "clean", "torn", "oversized-field", "sc-bytes", "sc-status",
+        "clean", "torn", "oversized-field", "oversized-open-field",
+        "sc-bytes", "sc-status",
     ])
     def test_tail_equals_analyze_on_a_stopped_file(self, tmp_path, shape):
         """On a file that has stopped growing, the tail folds exactly
         what ``analyze --streaming`` folds: the same window state and
         the same ReadStats counts — a torn line completed later, a
-        field csv refuses and integers beyond their column included."""
+        field csv refuses, a quoted field that never closes and runs
+        past csv's field size limit (read, not left unread for ever),
+        and integers beyond their column included."""
         odd = {
             "oversized-field": ("cs-uri-path", '"' + "x" * 200_000 + '"'),
+            "oversized-open-field": ("cs-uri-path", '"' + "x" * 140_000),
             "sc-bytes": ("sc-bytes", "9" * 20),
             "sc-status": ("sc-status", "3000000000"),
         }.get(shape)
