@@ -1,14 +1,16 @@
 """Benchmark fixtures.
 
-Three session-scoped scenarios:
+Four session-scoped scenarios:
 
-* ``bench_scenario`` — the main deployment (default boosts) most
-  benches analyze;
+* ``bench_scenario`` — the main deployment most benches analyze: the
+  scenario ``repro report`` builds (default boosts, July days ×12);
 * ``social_scenario`` — redirect-target traffic boosted hard, for the
   Table 7/14 benches whose subject is a few thousand requests out of
   751 M in the paper;
 * ``ip_scenario`` — raw-IP traffic boosted, for the Table 11/12
-  benches.
+  benches;
+* ``unboosted_scenario`` — the paper's true proportions, for the
+  ablations.
 
 Scale via the REPRO_BENCH_SCALE environment variable (total requests
 of the main scenario; default 200000).
@@ -21,24 +23,15 @@ import os
 import pytest
 
 from repro.datasets import build_scenario
-from repro.workload.config import (
-    DEFAULT_BOOSTS,
-    DEFAULT_USER_DAY_BOOST,
-    ScenarioConfig,
-)
+from repro.workload.config import DEFAULT_BOOSTS, ScenarioConfig, report_config
 
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
 
 
 @pytest.fixture(scope="session")
 def bench_scenario():
-    config = ScenarioConfig(
-        total_requests=BENCH_SCALE,
-        seed=2014,
-        boosts=dict(DEFAULT_BOOSTS),
-        user_day_boost=DEFAULT_USER_DAY_BOOST,
-    )
-    return build_scenario(config)
+    """What ``repro report --requests BENCH_SCALE --seed 2014`` builds."""
+    return build_scenario(report_config(BENCH_SCALE, seed=2014))
 
 
 @pytest.fixture(scope="session")

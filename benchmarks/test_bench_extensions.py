@@ -3,12 +3,14 @@ weather report, the economics indices, and the what-if policy runs."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.economics import censorship_economics
 from repro.analysis.https_mitm import https_mitm_check
 from repro.analysis.weather import keyword_weather
+from repro.datasets import build_scenario
 from repro.policy.syria import KEYWORDS
 from repro.reporting import render_table
-from repro.scenarios import build_custom_scenario, no_keyword_filtering
 from repro.workload.config import small_config
 
 
@@ -59,8 +61,10 @@ def test_ext_whatif_no_keywords(benchmark):
     def run():
         from repro.analysis.overview import traffic_breakdown
 
-        baseline = build_custom_scenario(config)
-        stripped = build_custom_scenario(config, no_keyword_filtering)
+        baseline = build_scenario(config)
+        stripped = build_scenario(
+            replace(config, policy_transform="no-keyword-filtering")
+        )
         return (
             traffic_breakdown(baseline.full).censored_pct,
             traffic_breakdown(stripped.full).censored_pct,

@@ -21,7 +21,21 @@ from repro.logmodel.record import LogRecord
 from repro.policy import KeywordRule, PolicyEngine, RequestView
 from repro.policy.syria import build_syrian_policy
 from repro.workload import TrafficGenerator
-from repro.workload.config import small_config
+from repro.workload.config import report_config, small_config
+
+
+def day_records(config, **options) -> dict[str, list[LogRecord]]:
+    """Every simulated log-day as a record list, in day order: the
+    engine run into a :class:`~repro.pipeline.RecordListSink`, with
+    *options* passed to :func:`~repro.engine.simulate_into`."""
+    from itertools import islice
+
+    from repro.engine import simulate_into
+    from repro.pipeline import RecordListSink
+
+    sink, by_day = simulate_into(config, RecordListSink(), **options)
+    records = iter(sink.records)
+    return {day: list(islice(records, count)) for day, count in by_day.items()}
 
 
 def make_record(**overrides) -> LogRecord:
@@ -109,27 +123,17 @@ def test_perf_sharded_engine_parallel_vs_serial(tmp_path):
     4 workers only fires on hosts that actually have ≥4 cores, since a
     process pool cannot beat serial on a single-core box.
     """
-    from repro.engine import analyze_logs, simulate_day_records, write_logs
-    from repro.workload.config import (
-        DEFAULT_USER_DAY_BOOST,
-        DEFAULT_BOOSTS,
-        ScenarioConfig,
-    )
+    from repro.engine import analyze_logs, simulate_to_logs
 
     scale = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
-    config = ScenarioConfig(
-        total_requests=scale,
-        seed=2014,
-        boosts=dict(DEFAULT_BOOSTS),
-        user_day_boost=DEFAULT_USER_DAY_BOOST,
-    )
+    config = report_config(scale, seed=2014)
 
     start = time.perf_counter()
-    serial_days = simulate_day_records(config, workers=1)
+    serial_days = day_records(config, workers=1)
     simulate_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel_days = simulate_day_records(config, workers=4)
+    parallel_days = day_records(config, workers=4)
     simulate_parallel = time.perf_counter() - start
 
     assert list(serial_days) == list(parallel_days)
@@ -137,7 +141,7 @@ def test_perf_sharded_engine_parallel_vs_serial(tmp_path):
         assert serial_days[day] == parallel_days[day]
 
     paths = [
-        path for path, _ in write_logs(serial_days, tmp_path, per_day=True)
+        path for path, _ in simulate_to_logs(config, tmp_path, per_day=True)
     ]
     start = time.perf_counter()
     serial_analysis, _ = analyze_logs(paths, workers=1)
@@ -170,39 +174,28 @@ def test_perf_sharded_engine_parallel_vs_serial(tmp_path):
 
 
 def test_perf_fused_report_vs_two_pass(tmp_path):
-    """Single fused pass vs the legacy write-then-read round trip.
+    """Single fused pass vs the write-then-read round trip.
 
     The fused path streams simulation straight into the analysis
-    accumulator (no record list, no disk); the legacy path materializes
-    the records, serializes them to ELFF, and re-reads them.  Both must
-    produce the identical accumulator and the fused pass must win wall
-    clock; records/sec and peak-RSS growth are reported for both (RSS
-    is advisory — ``ru_maxrss`` is monotonic, so the fused pass runs
-    first to keep its reading honest).
+    accumulator (no disk); the two-pass path serializes the records to
+    ELFF and re-reads them.  Both must produce the identical
+    accumulator and the fused pass must win wall clock; records/sec and
+    peak-RSS growth are reported for both (RSS is advisory —
+    ``ru_maxrss`` is monotonic, so the fused pass runs first to keep its
+    reading honest).
     """
     import resource
 
     from repro.engine import (
         analyze_logs,
         scenario_context,
-        simulate_day_records,
         simulate_into,
-        write_logs,
+        simulate_to_logs,
     )
     from repro.pipeline import StreamingAnalysisSink
-    from repro.workload.config import (
-        DEFAULT_BOOSTS,
-        DEFAULT_USER_DAY_BOOST,
-        ScenarioConfig,
-    )
 
     scale = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
-    config = ScenarioConfig(
-        total_requests=scale,
-        seed=2014,
-        boosts=dict(DEFAULT_BOOSTS),
-        user_day_boost=DEFAULT_USER_DAY_BOOST,
-    )
+    config = report_config(scale, seed=2014)
     scenario_context(config)  # warm the shared context outside the timers
 
     def peak_rss_kb():
@@ -216,8 +209,7 @@ def test_perf_fused_report_vs_two_pass(tmp_path):
 
     rss_before = peak_rss_kb()
     start = time.perf_counter()
-    day_records = simulate_day_records(config, workers=1)
-    paths = [path for path, _ in write_logs(day_records, tmp_path)]
+    paths = [path for path, _ in simulate_to_logs(config, tmp_path)]
     two_pass_analysis, _ = analyze_logs(paths, workers=1)
     two_pass_seconds = time.perf_counter() - start
     two_pass_rss_growth = peak_rss_kb() - rss_before
@@ -249,21 +241,11 @@ def test_perf_retry_path_overhead():
     re-run attempts themselves add (bounded loosely here; the exact
     split is reported for the benchmark log).
     """
-    from repro.engine import RetryPolicy, simulate_day_records
+    from repro.engine import RetryPolicy
     from repro.faults import FaultPlan
-    from repro.workload.config import (
-        DEFAULT_BOOSTS,
-        DEFAULT_USER_DAY_BOOST,
-        ScenarioConfig,
-    )
 
     scale = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
-    config = ScenarioConfig(
-        total_requests=scale,
-        seed=2014,
-        boosts=dict(DEFAULT_BOOSTS),
-        user_day_boost=DEFAULT_USER_DAY_BOOST,
-    )
+    config = report_config(scale, seed=2014)
     retry = RetryPolicy(max_retries=2, backoff_base=0.0)
     plan = FaultPlan(seed=9, rate=0.10)
     days = [f"day:{day}" for day in config.days]
@@ -271,11 +253,11 @@ def test_perf_retry_path_overhead():
     assert hits >= 1  # the seed is chosen so the plan actually fires
 
     start = time.perf_counter()
-    clean = simulate_day_records(config, workers=1, retry=retry)
+    clean = day_records(config, workers=1, retry=retry)
     clean_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    faulted = simulate_day_records(
+    faulted = day_records(
         config, workers=1, retry=retry, fault_plan=plan
     )
     faulted_seconds = time.perf_counter() - start
@@ -306,31 +288,21 @@ def test_perf_checkpoint_overhead_and_resume_speedup(tmp_path):
     should approach half the work of a cold one, and must stay
     byte-equal to it.
     """
-    from repro.engine import RetryPolicy, simulate_day_records
+    from repro.engine import RetryPolicy
     from repro.faults import FaultPlan, FaultRule
     from repro.runstate import RunCheckpoint, audit_run, run_fingerprint
-    from repro.workload.config import (
-        DEFAULT_BOOSTS,
-        DEFAULT_USER_DAY_BOOST,
-        ScenarioConfig,
-    )
 
     scale = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
-    config = ScenarioConfig(
-        total_requests=scale,
-        seed=2014,
-        boosts=dict(DEFAULT_BOOSTS),
-        user_day_boost=DEFAULT_USER_DAY_BOOST,
-    )
+    config = report_config(scale, seed=2014)
     fingerprint = run_fingerprint("bench", seed=config.seed, scale=scale)
     days = list(config.days)
 
     start = time.perf_counter()
-    plain = simulate_day_records(config, workers=1)
+    plain = day_records(config, workers=1)
     plain_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    journaled = simulate_day_records(
+    journaled = day_records(
         config, workers=1,
         checkpoint=RunCheckpoint(tmp_path / "full", fingerprint),
     )
@@ -344,7 +316,7 @@ def test_perf_checkpoint_overhead_and_resume_speedup(tmp_path):
         FaultRule(site="shard.start", kind="crash", shard_id=f"day:{day}")
         for day in days[: len(days) // 2]
     ))
-    simulate_day_records(
+    day_records(
         config, workers=1, allow_partial=True, fault_plan=crash_half,
         retry=RetryPolicy(max_retries=0, backoff_base=0.0),
         checkpoint=RunCheckpoint(tmp_path / "half", fingerprint),
@@ -353,7 +325,7 @@ def test_perf_checkpoint_overhead_and_resume_speedup(tmp_path):
     assert half_done == len(days) - len(days) // 2
 
     start = time.perf_counter()
-    resumed = simulate_day_records(
+    resumed = day_records(
         config, workers=1,
         checkpoint=RunCheckpoint(tmp_path / "half", fingerprint,
                                  resume=True),
@@ -400,19 +372,9 @@ def test_perf_distributed_lease_queue(tmp_path):
     from repro.dispatch import WorkQueue, run_distributed, simulate_job_for
     from repro.engine import simulate_to_logs
     from repro.runstate import RunCheckpoint
-    from repro.workload.config import (
-        DEFAULT_BOOSTS,
-        DEFAULT_USER_DAY_BOOST,
-        ScenarioConfig,
-    )
 
     scale = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
-    config = ScenarioConfig(
-        total_requests=scale,
-        seed=2014,
-        boosts=dict(DEFAULT_BOOSTS),
-        user_day_boost=DEFAULT_USER_DAY_BOOST,
-    )
+    config = report_config(scale, seed=2014)
 
     start = time.perf_counter()
     written = simulate_to_logs(config, tmp_path / "serial", per_day=True)
@@ -519,23 +481,12 @@ def test_perf_regime_throughput(tmp_path):
     from repro.engine import scenario_context, simulate_into
     from repro.pipeline import StreamingAnalysisSink
     from repro.regimes import available_regimes
-    from repro.workload.config import (
-        DEFAULT_BOOSTS,
-        DEFAULT_USER_DAY_BOOST,
-        ScenarioConfig,
-    )
 
     scale = int(os.environ.get("REPRO_BENCH_SCALE", "200000"))
     regimes = {}
     totals = set()
     for name in available_regimes():
-        config = ScenarioConfig(
-            total_requests=scale,
-            seed=2014,
-            boosts=dict(DEFAULT_BOOSTS),
-            user_day_boost=DEFAULT_USER_DAY_BOOST,
-            regime=name,
-        )
+        config = report_config(scale, seed=2014, regime=name)
         scenario_context(config)  # warm the context outside the timer
         best = float("inf")
         for _ in range(2):

@@ -6,27 +6,24 @@ policies and compares outcomes against the Summer-2011 baseline — the
 forward-looking use of the reproduction the paper's conclusion
 envisions ("facilitate the design of censorship-evading tools").
 
-Scenarios:
-  * baseline         — the policy the paper measured;
-  * tor-blackout     — the December-2012 state (all relays blocked);
-  * streaming-curfew — category × time-of-day blocking (evening);
-  * no-keywords      — the keyword engine removed (collateral-damage
-                       counterfactual).
+Scenarios (each a registered ``ScenarioConfig.policy_transform``):
+  * baseline             — the policy the paper measured;
+  * tor-blackout         — the December-2012 state (all relays blocked);
+  * streaming-curfew     — category × time-of-day blocking (18–23h);
+  * no-keyword-filtering — the keyword engine removed (collateral-damage
+                           counterfactual).
 
 Run:  python examples/whatif_policies.py
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis.overview import traffic_breakdown
 from repro.analysis.toranalysis import identify_tor_traffic, tor_overview
+from repro.datasets import build_scenario
 from repro.reporting import render_table
-from repro.scenarios import (
-    build_custom_scenario,
-    no_keyword_filtering,
-    streaming_curfew,
-    tor_blackout,
-)
 from repro.workload.config import small_config
 
 
@@ -34,15 +31,15 @@ def main() -> None:
     config = small_config(40_000, seed=8)
     print("Running four policies over identical traffic...")
 
+    transforms = {
+        "baseline (2011)": None,
+        "tor blackout (2012)": "tor-blackout",
+        "streaming curfew 18-23h": "streaming-curfew",
+        "no keyword engine": "no-keyword-filtering",
+    }
     scenarios = {
-        "baseline (2011)": build_custom_scenario(config),
-        "tor blackout (2012)": build_custom_scenario(config, tor_blackout),
-        "streaming curfew 18-23h": build_custom_scenario(
-            config, streaming_curfew(18, 23)
-        ),
-        "no keyword engine": build_custom_scenario(
-            config, no_keyword_filtering
-        ),
+        name: build_scenario(replace(config, policy_transform=transform))
+        for name, transform in transforms.items()
     }
 
     rows = []

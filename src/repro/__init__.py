@@ -10,7 +10,10 @@ High-level entry points:
 
 ``repro.datasets.build_scenario``
     Generate the four datasets the paper analyzes (D_full, D_sample,
-    D_user, D_denied) from a synthetic-traffic scenario.
+    D_user, D_denied) from a synthetic-traffic scenario.  It is the one
+    scenario builder — the sharded engine's, the one ``repro report``
+    runs — and a config's ``policy_transform`` names a what-if policy
+    from ``repro.scenarios``.
 
 ``repro.analysis``
     One module per paper section; each analysis consumes a

@@ -709,8 +709,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.engine import build_scenario_sharded
-    from repro.workload.config import DEFAULT_BOOSTS, ScenarioConfig
+    from repro.engine import build_scenario
+    from repro.workload.config import report_config
 
     profile = _resolve_regime(args.regime)
     print(f"simulating {args.requests:,} requests and running the full "
@@ -720,15 +720,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.engine.simulate import stream_versions
     from repro.runstate import config_digest, run_fingerprint
 
-    config = ScenarioConfig(
-        total_requests=args.requests, seed=args.seed,
-        boosts=dict(DEFAULT_BOOSTS), regime=args.regime,
-    )
+    config = report_config(args.requests, args.seed, regime=args.regime)
     checkpoint = _checkpoint_for(args, run_fingerprint(
         "report", config=config_digest(config), regime=config.regime,
         **stream_versions(),
     ))
-    datasets = build_scenario_sharded(
+    datasets = build_scenario(
         config, workers=args.workers, metrics=metrics, retry=retry,
         allow_partial=allow_partial, failures=failures,
         checkpoint=checkpoint, batch_size=args.batch_size)

@@ -1,9 +1,8 @@
-"""End-to-end scenario build: traffic → policy → fleet → datasets.
+"""The four analysis datasets, assembled from a simulated D_full frame.
 
-The serial builders here run on the same fused Source → Stage → Sink
-pipeline as the sharded engine: records stream generator → fleet →
-anonymizer straight into columnar buffers, so a scenario build never
-materializes its record list.
+The scenario build itself — traffic → policy → fleet → frame — is the
+sharded engine's :func:`repro.engine.simulate.build_scenario`; this
+module holds the dataset container and the assembly tail it ends with.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ import numpy as np
 from repro.catalog.categories import Category
 from repro.categorizer import TrustedSourceCategorizer
 from repro.frame import LogFrame
-from repro.pipeline import (
-    AnonymizeStage,
-    FleetStage,
-    FrameSink,
-    Pipeline,
-)
-from repro.regimes import ApplianceFleet, get_regime
 from repro.timeline import USER_SLICE_DAYS, day_span
 from repro.workload import ScenarioConfig, TrafficGenerator
 
@@ -44,7 +36,6 @@ class ScenarioDatasets:
     policy: Any
     generator: TrafficGenerator
     categorizer: TrustedSourceCategorizer
-    sample_fraction: float = DEFAULT_SAMPLE_FRACTION
     records_by_day: dict[str, int] = field(default_factory=dict)
 
     def summary(self) -> dict[str, int]:
@@ -79,17 +70,15 @@ def assemble_datasets_from_frame(
     generator: TrafficGenerator,
     policy: Any,
     rng: np.random.Generator,
-    sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
 ) -> ScenarioDatasets:
     """Assemble the four analysis datasets from the D_full frame.
 
-    Shared tail of every scenario build (serial, custom-policy, and
-    the sharded engine): the D_sample draw from *rng* and the
-    D_user/D_denied masks.  Taking the frame (rather than records)
-    keeps fused builds single-pass — a :class:`~repro.pipeline.sinks.
-    FrameSink` feeds straight in.
+    The tail of the scenario build: the 4 % D_sample draw from *rng*
+    and the D_user/D_denied masks.  Taking the frame (rather than
+    records) keeps the build single-pass — a :class:`~repro.pipeline.
+    sinks.FrameSink` feeds straight in.
     """
-    sample = full.sample(sample_fraction, rng)
+    sample = full.sample(DEFAULT_SAMPLE_FRACTION, rng)
     user_spans = [day_span(day) for day in USER_SLICE_DAYS]
     user_mask = np.zeros(len(full), dtype=bool)
     epochs = full.col("epoch")
@@ -104,53 +93,6 @@ def assemble_datasets_from_frame(
         policy=policy,
         generator=generator,
         categorizer=_build_categorizer(generator),
-        sample_fraction=sample_fraction,
         records_by_day=records_by_day,
     )
 
-
-def simulate_scenario_frame(
-    generator: TrafficGenerator,
-    fleet: ApplianceFleet,
-    rng: np.random.Generator,
-) -> tuple[LogFrame, dict[str, int]]:
-    """One fused pass over every log-day of the serial stream layout.
-
-    Records flow generator → fleet → anonymizer → columnar buffers
-    without a record list ever existing; *rng* is shared across days
-    (the legacy single-stream layout, unlike the engine's per-day
-    shard streams).  Returns the D_full frame and the per-day counts.
-    """
-    user_spans = [day_span(day) for day in USER_SLICE_DAYS]
-    stages = (FleetStage(fleet, rng), AnonymizeStage(user_spans))
-    sink = FrameSink()
-    records_by_day: dict[str, int] = {}
-    for day, requests in generator.generate():
-        before = len(sink)
-        Pipeline([requests], stages).run(sink)
-        records_by_day[day] = len(sink) - before
-    return sink.frame(), records_by_day
-
-
-def build_scenario(
-    config: ScenarioConfig | None = None,
-    sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-) -> ScenarioDatasets:
-    """Simulate a scenario and assemble its four datasets.
-
-    Deterministic for a given config (all randomness flows from
-    ``config.seed``); the config's regime profile supplies the
-    workload, policy, and fleet.
-    """
-    config = config or ScenarioConfig()
-    profile = get_regime(config.regime)
-    generator = profile.build_workload(config)
-    policy = profile.build_policy(generator)
-    fleet = profile.build_fleet(policy)
-
-    rng = np.random.default_rng(config.seed + 1000)
-    full, records_by_day = simulate_scenario_frame(generator, fleet, rng)
-    return assemble_datasets_from_frame(
-        full, records_by_day, config, generator, policy, rng,
-        sample_fraction,
-    )

@@ -16,7 +16,10 @@ proxies — into independent shards:
   retry budget into :class:`~repro.faults.ShardFailure` records
   instead of aborting the run;
 * :mod:`repro.engine.simulate` maps shards to simulated log-days and
-  writes ELFF output that is byte-identical at every worker count;
+  folds them into ELFF output that is byte-identical at every worker
+  count, or into the four analysis datasets — its
+  :func:`~repro.engine.simulate.build_scenario` is the one scenario
+  builder (:func:`repro.datasets.build_scenario` is the same function);
 * :mod:`repro.engine.analyze` map-reduces the streaming analysis over
   log files via the accumulators' ``merge``.
 
@@ -51,16 +54,13 @@ from repro.engine.shards import (
     plan_shards,
 )
 from repro.engine.simulate import (
-    build_scenario_sharded,
+    build_scenario,
     day_pipeline,
     scenario_context,
-    simulate_day_records,
     simulate_fingerprint,
     simulate_into,
-    simulate_shard,
     simulate_sink_shard,
     simulate_to_logs,
-    write_logs,
 )
 
 __all__ = [
@@ -73,18 +73,15 @@ __all__ = [
     "SimShard",
     "analyze_logs",
     "analyze_shard",
-    "build_scenario_sharded",
+    "build_scenario",
     "child_seed",
     "day_pipeline",
     "load_frames",
     "plan_shards",
     "run_sharded",
     "scenario_context",
-    "simulate_day_records",
     "simulate_fingerprint",
     "simulate_into",
-    "simulate_shard",
     "simulate_sink_shard",
     "simulate_to_logs",
-    "write_logs",
 ]

@@ -5,10 +5,11 @@ batches of ``batch_size`` rows:
 ``DayTrafficSource → FleetStage → AnonymizeStage → <sink>``.  A worker
 rebuilds the scenario context (generator + policy + fleet, all three
 supplied by the config's registered regime profile — see
-:mod:`repro.regimes`) deterministically from the config — ground truth
-is a pure function of the seed, so every process sees the same
-universe — and caches it per process, so a nine-shard run costs one
-construction per worker, not one per shard.
+:mod:`repro.regimes` — and the policy under the config's named what-if
+transform, if any) deterministically from the config — ground truth is
+a pure function of the seed, so every process sees the same universe —
+and caches it per process, so a nine-shard run costs one construction
+per worker, not one per shard.
 
 The sink is the caller's choice: :func:`simulate_into` runs the day
 pipelines into fresh copies of any mergeable
@@ -18,14 +19,13 @@ how every consumer fuses onto one traversal:
 * :func:`simulate_to_logs` (the CLI's ``simulate``) streams each day
   straight into grouped ELFF parts on disk — generation, filtering, and
   serialization in a single pass, optionally gzip-compressed;
-* :func:`build_scenario_sharded` (the ``report`` pipeline) folds each
-  day straight into columnar frame buffers, so the full record list is
-  never materialized;
-* :func:`simulate_day_records` / :func:`write_logs` keep the legacy
-  list-shaped API on the same pipeline core.
+* :func:`build_scenario` (``report``, ``compare``, and every fixture,
+  example and bench; re-exported as :func:`repro.datasets.
+  build_scenario`) folds each day straight into columnar frame
+  buffers, so the full record list is never materialized.
 
 Output is byte-identical at every worker count and batch size for
-all of them.
+both.
 """
 
 from __future__ import annotations
@@ -38,15 +38,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.datasets import ScenarioDatasets
 from repro.datasets.builder import (
-    DEFAULT_SAMPLE_FRACTION,
+    ScenarioDatasets,
     assemble_datasets_from_frame,
 )
 from repro.engine.pool import RetryPolicy, run_sharded
 from repro.engine.shards import child_seed, plan_shards
 from repro.faults import FaultPlan, ShardFailureReport
-from repro.logmodel.record import LogRecord
 from repro.metrics import MetricsRegistry, current_registry
 from repro.pipeline import (
     BATCH_SIZE,
@@ -56,7 +54,6 @@ from repro.pipeline import (
     FrameSink,
     GroupedElffSink,
     Pipeline,
-    RecordListSink,
     Sink,
     temporary_spool,
 )
@@ -95,7 +92,9 @@ def scenario_context(config: ScenarioConfig) -> SimContext:
 
     The config's regime profile supplies all three layers: the
     workload, the policy over its ground truth, and the appliance
-    fleet that filters it.
+    fleet that filters it.  A config naming a ``policy_transform``
+    deploys the registered what-if (:mod:`repro.scenarios`) over the
+    profile's policy, so every worker rebuilds the same policy.
     """
     global _CONTEXT
     if _CONTEXT is not None and _CONTEXT[0] == config:
@@ -103,6 +102,12 @@ def scenario_context(config: ScenarioConfig) -> SimContext:
     profile = get_regime(config.regime)
     generator = profile.build_workload(config)
     policy = profile.build_policy(generator)
+    if config.policy_transform is not None:
+        from repro.scenarios import get_policy_transform
+
+        policy = get_policy_transform(config.policy_transform)(
+            policy, generator
+        )
     context = SimContext(
         profile=profile,
         generator=generator,
@@ -198,14 +203,6 @@ def simulate_sink_shard(
     return sink
 
 
-def simulate_shard(
-    payload: tuple[ScenarioConfig, str, np.random.SeedSequence],
-) -> list[LogRecord]:
-    """Generate, filter, and anonymize one log-day as a record list."""
-    config, day, seed = payload
-    return simulate_sink_shard((config, day, seed, RecordListSink())).records
-
-
 def simulate_into(
     config: ScenarioConfig,
     sink: Sink,
@@ -261,43 +258,6 @@ def simulate_into(
     return sink, records_by_day
 
 
-def simulate_day_records(
-    config: ScenarioConfig,
-    *,
-    workers: int = 1,
-    metrics: MetricsRegistry | None = None,
-    retry: RetryPolicy | None = None,
-    allow_partial: bool = False,
-    failures: ShardFailureReport | None = None,
-    fault_plan: FaultPlan | None = None,
-    checkpoint: RunCheckpoint | None = None,
-) -> dict[str, list[LogRecord]]:
-    """Simulate every configured log-day, in day order.
-
-    The returned mapping iterates in ``config.days`` order regardless
-    of worker count or completion order.  In partial mode, quarantined
-    days are absent from the mapping.
-    """
-    plan = plan_shards(config)
-    results = run_sharded(
-        simulate_shard,
-        [(config, shard.day, shard.seed) for shard in plan.shards],
-        workers=workers,
-        labels=[shard.shard_id for shard in plan.shards],
-        metrics=metrics,
-        retry=retry,
-        strict=not allow_partial,
-        failures=failures,
-        fault_plan=fault_plan,
-        checkpoint=checkpoint,
-    )
-    return {
-        shard.day: records
-        for shard, records in zip(plan.shards, results)
-        if records is not None
-    }
-
-
 def simulate_to_logs(
     config: ScenarioConfig,
     out_dir: Path | str,
@@ -319,8 +279,7 @@ def simulate_to_logs(
     Every batch is encoded the moment the fleet emits it — no
     intermediate record list — into the shard's spooled ELFF parts, and
     the merge concatenates the parts in day order, so output bytes are
-    identical to the legacy simulate-then-:func:`write_logs` two-step at
-    every worker count, in memory bounded by a batch.  With a
+    identical at every worker count, in memory bounded by a batch.  With a
     *checkpoint*, the parts live in its ledger (so a resumed run reuses
     them); otherwise in a temporary spool beside *out_dir*, removed when
     the run ends.  ``compress=True`` writes deterministic ``.log.gz``
@@ -342,11 +301,10 @@ def simulate_to_logs(
         return merged.write_dir(Path(out_dir))
 
 
-def build_scenario_sharded(
+def build_scenario(
     config: ScenarioConfig | None = None,
     *,
     workers: int = 1,
-    sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
     metrics: MetricsRegistry | None = None,
     retry: RetryPolicy | None = None,
     allow_partial: bool = False,
@@ -355,19 +313,21 @@ def build_scenario_sharded(
     checkpoint: RunCheckpoint | None = None,
     batch_size: int = BATCH_SIZE,
 ) -> ScenarioDatasets:
-    """Sharded counterpart of :func:`repro.datasets.build_scenario`.
+    """Simulate a scenario and assemble its four analysis datasets.
 
     Fused: each day shard folds straight into columnar frame buffers
     (:class:`~repro.pipeline.FrameSink`), so the full record list is
     never materialized — memory is the frame plus one in-flight shard.
-    Deterministic for a given config at every worker count (the D_sample
-    draw uses the plan's dedicated sampling seed).  The random streams
-    are sharded per day, so the numbers differ from the serial
-    builder's single-stream run of the same seed — by design: the
-    engine's invariant is worker-count independence, not equality with
-    the legacy stream layout.
+    Deterministic for a given config at every worker count: each day
+    draws from its own shard streams, and the D_sample draw from the
+    plan's dedicated sampling seed.  The config's regime profile
+    supplies the workload, policy and fleet, and its
+    ``policy_transform`` names the what-if policy, if any.
     """
     config = config or ScenarioConfig()
+    # Built before any shard runs, so an unknown regime or transform
+    # fails here rather than inside a shard.
+    context = scenario_context(config)
     plan = plan_shards(config)
     sink, records_by_day = simulate_into(
         config, FrameSink(), workers=workers, metrics=metrics,
@@ -375,7 +335,6 @@ def build_scenario_sharded(
         fault_plan=fault_plan, checkpoint=checkpoint,
         batch_size=batch_size,
     )
-    context = scenario_context(config)
     rng = np.random.default_rng(plan.sampling_seed)
     assemble_timer = (
         metrics.timer("engine.assemble_seconds")
@@ -385,31 +344,5 @@ def build_scenario_sharded(
     with assemble_timer:
         return assemble_datasets_from_frame(
             sink.frame(), records_by_day, config, context.generator,
-            context.policy, rng, sample_fraction,
+            context.policy, rng,
         )
-
-
-def write_logs(
-    day_records: dict[str, list[LogRecord]],
-    out_dir: Path,
-    *,
-    per_proxy: bool = False,
-    per_day: bool = False,
-    compress: bool = False,
-) -> list[tuple[Path, int]]:
-    """Write simulated days as ELFF files; returns ``(path, count)``s.
-
-    List-taking wrapper over :class:`~repro.pipeline.GroupedElffSink`
-    (the fused path is :func:`simulate_to_logs`).  Grouping mirrors the
-    leak's file structure: combined ``proxies.log`` by default,
-    ``sg-NN[_day].log`` with the flags.  Records are written in day
-    order within each file, so output bytes depend only on the day
-    shards, never on worker scheduling.
-    """
-    with temporary_spool(out_dir) as spool:
-        sink = GroupedElffSink(
-            spool, per_proxy=per_proxy, per_day=per_day, compress=compress
-        )
-        for records in day_records.values():
-            sink.consume(records)
-        return sink.write_dir(Path(out_dir))

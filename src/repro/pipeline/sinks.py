@@ -327,8 +327,7 @@ class GroupedElffSink(Sink):
 
     Grouping mirrors the leak's file structure: one combined
     ``proxies`` group by default, ``sg-NN[_day]`` stems with the
-    flags — the same naming :func:`~repro.engine.simulate.write_logs`
-    has always produced.  Every group spools its parts into *spool*.
+    flags.  Every group spools its parts into *spool*.
     ``compress=True`` makes :meth:`write_dir` emit ``.log.gz`` files.
     """
 

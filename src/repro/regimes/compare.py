@@ -115,13 +115,13 @@ def compare_regimes(
     regime's datasets (its summary covers the surviving days; the
     shared *failures* report names which shards, per regime).
     """
-    from repro.engine.simulate import build_scenario_sharded
+    from repro.engine.simulate import build_scenario
 
     for name in regimes:
         get_regime(name)  # fail fast on unknown names, before any work
     summaries = []
     for name in regimes:
-        datasets = build_scenario_sharded(
+        datasets = build_scenario(
             replace(config, regime=name),
             workers=workers,
             batch_size=batch_size,

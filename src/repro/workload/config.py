@@ -78,6 +78,9 @@ class ScenarioConfig:
     torrent_contents: int = 1200
     user_scale: float = 1.0  # multiplies the derived population size
     user_day_boost: float = 1.0  # volume multiplier for the July days
+    #: A registered what-if policy (see :mod:`repro.scenarios`) deployed
+    #: over the regime's policy; ``None`` deploys the policy as built.
+    policy_transform: str | None = None
 
     def boost(self, component: str) -> float:
         return self.boosts.get(component, 1.0)
@@ -111,6 +114,20 @@ class ScenarioConfig:
             weights[day] = weight
         total = sum(weights.values())
         return {day: weight / total for day, weight in weights.items()}
+
+
+def report_config(
+    total_requests: int, seed: int, regime: str = "syria"
+) -> ScenarioConfig:
+    """The scenario ``repro report`` builds: the default boosts plus the
+    July-day boost (also the benchmarks' main ``bench_scenario``)."""
+    return ScenarioConfig(
+        total_requests=total_requests,
+        seed=seed,
+        regime=regime,
+        boosts=dict(DEFAULT_BOOSTS),
+        user_day_boost=DEFAULT_USER_DAY_BOOST,
+    )
 
 
 def small_config(total_requests: int = 40_000, seed: int = 7) -> ScenarioConfig:

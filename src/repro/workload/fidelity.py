@@ -41,7 +41,8 @@ def measure_fidelity(
 ) -> FidelityReport:
     """Compare generated streams against the configuration.
 
-    ``day_streams`` is what ``TrafficGenerator.generate()`` yields.
+    ``day_streams`` pairs each day with its
+    ``TrafficGenerator.generate_day`` batch.
     """
     component_counts: Counter[str] = Counter()
     day_counts: Counter[str] = Counter()

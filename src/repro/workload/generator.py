@@ -1,8 +1,8 @@
 """The top-level traffic generator.
 
 Assembles the components over a :class:`~repro.workload.config.
-ScenarioConfig` and yields the merged, time-ordered request stream per
-day as a :class:`~repro.traffic.RequestBatch`.  Also exposes the
+ScenarioConfig` and builds one day's merged, time-ordered request
+stream as a :class:`~repro.traffic.RequestBatch`.  Also exposes the
 ground-truth artifacts the policy builder and the analyses need: the
 site universe, the Tor directory, the torrent catalog, and the blocked
 anonymizer endpoint addresses.
@@ -11,7 +11,6 @@ anonymizer endpoint addresses.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from repro.workload.tortraffic import TorComponent
 
 
 class TrafficGenerator:
-    """Generates the full multi-day request stream for a scenario."""
+    """Generates a scenario's request stream, one log-day at a time."""
 
     def __init__(self, config: ScenarioConfig, sites: list[SiteSpec] | None = None):
         self.config = config
@@ -119,8 +118,3 @@ class TrafficGenerator:
             registry.observe("workload.seconds", time.perf_counter() - started)
         return batch
 
-    def generate(self) -> Iterator[tuple[str, RequestBatch]]:
-        """Yield ``(day, requests)`` for every configured day."""
-        rng = np.random.default_rng(self.config.seed)
-        for day in self.config.days:
-            yield day, self.generate_day(day, rng)

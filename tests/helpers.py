@@ -1,13 +1,19 @@
-"""Shared test helpers: compact frame/record construction."""
+"""Shared test helpers: compact frame/record construction, and the
+engine's simulated days as record lists and request batches."""
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 
+from repro.engine import child_seed, plan_shards, simulate_into
 from repro.frame import LogFrame, frame_from_records
 from repro.logmodel.record import LogRecord
+from repro.pipeline import RecordListSink
 from repro.timeline import day_epoch
-from repro.traffic import Request
+from repro.traffic import Request, RequestBatch
+from repro.workload import ScenarioConfig, TrafficGenerator
 
 DEFAULT_EPOCH = day_epoch("2011-08-03") + 10 * 3600
 
@@ -70,3 +76,30 @@ def tunnel_request(host: str = "www.example.com", **overrides) -> Request:
     )
     fields.update(overrides)
     return Request(**fields)
+
+
+def day_records(
+    config: ScenarioConfig, **options
+) -> dict[str, list[LogRecord]]:
+    """Every simulated log-day as a record list, in day order.
+
+    The engine run into a :class:`~repro.pipeline.RecordListSink`;
+    *options* pass through to :func:`repro.engine.simulate_into`, and a
+    quarantined day is absent from the mapping.
+    """
+    sink, by_day = simulate_into(config, RecordListSink(), **options)
+    records = iter(sink.records)
+    return {day: list(islice(records, count)) for day, count in by_day.items()}
+
+
+def day_streams(
+    generator: TrafficGenerator,
+) -> list[tuple[str, RequestBatch]]:
+    """``(day, requests)`` for every configured day, each day drawn from
+    its engine shard's generation stream."""
+    return [
+        (shard.day, generator.generate_day(
+            shard.day, np.random.default_rng(child_seed(shard.seed, 0))
+        ))
+        for shard in plan_shards(generator.config).shards
+    ]

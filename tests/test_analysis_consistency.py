@@ -78,9 +78,17 @@ class TestDomainLevel:
         """
         import numpy as np
 
-        from repro.datasets.builder import simulate_scenario_frame
+        from repro.engine import child_seed, plan_shards
+        from repro.pipeline import (
+            AnonymizeStage,
+            DayTrafficSource,
+            FleetStage,
+            FrameSink,
+            Pipeline,
+        )
         from repro.policy.cache import DEFAULT_CACHE_RATE, CacheModel
         from repro.proxy import ProxyFleet
+        from repro.timeline import USER_SLICE_DAYS, day_span
 
         result = proxied_consistency_by_domain(scenario.full)
         assert result.clean_proxied_rows > 0
@@ -90,9 +98,22 @@ class TestDomainLevel:
         fleet = ProxyFleet(
             scenario.policy, cache=CacheModel(10 * DEFAULT_CACHE_RATE)
         )
-        frame, _ = simulate_scenario_frame(
-            scenario.generator, fleet, np.random.default_rng(0)
-        )
+        anonymize = AnonymizeStage([day_span(d) for d in USER_SLICE_DAYS])
+        sink = FrameSink()
+        for shard in plan_shards(scenario.config).shards:
+            Pipeline(
+                DayTrafficSource(
+                    scenario.generator, shard.day,
+                    np.random.default_rng(child_seed(shard.seed, 0)),
+                ),
+                (
+                    FleetStage(
+                        fleet, np.random.default_rng(child_seed(shard.seed, 1))
+                    ),
+                    anonymize,
+                ),
+            ).run(sink)
+        frame = sink.frame()
         boosted = proxied_consistency_by_domain(frame)
         assert boosted.inconsistency_found
         assert boosted.consistent > boosted.contradictory

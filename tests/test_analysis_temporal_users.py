@@ -1,6 +1,8 @@
 """Tests for analysis.temporal (Fig 5/6, Table 5) and analysis.users
 (Fig 4)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from repro.analysis.temporal import (
     traffic_timeseries,
 )
 from repro.analysis.users import user_analysis
+from repro.datasets import build_scenario
 from repro.timeline import PROTEST_DAY, day_epoch, day_span
+from repro.workload.config import small_config
 from tests.helpers import allowed_row, censored_row, make_frame
 
 
@@ -79,9 +83,19 @@ class TestRcv:
         peaks = series.peak_bins(0.5)
         assert at(day, 8.0) // 300 * 300 in peaks
 
-    def test_protest_morning_peak_on_scenario(self, scenario):
+    @pytest.fixture(scope="class")
+    def protest_day(self):
+        """The 50 K scenario's volume on Aug 3 alone.  Spread over nine
+        days, the surge window holds only 10–24 censored requests; here
+        the estimator reads 1.73–2.41 at seeds 1–12, and 0.76–1.43 with
+        the IM surges removed."""
+        return build_scenario(
+            replace(small_config(50_000, seed=11), days=(PROTEST_DAY,))
+        )
+
+    def test_protest_morning_peak_on_scenario(self, protest_day):
         """Fig. 6: the 8:00-9:30 surge roughly doubles RCV."""
-        series = relative_censored_volume(scenario.full, PROTEST_DAY)
+        series = relative_censored_volume(protest_day.full, PROTEST_DAY)
         rcv = series.rcv
         surge = np.nanmean(rcv[int(8 * 12): int(9.5 * 12)])
         baseline = np.nanmean(rcv[int(13.5 * 12): int(20 * 12)])

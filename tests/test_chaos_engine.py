@@ -27,7 +27,6 @@ from repro.engine import (
     ShardError,
     analyze_logs,
     run_sharded,
-    simulate_day_records,
     simulate_to_logs,
 )
 from repro.faults import (
@@ -39,6 +38,7 @@ from repro.faults import (
 )
 from repro.metrics import METRICS_SCHEMA, MetricsRegistry
 from repro.workload.config import ScenarioConfig, small_config
+from tests.helpers import day_records
 
 #: Same tiny scenario as test_engine, so the cached per-process
 #: scenario context is shared across the two modules.
@@ -63,8 +63,8 @@ def _crash_plan(shard_id: str) -> FaultPlan:
 class TestRetryTransparency:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_day_records_identical_to_fault_free(self, workers):
-        clean = simulate_day_records(TINY, workers=1)
-        noisy = simulate_day_records(
+        clean = day_records(TINY, workers=1)
+        noisy = day_records(
             TINY, workers=workers, retry=FAST, fault_plan=NOISY
         )
         assert noisy == clean
@@ -85,8 +85,8 @@ class TestRetryTransparency:
         plan = FaultPlan(rules=(
             FaultRule(site="shard.start", fail_attempts=2),
         ))
-        clean = simulate_day_records(TINY, workers=1)
-        assert simulate_day_records(
+        clean = day_records(TINY, workers=1)
+        assert day_records(
             TINY, workers=1, retry=FAST, fault_plan=plan
         ) == clean
 
@@ -107,7 +107,7 @@ class TestRetryTransparency:
 
     def test_retry_counter_counts_the_injections(self):
         metrics = MetricsRegistry()
-        simulate_day_records(
+        day_records(
             TINY, workers=1, retry=FAST, fault_plan=NOISY,
             metrics=metrics,
         )
@@ -120,10 +120,10 @@ class TestRetryTransparency:
 class TestQuarantineEquivalence:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_killed_day_is_absent_and_rest_identical(self, workers):
-        clean = simulate_day_records(TINY, workers=1)
+        clean = day_records(TINY, workers=1)
         victim = TINY.days[1]
         failures = ShardFailureReport()
-        partial = simulate_day_records(
+        partial = day_records(
             TINY, workers=workers, retry=FAST,
             fault_plan=_crash_plan(f"day:{victim}"),
             allow_partial=True, failures=failures,
@@ -138,7 +138,7 @@ class TestQuarantineEquivalence:
     def test_failure_record_names_site_attempts_and_error(self):
         victim = TINY.days[0]
         failures = ShardFailureReport()
-        simulate_day_records(
+        day_records(
             TINY, workers=1, retry=FAST,
             fault_plan=_crash_plan(f"day:{victim}"),
             allow_partial=True, failures=failures,
@@ -171,7 +171,7 @@ class TestQuarantineEquivalence:
     def test_strict_mode_still_raises_shard_error(self, workers):
         victim = TINY.days[1]
         with pytest.raises(ShardError) as excinfo:
-            simulate_day_records(
+            day_records(
                 TINY, workers=workers, retry=FAST,
                 fault_plan=_crash_plan(f"day:{victim}"),
             )
@@ -184,7 +184,7 @@ class TestQuarantineEquivalence:
                       fail_attempts=99),
         ))
         failures = ShardFailureReport()
-        partial = simulate_day_records(
+        partial = day_records(
             TINY, workers=1,
             retry=RetryPolicy(max_retries=1, backoff_base=0.0),
             fault_plan=plan, allow_partial=True, failures=failures,
@@ -195,7 +195,7 @@ class TestQuarantineEquivalence:
 
     def test_metrics_carries_the_failures(self):
         metrics = MetricsRegistry()
-        simulate_day_records(
+        day_records(
             TINY, workers=1, retry=FAST,
             fault_plan=_crash_plan(f"day:{TINY.days[2]}"),
             allow_partial=True, metrics=metrics,
@@ -472,8 +472,8 @@ class TestRegimeChaosParity:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pakistan_day_records_identical_under_faults(self, workers):
-        clean = simulate_day_records(self.PK, workers=1)
-        noisy = simulate_day_records(
+        clean = day_records(self.PK, workers=1)
+        noisy = day_records(
             self.PK, workers=workers, retry=FAST, fault_plan=NOISY
         )
         assert noisy == clean
@@ -501,7 +501,7 @@ class TestRegimeChaosParity:
     def test_pakistan_quarantine_names_the_killed_day(self):
         victim = self.PK.days[1]
         failures = ShardFailureReport()
-        partial = simulate_day_records(
+        partial = day_records(
             self.PK, workers=1, retry=FAST,
             fault_plan=_crash_plan(f"day:{victim}"),
             allow_partial=True, failures=failures,

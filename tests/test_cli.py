@@ -110,6 +110,34 @@ class TestReport:
         assert "metacafe.com" in text
         assert "recovered keywords" in capsys.readouterr().out
 
+    def test_markdown_is_the_report_of_the_bench_config(self, tmp_path):
+        """``report`` prints the tables of the one scenario builder,
+        over the benchmarks' config: the default boosts plus the
+        July-day boost."""
+        from repro.analysis.report import build_report
+        from repro.datasets import build_scenario
+        from repro.reporting.markdown import report_to_markdown
+        from repro.workload.config import (
+            DEFAULT_BOOSTS,
+            DEFAULT_USER_DAY_BOOST,
+            ScenarioConfig,
+        )
+
+        out = tmp_path / "report.md"
+        assert main([
+            "report", "--requests", "8000", "--seed", "4",
+            "--markdown", str(out),
+        ]) == 0
+        config = ScenarioConfig(
+            total_requests=8000, seed=4, boosts=dict(DEFAULT_BOOSTS),
+            user_day_boost=DEFAULT_USER_DAY_BOOST,
+        )
+        expected = report_to_markdown(
+            build_report(build_scenario(config)),
+            title="Censorship report — 8,000 requests, seed 4",
+        )
+        assert out.read_text() == expected
+
 
 class TestWorkers:
     """The --workers flag: accepted on simulate/analyze/report,

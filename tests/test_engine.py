@@ -20,22 +20,25 @@ from repro.engine import (
     EngineFallbackWarning,
     ShardError,
     analyze_logs,
-    build_scenario_sharded,
+    build_scenario,
     child_seed,
     plan_shards,
     run_sharded,
-    simulate_day_records,
     simulate_into,
     simulate_to_logs,
-    write_logs,
 )
-from repro.pipeline import StreamingAnalysisSink
+from repro.pipeline import (
+    GroupedElffSink,
+    RecordListSink,
+    StreamingAnalysisSink,
+    temporary_spool,
+)
 from repro.engine import pool as pool_module
 from repro.engine import simulate as simulate_module
 from repro.logmodel.elff import write_log
 from repro.logmodel.fields import FIELDS
 from repro.workload.config import ScenarioConfig, small_config
-from tests.helpers import make_record
+from tests.helpers import day_records, make_record
 
 #: Tiny but multi-day scenario used by the determinism tests.
 TINY = small_config(6_000, seed=5)
@@ -195,34 +198,45 @@ class TestRunSharded:
 
 # -- simulation determinism --------------------------------------------------
 
+def _write_records(records, out_dir, **grouping):
+    """Write a materialized record list as ELFF files: the list-shaped
+    reference the fused simulate-and-write pass must match."""
+    with temporary_spool(out_dir) as spool:
+        sink = GroupedElffSink(spool, **grouping)
+        sink.consume(records)
+        return sink.write_dir(out_dir)
+
+
 class TestSimulationDeterminism:
     def test_day_records_identical_across_worker_counts(self):
-        serial = simulate_day_records(TINY, workers=1)
-        parallel = simulate_day_records(TINY, workers=3)
+        serial = day_records(TINY, workers=1)
+        parallel = day_records(TINY, workers=3)
         assert list(serial) == list(parallel) == list(TINY.days)
         for day in serial:
             assert serial[day] == parallel[day]
 
     def test_breakdown_identical_across_worker_counts(self):
-        serial = simulate_day_records(TINY, workers=1)
-        parallel = simulate_day_records(TINY, workers=2)
+        serial = day_records(TINY, workers=1)
+        parallel = day_records(TINY, workers=2)
         fold = lambda days: StreamingAnalysis().consume(
             record for records in days.values() for record in records
         )
         assert fold(serial) == fold(parallel)
 
     def test_shard_failure_names_the_day(self, monkeypatch):
-        def broken_shard(payload):
+        def broken_shard(payload, batch_size):
             raise RuntimeError("shard exploded")
 
-        monkeypatch.setattr(simulate_module, "simulate_shard", broken_shard)
+        monkeypatch.setattr(
+            simulate_module, "simulate_sink_shard", broken_shard
+        )
         with pytest.raises(ShardError) as excinfo:
-            simulate_day_records(TINY, workers=1)
+            day_records(TINY, workers=1)
         assert excinfo.value.shard_id == f"day:{TINY.days[0]}"
 
-    def test_build_scenario_sharded_identical_across_worker_counts(self):
-        serial = build_scenario_sharded(TINY, workers=1)
-        parallel = build_scenario_sharded(TINY, workers=2)
+    def test_build_scenario_identical_across_worker_counts(self):
+        serial = build_scenario(TINY, workers=1)
+        parallel = build_scenario(TINY, workers=2)
         assert serial.records_by_day == parallel.records_by_day
         assert serial.summary() == parallel.summary()
         for column in ("epoch", "cs_host", "x_exception_id", "c_ip"):
@@ -250,11 +264,13 @@ class TestSimulationDeterminism:
 
     def test_fused_simulate_to_logs_matches_legacy_two_step(self, tmp_path):
         """The fused pass (records never materialized) must write the
-        exact bytes of simulate-then-write_logs, in every grouping, at
-        every worker count."""
-        day_records = simulate_day_records(TINY, workers=1)
+        exact bytes of simulating a record list and then writing it, in
+        every grouping, at every worker count."""
+        records, _ = simulate_into(TINY, RecordListSink(), workers=1)
         legacy_dir = tmp_path / "legacy"
-        write_logs(day_records, legacy_dir, per_proxy=True, per_day=True)
+        _write_records(
+            records.records, legacy_dir, per_proxy=True, per_day=True
+        )
         for workers in (1, 3):
             fused_dir = tmp_path / f"fused-{workers}"
             written = simulate_to_logs(
@@ -270,8 +286,8 @@ class TestSimulationDeterminism:
                 ).read_bytes(), path.name
 
     def test_fused_combined_output_matches_legacy(self, tmp_path):
-        day_records = simulate_day_records(TINY, workers=1)
-        write_logs(day_records, tmp_path / "legacy")
+        records, _ = simulate_into(TINY, RecordListSink(), workers=1)
+        _write_records(records.records, tmp_path / "legacy")
         simulate_to_logs(TINY, tmp_path / "fused", workers=2)
         assert (tmp_path / "fused" / "proxies.log").read_bytes() == (
             tmp_path / "legacy" / "proxies.log"
@@ -298,7 +314,7 @@ class TestSimulationDeterminism:
         path) equals analyzing the materialized records."""
         reference = StreamingAnalysis().consume(
             record
-            for records in simulate_day_records(TINY, workers=1).values()
+            for records in day_records(TINY, workers=1).values()
             for record in records
         )
         for workers in (1, 2):
@@ -308,10 +324,10 @@ class TestSimulationDeterminism:
             assert sink.analysis == reference
             assert sum(by_day.values()) == reference.total
 
-    def test_write_logs_grouping_matches_leak_structure(self, tmp_path):
-        day_records = simulate_day_records(TINY, workers=1)
-        written = write_logs(
-            day_records, tmp_path, per_proxy=True, per_day=True
+    def test_log_grouping_matches_leak_structure(self, tmp_path):
+        days = day_records(TINY, workers=1)
+        written = simulate_to_logs(
+            TINY, tmp_path, per_proxy=True, per_day=True
         )
         names = {path.name for path, _ in written}
         assert "sg-42_2011-07-22.log" in names
@@ -320,7 +336,7 @@ class TestSimulationDeterminism:
             name.startswith("sg-43_2011-07") for name in names
         )
         assert sum(count for _, count in written) == sum(
-            len(records) for records in day_records.values()
+            len(records) for records in days.values()
         )
 
 
@@ -330,8 +346,7 @@ class TestAnalyzeEngine:
     @pytest.fixture(scope="class")
     def log_paths(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("engine-logs")
-        day_records = simulate_day_records(TINY, workers=1)
-        return [path for path, _ in write_logs(day_records, out, per_day=True)]
+        return [path for path, _ in simulate_to_logs(TINY, out, per_day=True)]
 
     def test_parallel_matches_serial(self, log_paths):
         serial, serial_stats = analyze_logs(log_paths, workers=1)

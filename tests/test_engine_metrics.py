@@ -20,12 +20,12 @@ from repro.engine import (
     analyze_logs,
     load_frames,
     run_sharded,
-    simulate_day_records,
-    write_logs,
+    simulate_to_logs,
 )
 from repro.engine import pool as pool_module
 from repro.metrics import METRICS_SCHEMA, MetricsRegistry, current_registry
 from repro.workload.config import small_config
+from tests.helpers import day_records
 
 TINY = small_config(5_000, seed=11)
 
@@ -131,8 +131,8 @@ class TestFallbackMetrics:
 class TestPipelineMetrics:
     def test_simulate_counters_worker_invariant(self):
         serial, parallel = MetricsRegistry(), MetricsRegistry()
-        records_serial = simulate_day_records(TINY, workers=1, metrics=serial)
-        records_parallel = simulate_day_records(
+        records_serial = day_records(TINY, workers=1, metrics=serial)
+        records_parallel = day_records(
             TINY, workers=3, metrics=parallel
         )
         assert records_serial == records_parallel
@@ -151,16 +151,16 @@ class TestPipelineMetrics:
         )
 
     def test_simulation_unperturbed_by_metrics(self):
-        bare = simulate_day_records(TINY, workers=1)
-        instrumented = simulate_day_records(
+        bare = day_records(TINY, workers=1)
+        instrumented = day_records(
             TINY, workers=1, metrics=MetricsRegistry()
         )
         assert bare == instrumented
 
     def test_analyze_counters_match_read_stats(self, tmp_path):
         paths = [
-            path for path, _ in write_logs(
-                simulate_day_records(TINY, workers=1), tmp_path, per_day=True
+            path for path, _ in simulate_to_logs(
+                TINY, tmp_path, per_day=True
             )
         ]
         serial, parallel = MetricsRegistry(), MetricsRegistry()
@@ -174,8 +174,8 @@ class TestPipelineMetrics:
 
     def test_load_frames_collects_shard_metrics(self, tmp_path):
         paths = [
-            path for path, _ in write_logs(
-                simulate_day_records(TINY, workers=1), tmp_path, per_day=True
+            path for path, _ in simulate_to_logs(
+                TINY, tmp_path, per_day=True
             )
         ]
         metrics = MetricsRegistry()

@@ -12,7 +12,13 @@ from repro.timeline import day_epoch
 from repro.workload import TrafficGenerator
 from repro.workload.config import small_config
 from repro.workload.fidelity import measure_fidelity
-from tests.helpers import allowed_row, censored_row, make_frame, make_record
+from tests.helpers import (
+    allowed_row,
+    censored_row,
+    day_streams,
+    make_frame,
+    make_record,
+)
 
 
 class TestLenientElff:
@@ -86,7 +92,7 @@ class TestFidelity:
     def report(self):
         config = small_config(25_000, seed=13)
         generator = TrafficGenerator(config)
-        return measure_fidelity(config, list(generator.generate()))
+        return measure_fidelity(config, day_streams(generator))
 
     def test_total_close_to_configured(self, report):
         assert 0.9 * 25_000 < report.total_requests < 1.25 * 25_000

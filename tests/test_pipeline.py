@@ -198,16 +198,21 @@ class TestDegenerateSinks:
 class TestSinkMergeLaws:
     """Every sink must be a merge monoid — ``fresh()`` identity,
     associative ``merge``, and merge-of-split equals single-pass — or
-    ``run_sharded``'s reduce would depend on worker scheduling."""
+    ``run_sharded``'s reduce would depend on worker scheduling.
 
-    @settings(max_examples=40)
+    Folding an ELFF sink fsyncs every part it seals, so a disk or host
+    stall lands inside an example: these properties run without
+    Hypothesis's per-example deadline, like the other I/O-bound
+    properties in the suite."""
+
+    @settings(max_examples=40, deadline=None)
     @given(sink_prototypes(), record_batches())
     def test_fresh_is_identity(self, prototype, batch):
         folded = _fold(prototype, batch)
         assert prototype.fresh().merge(folded) == _fold(prototype, batch)
         assert folded.merge(prototype.fresh()) == _fold(prototype, batch)
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(sink_prototypes(), record_batches(10), record_batches(10),
            record_batches(10))
     def test_merge_is_associative(self, prototype, a, b, c):
@@ -219,7 +224,7 @@ class TestSinkMergeLaws:
         )
         assert left == right
 
-    @settings(max_examples=40)
+    @settings(max_examples=40, deadline=None)
     @given(sink_prototypes(), record_batches(40), st.integers(0, 40))
     def test_merge_agrees_with_single_pass(self, prototype, batch, cut):
         """Folding a split stream into fresh sinks and merging in split
@@ -231,7 +236,7 @@ class TestSinkMergeLaws:
         )
         assert merged == _fold(prototype, batch)
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     @given(record_batches(30), st.integers(0, 30))
     def test_split_frames_materialize_identically(self, batch, cut):
         cut = min(cut, len(batch))
@@ -242,7 +247,7 @@ class TestSinkMergeLaws:
         for name in reference.column_names:
             assert list(merged.frame().col(name)) == list(reference.col(name))
 
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     @given(record_batches(20), st.integers(0, 20))
     def test_pickled_shards_merge_like_local_ones(self, batch, cut):
         """A worker's sink crosses the process boundary via pickle; the
@@ -254,7 +259,7 @@ class TestSinkMergeLaws:
             merged = _fold(prototype, batch[:cut]).merge(shipped)
             assert merged == _fold(prototype, batch)
 
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     @given(record_batches(20))
     def test_streaming_sink_matches_bare_accumulator(self, batch):
         sink = _fold(StreamingAnalysisSink(), batch)

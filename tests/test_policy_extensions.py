@@ -143,6 +143,7 @@ class TestBatchedPathEquivalence:
         from repro.scenarios import streaming_curfew
         from repro.timeline import USER_SLICE_DAYS, day_span
         from repro.workload.config import small_config
+        from tests.helpers import day_streams
 
         if hasattr(cls, "_cache"):
             return cls._cache
@@ -150,10 +151,8 @@ class TestBatchedPathEquivalence:
         profile = get_regime("syria")
         generator = profile.build_workload(config)
         baseline_policy = profile.build_policy(generator)
-        curfew_policy = streaming_curfew(cls.START_HOUR, cls.END_HOUR)(
-            baseline_policy, generator
-        )
-        requests = [day_requests for _, day_requests in generator.generate()]
+        curfew_policy = streaming_curfew(baseline_policy, generator)
+        requests = [day_requests for _, day_requests in day_streams(generator)]
         spans = [day_span(day) for day in USER_SLICE_DAYS]
 
         def run(policy, batch_size):

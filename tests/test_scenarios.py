@@ -1,17 +1,14 @@
 """Tests for the what-if scenario machinery (repro.scenarios)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.common import censored_mask, domain_column
 from repro.analysis.overview import traffic_breakdown
 from repro.analysis.toranalysis import identify_tor_traffic, tor_overview
-from repro.scenarios import (
-    build_custom_scenario,
-    no_keyword_filtering,
-    streaming_curfew,
-    tor_blackout,
-)
+from repro.datasets import build_scenario
 from repro.workload.config import small_config
 
 
@@ -22,25 +19,56 @@ def config():
 
 @pytest.fixture(scope="module")
 def baseline(config):
-    return build_custom_scenario(config)
+    return build_scenario(config)
 
 
 class TestCustomScenario:
     def test_identity_transform_matches_builder(self, config, baseline):
-        from repro.datasets import build_scenario
-
-        canonical = build_scenario(config)
+        canonical = build_scenario(replace(config, policy_transform=None))
         assert baseline.summary() == canonical.summary()
 
     def test_datasets_consistent(self, baseline):
         assert (baseline.denied.col("x_exception_id") != "-").all()
         assert len(baseline.sample) == round(len(baseline.full) * 0.04)
 
+    def test_named_transform_identical_across_worker_counts(self):
+        """The name travels in the config, so a pooled worker rebuilds
+        the same what-if policy the parent would."""
+        config = replace(
+            small_config(6_000, seed=5), policy_transform="tor-blackout"
+        )
+        serial = build_scenario(config, workers=1)
+        parallel = build_scenario(config, workers=2)
+        assert serial.records_by_day == parallel.records_by_day
+        for name in ("full", "sample"):
+            ours, theirs = getattr(serial, name), getattr(parallel, name)
+            assert ours.column_names == theirs.column_names
+            for column in ours.column_names:
+                assert np.array_equal(
+                    ours.col(column), theirs.col(column)
+                ), (name, column)
+
+    def test_unknown_transform_lists_the_registered_names(self):
+        from repro.scenarios import (
+            POLICY_TRANSFORMS,
+            UnknownPolicyTransformError,
+        )
+
+        config = replace(
+            small_config(2_000, seed=5), policy_transform="tor-brownout"
+        )
+        with pytest.raises(UnknownPolicyTransformError) as excinfo:
+            build_scenario(config)
+        message = str(excinfo.value)
+        assert "'tor-brownout'" in message
+        for name in POLICY_TRANSFORMS:
+            assert name in message
+
 
 class TestTorBlackout:
     @pytest.fixture(scope="class")
     def blackout(self, config):
-        return build_custom_scenario(config, transform=tor_blackout)
+        return build_scenario(replace(config, policy_transform="tor-blackout"))
 
     def test_all_onion_traffic_censored(self, blackout):
         tor = identify_tor_traffic(
@@ -74,8 +102,8 @@ class TestTorBlackout:
 class TestStreamingCurfew:
     @pytest.fixture(scope="class")
     def curfew(self, config):
-        return build_custom_scenario(
-            config, transform=streaming_curfew(start_hour=18, end_hour=23)
+        return build_scenario(
+            replace(config, policy_transform="streaming-curfew")
         )
 
     def test_youtube_censored_in_window_only(self, curfew):
@@ -109,7 +137,9 @@ class TestStreamingCurfew:
 class TestNoKeywordFiltering:
     @pytest.fixture(scope="class")
     def stripped(self, config):
-        return build_custom_scenario(config, transform=no_keyword_filtering)
+        return build_scenario(
+            replace(config, policy_transform="no-keyword-filtering")
+        )
 
     def test_censored_volume_collapses(self, baseline, stripped):
         """The paper: 'proxy' alone is >50 % of censored traffic;

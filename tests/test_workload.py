@@ -26,7 +26,7 @@ from repro.workload.iphosts import (
 )
 from repro.workload.population import ClientPopulation, population_size_for
 from repro.workload.tortraffic import TorComponent
-from tests.helpers import rng
+from tests.helpers import day_streams, rng
 
 
 @pytest.fixture(scope="module")
@@ -296,16 +296,16 @@ class TestGenerator:
         return TrafficGenerator(small_config(8000, seed=3))
 
     def test_generates_every_day(self, generator):
-        days = [day for day, _ in generator.generate()]
+        days = [day for day, _ in day_streams(generator)]
         assert days == list(LOG_DAYS)
 
     def test_day_stream_sorted(self, generator):
-        _, requests = next(iter(generator.generate()))
+        _, requests = day_streams(generator)[0]
         epochs = [r.epoch for r in requests]
         assert epochs == sorted(epochs)
 
     def test_total_volume_close_to_configured(self, generator):
-        total = sum(len(reqs) for _, reqs in generator.generate())
+        total = sum(len(reqs) for _, reqs in day_streams(generator))
         assert 0.9 * 8000 < total < 1.25 * 8000
 
     def test_blocked_anonymizer_addresses_exposed(self, generator):

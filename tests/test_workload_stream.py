@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import build_scenario_sharded, simulate_to_logs
+from repro.engine import build_scenario, simulate_to_logs
 from repro.engine.simulate import scenario_context
 from repro.metrics import MetricsRegistry, use_registry
 from repro.timeline import PROTEST_DAY, day_span
@@ -178,7 +178,7 @@ class TestNoRequestObjects:
         assert (tmp_path / "proxies.log").stat().st_size > 0
 
     def test_report_path_builds_no_request(self, forbid_requests):
-        datasets = build_scenario_sharded(small_config(3_000, seed=9))
+        datasets = build_scenario(small_config(3_000, seed=9))
         assert len(datasets.full) > 0
 
 
