@@ -8,6 +8,9 @@ files still support the full analysis — the property that made the
 paper possible.
 
 Run:  python examples/release_pipeline.py [output_dir]
+
+Without *output_dir* the release goes to a temporary directory that is
+removed when the script finishes.
 """
 
 from __future__ import annotations
@@ -26,9 +29,16 @@ from repro.workload.config import small_config
 
 
 def main() -> None:
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
-        tempfile.mkdtemp(prefix="syria-release-")
-    )
+    if len(sys.argv) > 1:
+        release(Path(sys.argv[1]))
+        print(f"\nRelease directory: {sys.argv[1]}")
+        return
+    with tempfile.TemporaryDirectory(prefix="syria-release-") as out:
+        release(Path(out))
+
+
+def release(out: Path) -> None:
+    """Publish, audit and re-analyze a simulated release in *out*."""
     out.mkdir(parents=True, exist_ok=True)
 
     # 1. Simulate the deployment (anonymization happens at build time,
@@ -86,7 +96,6 @@ def main() -> None:
           f"censored {breakdown.censored_pct:.2f}%")
     censored = top_domains(published).censored[:5]
     print("   top censored:", ", ".join(r.domain for r in censored))
-    print(f"\nRelease directory: {out}")
 
 
 if __name__ == "__main__":

@@ -723,7 +723,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     config = report_config(args.requests, args.seed, regime=args.regime)
     checkpoint = _checkpoint_for(args, run_fingerprint(
         "report", config=config_digest(config), regime=config.regime,
-        **stream_versions(),
+        **stream_versions(config),
     ))
     datasets = build_scenario(
         config, workers=args.workers, metrics=metrics, retry=retry,

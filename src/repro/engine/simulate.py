@@ -57,7 +57,6 @@ from repro.pipeline import (
     Sink,
     temporary_spool,
 )
-from repro.proxy.sg9000 import FLEET_STREAM
 from repro.regimes import ApplianceFleet, RegimeProfile, get_regime
 from repro.runstate import (
     RunCheckpoint,
@@ -119,15 +118,19 @@ def scenario_context(config: ScenarioConfig) -> SimContext:
     return context
 
 
-def stream_versions() -> dict[str, int]:
+def stream_versions(config: ScenarioConfig) -> dict[str, int]:
     """The random-stream layout facets of a run fingerprint.
 
     ``simulate``, ``run-distributed`` and ``report`` all fingerprint
     with them: a ledger written under another generator
-    (``workload_stream``) or fleet (``fleet_stream``) layout holds other
-    bytes, so it never resumes.
+    (``workload_stream``) or fleet (``fleet_stream``, the config's
+    regime's :attr:`~repro.regimes.RegimeProfile.fleet_stream`) layout
+    holds other bytes, so it never resumes.
     """
-    return {"fleet_stream": FLEET_STREAM, "workload_stream": WORKLOAD_STREAM}
+    return {
+        "fleet_stream": get_regime(config.regime).fleet_stream,
+        "workload_stream": WORKLOAD_STREAM,
+    }
 
 
 def simulate_fingerprint(
@@ -156,7 +159,7 @@ def simulate_fingerprint(
         per_proxy=per_proxy,
         per_day=per_day,
         compress=compress,
-        **stream_versions(),
+        **stream_versions(config),
     )
 
 

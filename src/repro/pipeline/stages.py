@@ -21,14 +21,12 @@ class FleetStage(Stage):
 
     The fleet's only entry point is :meth:`batch_items`: the stream is
     one or more :class:`~repro.traffic.RequestBatch` (a day each), and
-    it filters them ``batch_size`` requests at a time into log columns.
-    A fleet with ``process_batch`` (the Syrian
-    :class:`~repro.proxy.ProxyFleet`) filters each chunk in one call,
-    and its stream layout makes every chunking draw the same *rng*
-    values; any other fleet gets the chunk's
-    :class:`~repro.traffic.Request` rows one at a time, in stream
-    order.  Each chunk's filtering time goes to the ``fleet.seconds``
-    metrics timer.
+    it filters them ``batch_size`` requests at a time, one
+    ``process_batch`` call per chunk
+    (:class:`~repro.regimes.ApplianceFleet`); the fleet's stream
+    layout makes every chunking draw the same *rng* values.  Each
+    chunk's filtering time goes to the ``fleet.seconds`` metrics
+    timer.
     """
 
     def __init__(self, fleet, rng: np.random.Generator):
@@ -43,12 +41,7 @@ class FleetStage(Stage):
             for start in range(0, len(requests), batch_size):
                 chunk = requests[start:start + batch_size]
                 started = time.perf_counter()
-                if hasattr(fleet, "process_batch"):
-                    batch = fleet.process_batch(chunk, rng)
-                else:
-                    batch = RecordBatch.from_records(
-                        [fleet.process(request, rng) for request in chunk]
-                    )
+                batch = fleet.process_batch(chunk, rng)
                 registry = current_registry()
                 if registry is not None:
                     registry.observe(

@@ -18,16 +18,13 @@ output does not depend on how the stream is chunked.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.frame.batch import RecordBatch
-from repro.logmodel.classify import NO_EXCEPTION
 from repro.logmodel.fields import PROXY_NAMES
 from repro.logmodel.record import LogRecord
-from repro.metrics import current_registry
 from repro.net.url import registered_domain
 from repro.policy.cache import CacheModel
 from repro.policy.errors import (
@@ -42,6 +39,7 @@ from repro.proxy.sg9000 import (
     ROUTE_U,
     SG9000,
     CategoryNaming,
+    count_fleet_records,
     draw_uniforms,
     filter_requests,
     identity_codes,
@@ -238,18 +236,7 @@ class ProxyFleet:
         batch = RecordBatch(filter_requests(
             self._appliances, appliance, columns, uniforms, cached
         ))
-        registry = current_registry()
-        if registry is not None:
-            registry.inc("fleet.requests", len(batch))
-            for name, count in Counter(
-                batch.col("sc_filter_result").tolist()
-            ).items():
-                registry.inc("fleet.verdict." + name, count)
-            for name, count in Counter(
-                batch.col("x_exception_id").tolist()
-            ).items():
-                if name != NO_EXCEPTION:
-                    registry.inc("fleet.exception." + name, count)
+        count_fleet_records(batch)
         return batch
 
     def _route(

@@ -1,4 +1,5 @@
-"""One SG-9000 appliance, and the fleet's random-stream layout.
+"""One SG-9000 appliance, the fleet's random-stream layout, and the
+log synthesis every appliance model shares.
 
 Fleet stream v2: every request consumes exactly
 ``len(DRAW_COLUMNS)`` (ten) uniforms of the shard's fleet rng, drawn
@@ -9,16 +10,21 @@ followed by ``rng.random(b * 10)`` yields the same doubles as
 request at a time included — sees the same draws, so output bytes do
 not depend on the batch size.  ``docs/ARCHITECTURE.md`` ("Fleet stream
 v2") has the full argument and the column table.
+
+The regimes' :class:`~repro.regimes.gateway.Gateway` shares its status
+tables, draws, request-derived columns and ``fleet.*`` counters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.frame.batch import RecordBatch
+from repro.logmodel.classify import NO_EXCEPTION
 from repro.logmodel.fields import proxy_ip
 from repro.logmodel.record import LogRecord
 from repro.metrics import current_registry
@@ -27,7 +33,7 @@ from repro.policy.cache import CacheModel
 from repro.policy.engine import VIEW_FIELDS, PolicyEngine
 from repro.policy.errors import ErrorModel
 from repro.policy.rules import Action
-from repro.traffic import Request, RequestBatch
+from repro.traffic import Request, RequestBatch, constant_column
 
 #: Version of the fleet's random-stream layout; part of the run
 #: fingerprint, so a ledger written under another layout never resumes.
@@ -66,10 +72,10 @@ class CategoryNaming:
         return self.custom_label if custom_category else self.default_label
 
 
-# Status code per exception id (SGOS conventions).
-_STATUS_BY_EXCEPTION = {
-    "policy_denied": 403,
-    "policy_redirect": 302,
+#: Status code per network-error exception id (SGOS conventions), for
+#: every appliance model that injects errors via :class:`~repro.policy.
+#: errors.ErrorModel`; an unlisted id logs 503.
+STATUS_BY_ERROR_EXCEPTION: dict[str, int] = {
     "tcp_error": 503,
     "internal_error": 500,
     "invalid_request": 400,
@@ -80,9 +86,96 @@ _STATUS_BY_EXCEPTION = {
     "invalid_response": 502,
 }
 
+# Status code per exception id an SG-9000 logs.
+_STATUS_BY_EXCEPTION = {
+    "policy_denied": 403,
+    "policy_redirect": 302,
+    **STATUS_BY_ERROR_EXCEPTION,
+}
+
 _ALLOWED_STATUSES = np.array((200, 304, 302, 404), dtype=np.int64)
-_ALLOWED_STATUS_WEIGHTS = (0.82, 0.11, 0.04, 0.03)
-_ALLOWED_STATUS_CUMULATIVE = np.cumsum(_ALLOWED_STATUS_WEIGHTS)
+_ALLOWED_STATUS_CUMULATIVE = np.cumsum((0.82, 0.11, 0.04, 0.03))
+
+
+def allowed_status(uniforms: np.ndarray) -> np.ndarray:
+    """The status code of an allowed response (200/304/302/404), one
+    per uniform."""
+    return _ALLOWED_STATUSES[np.minimum(
+        np.searchsorted(_ALLOWED_STATUS_CUMULATIVE, uniforms, side="right"),
+        len(_ALLOWED_STATUSES) - 1,
+    )]
+
+
+def lognormal_sizes(
+    u1: np.ndarray, u2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sc-bytes`` of an allowed response and ``time-taken``, from one
+    Box–Muller standard-normal pair per request (two uniforms each;
+    ``1 - u1`` keeps the log finite)."""
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    angle = 2.0 * np.pi * u2
+    return (
+        np.exp(8.0 + 1.3 * radius * np.cos(angle)).astype(np.int64),
+        np.exp(4.5 + radius * np.sin(angle)).astype(np.int64),
+    )
+
+
+def uniform_ints(uniforms: np.ndarray, low, high) -> np.ndarray:
+    """Each uniform mapped onto the integers ``[low, high)``."""
+    return low + (uniforms * (high - low)).astype(np.int64)
+
+
+def request_log_columns(
+    columns: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """The log columns a record takes from its request alone (a
+    ``CONNECT`` logs ``-`` for path and query and no extension), and
+    the identity fields no appliance model fills."""
+    methods = columns["method"]
+    connect = methods == "CONNECT"
+    paths = columns["path"]
+    path_list = paths.tolist()
+    extensions = {path: extension_of(path) for path in set(path_list)}
+    cs_uri_ext = np.array(
+        [extensions[path] for path in path_list], dtype=object
+    )
+    cs_uri_ext[connect] = ""
+    cs_uri_path = paths.copy()
+    cs_uri_path[connect] = "-"
+    cs_uri_query = columns["query"].copy()
+    cs_uri_query[connect] = "-"
+    unset = constant_column("-", len(methods))
+    return {
+        "epoch": columns["epoch"],
+        "c_ip": columns["c_ip"],
+        "cs_host": columns["host"],
+        "cs_uri_scheme": columns["scheme"],
+        "cs_uri_port": columns["port"],
+        "cs_uri_path": cs_uri_path,
+        "cs_uri_query": cs_uri_query,
+        "cs_uri_ext": cs_uri_ext,
+        "cs_method": methods,
+        "cs_user_agent": columns["user_agent"],
+        "cs_referer": columns["referer"],
+        "cs_username": unset,
+        "cs_auth_group": unset,
+        "x_virus_id": unset,
+    }
+
+
+def count_fleet_records(batch: RecordBatch) -> None:
+    """Add a filtered chunk to the ``fleet.requests``,
+    ``fleet.verdict.*`` and ``fleet.exception.*`` counters."""
+    registry = current_registry()
+    if registry is None:
+        return
+    registry.inc("fleet.requests", len(batch))
+    for name, count in Counter(batch.col("sc_filter_result").tolist()).items():
+        registry.inc("fleet.verdict." + name, count)
+    for name, count in Counter(batch.col("x_exception_id").tolist()).items():
+        if name != NO_EXCEPTION:
+            registry.inc("fleet.exception." + name, count)
+
 
 _FILTER_RESULTS = np.array(["DENIED", "OBSERVED", "PROXIED"], dtype=object)
 _S_ACTIONS = np.array(
@@ -226,30 +319,19 @@ def filter_requests(
     exception[cleared] = "-"
     observed |= cleared
     denied = np.flatnonzero(~observed)
-    status = _ALLOWED_STATUSES[np.minimum(
-        np.searchsorted(
-            _ALLOWED_STATUS_CUMULATIVE, uniforms[:, STATUS_U], side="right",
-        ),
-        len(_ALLOWED_STATUSES) - 1,
-    )]
+    status = allowed_status(uniforms[:, STATUS_U])
     status[denied] = [
         _STATUS_BY_EXCEPTION.get(name, 503)
         for name in exception[denied].tolist()
     ]
-    # Box–Muller: one standard-normal pair per request from two
-    # uniforms (1 - u keeps the log finite).
-    radius = np.sqrt(-2.0 * np.log1p(-uniforms[:, BM_U1]))
-    angle = 2.0 * np.pi * uniforms[:, BM_U2]
-    sc_bytes = np.where(
-        observed,
-        np.exp(8.0 + 1.3 * radius * np.cos(angle)).astype(np.int64),
-        (uniforms[:, ERR_BYTES_U] * 700).astype(np.int64),
+    served_bytes, time_taken = lognormal_sizes(
+        uniforms[:, BM_U1], uniforms[:, BM_U2]
     )
-    time_taken = np.exp(4.5 + radius * np.sin(angle)).astype(np.int64)
-    cs_bytes = 200 + (uniforms[:, CS_BYTES_U] * 700).astype(np.int64)
+    sc_bytes = np.where(
+        observed, served_bytes, uniform_ints(uniforms[:, ERR_BYTES_U], 0, 700)
+    )
 
-    methods = columns["method"]
-    connect = methods == "CONNECT"
+    connect = columns["method"] == "CONNECT"
     filter_result = _FILTER_RESULTS[
         np.where(cached, 2, observed.astype(np.intp))
     ]
@@ -270,35 +352,13 @@ def filter_requests(
         _per_appliance([a.naming.default_label for a in appliances], appliance),
     )
 
-    paths = columns["path"]
-    path_list = paths.tolist()
-    extensions = {path: extension_of(path) for path in set(path_list)}
-    cs_uri_ext = np.array(
-        [extensions[path] for path in path_list], dtype=object
-    )
-    cs_uri_ext[connect] = ""
-    cs_uri_path = paths.copy()
-    cs_uri_path[connect] = "-"
-    cs_uri_query = columns["query"].copy()
-    cs_uri_query[connect] = "-"
     content_type = columns["content_type"].copy()
     content_type[denied] = "-"
     supplier = columns["host"].copy()
     supplier[denied] = "-"
-    unset = np.full(count, "-", dtype=object)
     return {
-        "epoch": columns["epoch"],
-        "c_ip": columns["c_ip"],
+        **request_log_columns(columns),
         "s_ip": _per_appliance([a.s_ip for a in appliances], appliance),
-        "cs_host": columns["host"],
-        "cs_uri_scheme": columns["scheme"],
-        "cs_uri_port": columns["port"],
-        "cs_uri_path": cs_uri_path,
-        "cs_uri_query": cs_uri_query,
-        "cs_uri_ext": cs_uri_ext,
-        "cs_method": methods,
-        "cs_user_agent": columns["user_agent"],
-        "cs_referer": columns["referer"],
         "sc_filter_result": filter_result,
         "x_exception_id": exception,
         "cs_categories": categories,
@@ -307,10 +367,7 @@ def filter_requests(
         "rs_content_type": content_type,
         "time_taken": time_taken,
         "sc_bytes": sc_bytes,
-        "cs_bytes": cs_bytes,
-        "cs_username": unset,
-        "cs_auth_group": unset,
-        "x_virus_id": unset,
+        "cs_bytes": uniform_ints(uniforms[:, CS_BYTES_U], 200, 900),
         "s_supplier_name": supplier,
     }
 

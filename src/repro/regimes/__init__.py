@@ -3,7 +3,9 @@
 A regime profile (:class:`~repro.regimes.base.RegimeProfile`) bundles
 a policy-rule builder, an appliance/fleet behaviour model, a workload
 spec, and the recovery analyses that re-derive the regime's rules
-from its own logs.  Three deployments ship registered:
+from its own logs.  Every fleet filters request batches through one
+contract, ``process_batch`` (:class:`~repro.regimes.base.
+ApplianceFleet`).  Three deployments ship registered:
 
 ``syria``
     The paper's Blue Coat SG-9000 proxy fleet (the default; output is
@@ -14,6 +16,10 @@ from its own logs.  Three deployments ship registered:
 ``turkmenistan``
     Keyword DPI with RST teardown and /16-wide overblocking
     ("Measuring and Evading Turkmenistan's Internet Censorship").
+
+The last two share one appliance model, the single-chokepoint
+:class:`~repro.regimes.gateway.Gateway`, each with a table of its own
+censor signatures.
 
 Importing this package registers all three.  ``repro compare`` (see
 :mod:`repro.regimes.compare`) runs one workload through N regimes and

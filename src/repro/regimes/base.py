@@ -3,8 +3,8 @@
 A :class:`RegimeProfile` bundles everything one censorship deployment
 needs to run through the shared pipeline: how to build the workload,
 how to turn that workload's ground truth into a policy, which
-appliance model filters the traffic (a caching proxy fleet, a DNS
-injector, a bidirectional-RST DPI box — anything satisfying
+appliance model filters the traffic (a caching proxy fleet, a single
+gateway that logs DNS injection or RST teardown — anything satisfying
 :class:`ApplianceFleet`), and how to re-derive the deployed rules from
 the logs the appliances emit.
 
@@ -24,8 +24,8 @@ if TYPE_CHECKING:  # imported for annotations only — keeps this module light
     import numpy as np
 
     from repro.frame import LogFrame
-    from repro.logmodel.record import LogRecord
-    from repro.traffic import Request
+    from repro.frame.batch import RecordBatch
+    from repro.traffic import RequestBatch
     from repro.workload import ScenarioConfig, TrafficGenerator
 
 
@@ -33,37 +33,20 @@ if TYPE_CHECKING:  # imported for annotations only — keeps this module light
 class ApplianceFleet(Protocol):
     """What the engine requires of a regime's filtering layer.
 
-    One request in, one log record out; *rng* is the shard's dedicated
-    fleet stream.  A fleet may also offer ``process_batch(requests,
-    rng) -> RecordBatch``; the fleet stage then hands it the day's
-    :class:`~repro.traffic.RequestBatch` in chunks, so the fleet must
-    draw the same values however the stream is chunked (and
-    ``process`` must equal a one-request ``process_batch``).
-    :class:`~repro.proxy.fleet.ProxyFleet` and the single
-    :class:`~repro.proxy.sg9000.SG9000` do, on fleet stream v2 (ten
-    uniforms per request); a fleet without ``process_batch`` — the
-    Pakistan and Turkmenistan ones — is called once per request, in
-    stream order.
+    ``process_batch`` filters a chunk of a day's requests into its log
+    columns; *rng* is the shard's dedicated fleet stream.  The fleet
+    stage hands it the day's :class:`~repro.traffic.RequestBatch` in
+    chunks of ``batch_size``, so the fleet must draw the same values
+    however the stream is chunked.  The shipped fleets take a fixed
+    number of uniforms per request: the Syrian
+    :class:`~repro.proxy.fleet.ProxyFleet` ten (fleet stream v2), the
+    Pakistan and Turkmenistan :class:`~repro.regimes.gateway.Gateway`
+    six (gateway stream 3).
     """
 
-    def process(
-        self, request: "Request", rng: "np.random.Generator"
-    ) -> "LogRecord": ...
-
-
-#: Status codes for network-error exceptions, shared by appliance
-#: models that inject errors via :class:`~repro.policy.errors.
-#: ErrorModel` (same vocabulary as the SG-9000's SGOS conventions).
-STATUS_BY_ERROR_EXCEPTION: dict[str, int] = {
-    "tcp_error": 503,
-    "internal_error": 500,
-    "invalid_request": 400,
-    "unsupported_protocol": 501,
-    "dns_unresolved_hostname": 503,
-    "dns_server_failure": 503,
-    "unsupported_encoding": 415,
-    "invalid_response": 502,
-}
+    def process_batch(
+        self, requests: "RequestBatch", rng: "np.random.Generator"
+    ) -> "RecordBatch": ...
 
 
 @dataclass(frozen=True)
@@ -113,7 +96,10 @@ class RegimeProfile:
         generator → the regime's policy object (any type; the fleet
         and the recovery own its interpretation).
     ``build_fleet``
-        policy → an :class:`ApplianceFleet`.
+        policy → an :class:`ApplianceFleet`; ``fleet_stream`` is the
+        version of that fleet's random-stream layout, a facet of the
+        run fingerprints, so a ledger written under another layout
+        never resumes.
     ``recover_rules``
         (D_full frame, policy) → scored :class:`RuleRecovery` rows —
         the Section 5.4-style analysis that re-derives the regime's
@@ -132,6 +118,7 @@ class RegimeProfile:
     build_workload: Callable[["ScenarioConfig"], "TrafficGenerator"]
     build_policy: Callable[["TrafficGenerator"], Any]
     build_fleet: Callable[[Any], ApplianceFleet]
+    fleet_stream: int
     recover_rules: Callable[["LogFrame", Any], tuple[RuleRecovery, ...]]
 
 

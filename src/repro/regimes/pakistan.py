@@ -15,6 +15,10 @@ Distinct verdict signatures (members of
 * ``dns_injected_nxdomain`` — status 0, ``DNS_INJECT_NXDOMAIN``;
 * ``http_blockpage`` — status 302, ``TCP_BLOCKPAGE_REDIRECT``, with
   the block-page host as the supplier.
+
+:func:`build_pakistan_gateway` deploys the shared batch
+:class:`~repro.regimes.gateway.Gateway` with these two rows as its
+signature table.
 """
 
 from __future__ import annotations
@@ -22,26 +26,16 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.frame import LogFrame
-from repro.logmodel.record import LogRecord
-from repro.metrics import current_registry
 from repro.net.url import is_ip_like, registered_domain
 from repro.policy.engine import PolicyEngine
-from repro.policy.errors import ErrorModel
 from repro.policy.rules import Action, RequestView, Verdict
 from repro.policy.syria import (
     blocked_domains_from_sites,
     blocked_hosts_from_sites,
 )
-from repro.regimes.base import (
-    STATUS_BY_ERROR_EXCEPTION,
-    RegimeProfile,
-    RuleRecovery,
-    register_regime,
-)
-from repro.traffic import Request
+from repro.regimes.base import RegimeProfile, RuleRecovery, register_regime
+from repro.regimes.gateway import GATEWAY_STREAM, Gateway, Signature
 from repro.workload import TrafficGenerator
 
 DNS_INJECTED = "dns_injected_nxdomain"
@@ -50,9 +44,6 @@ BLOCKPAGE = "http_blockpage"
 #: Where the 302 block pages point (the surveyed ISPs redirect to a
 #: handful of government notice hosts; one stands in for them here).
 BLOCKPAGE_HOST = "block.pta.gov.pk"
-
-_ALLOWED_STATUSES = (200, 304, 302, 404)
-_ALLOWED_STATUS_CUMULATIVE = np.cumsum((0.82, 0.11, 0.04, 0.03))
 
 
 class DnsInjectionRule:
@@ -134,108 +125,24 @@ def build_pakistan_policy(generator: TrafficGenerator) -> PakistanPolicy:
     )
 
 
-class DnsInjectorFleet:
-    """The ISP gateway: resolver injection + inline HTTP filtering.
+def build_pakistan_gateway(policy: PakistanPolicy) -> Gateway:
+    """The ISP gateway: resolver injection plus inline HTTP filtering.
 
-    Satisfies :class:`~repro.regimes.base.ApplianceFleet`.  One
-    logical appliance (the logs of the Pakistani vantage points come
-    from a single ISP path), no cache, no category layer.
+    One logical appliance (the logs of the Pakistani vantage points
+    come from a single ISP path), no cache, no category layer.
     """
-
-    name = "PK-GW-1"
-    s_ip = "202.125.128.1"
-
-    def __init__(self, policy: PakistanPolicy, error_model: ErrorModel | None = None):
-        self.policy = policy
-        self.error_model = error_model or ErrorModel()
-
-    def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
-        view = RequestView(
-            host=request.host,
-            path=request.path,
-            query=request.query,
-            port=request.port,
-            scheme=request.scheme,
-            method=request.method,
-            epoch=request.epoch,
-            user_agent=request.user_agent,
-        )
-        verdict = self.policy.engine.evaluate(view)
-        exception = verdict.exception_id
-        if verdict.action is Action.ALLOW:
-            error = self.error_model.sample(rng)
-            if error is not None:
-                exception = error
-        record = self._emit(request, exception, rng)
-        registry = current_registry()
-        if registry is not None:
-            registry.inc("fleet.requests")
-            registry.inc("fleet.verdict." + record.sc_filter_result)
-            if record.x_exception_id != "-":
-                registry.inc("fleet.exception." + record.x_exception_id)
-        return record
-
-    def _emit(
-        self, request: Request, exception: str, rng: np.random.Generator
-    ) -> LogRecord:
-        supplier = "-"
-        content_type = "-"
-        if exception == "-":
-            status_index = int(np.searchsorted(
-                _ALLOWED_STATUS_CUMULATIVE, rng.random(), side="right"
-            ))
-            status = _ALLOWED_STATUSES[min(status_index, 3)]
-            sc_bytes = int(rng.lognormal(8.0, 1.3))
-            supplier = request.host
-            content_type = request.content_type
-            filter_result = "OBSERVED"
-            s_action = (
-                "TCP_TUNNELED" if request.method == "CONNECT" else "TCP_MISS"
-            )
-        elif exception == DNS_INJECTED:
+    return Gateway(
+        "202.125.128.1", policy.engine,
+        {
             # The forged NXDOMAIN: no TCP connection ever exists, so
             # there is no HTTP status and almost no bytes.
-            status = 0
-            sc_bytes = int(rng.integers(60, 140))
-            filter_result = "DENIED"
-            s_action = "DNS_INJECT_NXDOMAIN"
-        elif exception == BLOCKPAGE:
-            status = 302
-            sc_bytes = int(rng.integers(300, 600))
-            supplier = self.policy.blockpage_host
-            content_type = "text/html"
-            filter_result = "DENIED"
-            s_action = "TCP_BLOCKPAGE_REDIRECT"
-        else:
-            status = STATUS_BY_ERROR_EXCEPTION.get(exception, 503)
-            sc_bytes = int(rng.integers(0, 700))
-            filter_result = "DENIED"
-            s_action = "TCP_ERR_MISS"
-
-        return LogRecord(
-            epoch=request.epoch,
-            c_ip=request.c_ip,
-            s_ip=self.s_ip,
-            cs_host=request.host,
-            cs_uri_scheme=request.scheme,
-            cs_uri_port=request.port,
-            cs_uri_path=request.path if request.method != "CONNECT" else "-",
-            cs_uri_query=request.query if request.method != "CONNECT" else "-",
-            cs_uri_ext=request.ext,
-            cs_method=request.method,
-            cs_user_agent=request.user_agent,
-            cs_referer=request.referer,
-            sc_filter_result=filter_result,
-            x_exception_id=exception,
-            cs_categories="-",
-            sc_status=status,
-            s_action=s_action,
-            rs_content_type=content_type,
-            time_taken=int(rng.lognormal(4.5, 1.0)),
-            sc_bytes=sc_bytes,
-            cs_bytes=int(rng.integers(200, 900)),
-            s_supplier_name=supplier,
-        )
+            DNS_INJECTED: Signature(0, "DNS_INJECT_NXDOMAIN", (60, 140)),
+            BLOCKPAGE: Signature(
+                302, "TCP_BLOCKPAGE_REDIRECT", (300, 600),
+                supplier=policy.blockpage_host, content_type="text/html",
+            ),
+        },
+    )
 
 
 def _recover(frame: LogFrame, policy: PakistanPolicy) -> tuple[RuleRecovery, ...]:
@@ -272,6 +179,7 @@ PAKISTAN = register_regime(RegimeProfile(
     censor_exceptions=frozenset({DNS_INJECTED, BLOCKPAGE}),
     build_workload=TrafficGenerator,
     build_policy=build_pakistan_policy,
-    build_fleet=DnsInjectorFleet,
+    build_fleet=build_pakistan_gateway,
+    fleet_stream=GATEWAY_STREAM,
     recover_rules=_recover,
 ))

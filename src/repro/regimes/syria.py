@@ -19,6 +19,7 @@ from repro.analysis.stringfilter import (
 from repro.frame import LogFrame
 from repro.policy.syria import SyrianPolicy, build_syrian_policy
 from repro.proxy import ProxyFleet
+from repro.proxy.sg9000 import FLEET_STREAM
 from repro.regimes.base import RegimeProfile, RuleRecovery, register_regime
 from repro.workload import TrafficGenerator
 
@@ -72,5 +73,6 @@ SYRIA = register_regime(RegimeProfile(
     build_workload=TrafficGenerator,
     build_policy=_build_policy,
     build_fleet=ProxyFleet,
+    fleet_stream=FLEET_STREAM,
     recover_rules=_recover,
 ))

@@ -17,7 +17,9 @@ forged RSTs.  Two rule layers:
 Both layers emit the same wire behaviour — a torn-down connection —
 so both log the ``dpi_rst_teardown`` signature: status 0, zero bytes
 served, ``TCP_RST_INJECT``.  No cache (no PROXIED rows), no category
-layer (``cs-categories`` is ``-``).
+layer (``cs-categories`` is ``-``).  :func:`build_turkmenistan_gateway`
+deploys the shared batch :class:`~repro.regimes.gateway.Gateway` with
+that one row as its signature table.
 """
 
 from __future__ import annotations
@@ -25,24 +27,14 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.analysis.stringfilter import recover_keywords
 from repro.frame import LogFrame
-from repro.logmodel.record import LogRecord
-from repro.metrics import current_registry
 from repro.net.ip import IPv4Network, parse_ipv4
 from repro.net.url import is_ip_like
 from repro.policy.engine import PolicyEngine
-from repro.policy.errors import ErrorModel
 from repro.policy.rules import Action, RequestView, Verdict
-from repro.regimes.base import (
-    STATUS_BY_ERROR_EXCEPTION,
-    RegimeProfile,
-    RuleRecovery,
-    register_regime,
-)
-from repro.traffic import Request
+from repro.regimes.base import RegimeProfile, RuleRecovery, register_regime
+from repro.regimes.gateway import GATEWAY_STREAM, Gateway, Signature
 from repro.workload import TrafficGenerator
 
 RST_TEARDOWN = "dpi_rst_teardown"
@@ -57,9 +49,6 @@ TM_KEYWORDS: tuple[str, ...] = (
     "hotspotshield",
     "psiphon",
 )
-
-_ALLOWED_STATUSES = (200, 304, 302, 404)
-_ALLOWED_STATUS_CUMULATIVE = np.cumsum((0.82, 0.11, 0.04, 0.03))
 
 
 class DpiKeywordRule:
@@ -142,105 +131,20 @@ def build_turkmenistan_policy(generator: TrafficGenerator) -> TurkmenistanPolicy
     )
 
 
-class DpiFleet:
+def build_turkmenistan_gateway(policy: TurkmenistanPolicy) -> Gateway:
     """The state-telecom DPI gateway.
 
-    Satisfies :class:`~repro.regimes.base.ApplianceFleet`.  A single
-    chokepoint appliance — the paper's vantage points all sit behind
-    the same Turkmentelecom path.
+    A single chokepoint appliance — the paper's vantage points all sit
+    behind the same Turkmentelecom path.
     """
-
-    name = "TM-DPI-1"
-    s_ip = "217.174.224.1"
-
-    def __init__(
-        self,
-        policy: TurkmenistanPolicy,
-        error_model: ErrorModel | None = None,
-    ):
-        self.policy = policy
-        self.error_model = error_model or ErrorModel()
-
-    def process(self, request: Request, rng: np.random.Generator) -> LogRecord:
-        view = RequestView(
-            host=request.host,
-            path=request.path,
-            query=request.query,
-            port=request.port,
-            scheme=request.scheme,
-            method=request.method,
-            epoch=request.epoch,
-            user_agent=request.user_agent,
-        )
-        verdict = self.policy.engine.evaluate(view)
-        exception = verdict.exception_id
-        if verdict.action is Action.ALLOW:
-            error = self.error_model.sample(rng)
-            if error is not None:
-                exception = error
-        record = self._emit(request, exception, rng)
-        registry = current_registry()
-        if registry is not None:
-            registry.inc("fleet.requests")
-            registry.inc("fleet.verdict." + record.sc_filter_result)
-            if record.x_exception_id != "-":
-                registry.inc("fleet.exception." + record.x_exception_id)
-        return record
-
-    def _emit(
-        self, request: Request, exception: str, rng: np.random.Generator
-    ) -> LogRecord:
-        supplier = "-"
-        content_type = "-"
-        if exception == "-":
-            status_index = int(np.searchsorted(
-                _ALLOWED_STATUS_CUMULATIVE, rng.random(), side="right"
-            ))
-            status = _ALLOWED_STATUSES[min(status_index, 3)]
-            sc_bytes = int(rng.lognormal(8.0, 1.3))
-            supplier = request.host
-            content_type = request.content_type
-            filter_result = "OBSERVED"
-            s_action = (
-                "TCP_TUNNELED" if request.method == "CONNECT" else "TCP_MISS"
-            )
-        elif exception == RST_TEARDOWN:
+    return Gateway(
+        "217.174.224.1", policy.engine,
+        {
             # The torn-down connection: no response ever arrives, so
             # no status and no served bytes.
-            status = 0
-            sc_bytes = 0
-            filter_result = "DENIED"
-            s_action = "TCP_RST_INJECT"
-        else:
-            status = STATUS_BY_ERROR_EXCEPTION.get(exception, 503)
-            sc_bytes = int(rng.integers(0, 700))
-            filter_result = "DENIED"
-            s_action = "TCP_ERR_MISS"
-
-        return LogRecord(
-            epoch=request.epoch,
-            c_ip=request.c_ip,
-            s_ip=self.s_ip,
-            cs_host=request.host,
-            cs_uri_scheme=request.scheme,
-            cs_uri_port=request.port,
-            cs_uri_path=request.path if request.method != "CONNECT" else "-",
-            cs_uri_query=request.query if request.method != "CONNECT" else "-",
-            cs_uri_ext=request.ext,
-            cs_method=request.method,
-            cs_user_agent=request.user_agent,
-            cs_referer=request.referer,
-            sc_filter_result=filter_result,
-            x_exception_id=exception,
-            cs_categories="-",
-            sc_status=status,
-            s_action=s_action,
-            rs_content_type=content_type,
-            time_taken=int(rng.lognormal(4.5, 1.0)),
-            sc_bytes=sc_bytes,
-            cs_bytes=int(rng.integers(200, 900)),
-            s_supplier_name=supplier,
-        )
+            RST_TEARDOWN: Signature(0, "TCP_RST_INJECT"),
+        },
+    )
 
 
 def recover_blocked_prefixes(frame: LogFrame) -> tuple[str, ...]:
@@ -292,6 +196,7 @@ TURKMENISTAN = register_regime(RegimeProfile(
     censor_exceptions=frozenset({RST_TEARDOWN}),
     build_workload=TrafficGenerator,
     build_policy=build_turkmenistan_policy,
-    build_fleet=DpiFleet,
+    build_fleet=build_turkmenistan_gateway,
+    fleet_stream=GATEWAY_STREAM,
     recover_rules=_recover,
 ))

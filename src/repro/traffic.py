@@ -2,11 +2,11 @@
 
 The workload generator emits a day of requests as a
 :class:`RequestBatch` — a :class:`~repro.frame.LogFrame` with one
-column per :class:`Request` field as its fixed schema — and the batch
-fleets filter it column-wise; a :class:`Request` is one row of it, the
-reference form the per-record fleets take.  The ``component`` tag is
-simulation ground truth (which traffic model produced the request) and
-never reaches the logs.
+column per :class:`Request` field as its fixed schema — and every
+appliance fleet filters it column-wise; a :class:`Request` is one row
+of it, for building small batches and reading them back.  The
+``component`` tag is simulation ground truth (which traffic model
+produced the request) and never reaches the logs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from operator import attrgetter
 import numpy as np
 
 from repro.frame.logframe import LogFrame
-from repro.net.url import extension_of
 
 
 @dataclass(slots=True)
@@ -44,13 +43,6 @@ class Request:
     content_type: str = "text/html"
     referer: str = "-"
     component: str = "browsing"
-
-    @property
-    def ext(self) -> str:
-        """The ``cs-uri-ext`` field derived from the path."""
-        if self.method == "CONNECT":
-            return ""
-        return extension_of(self.path)
 
 
 #: :class:`RequestBatch` columns, in :class:`Request` field order.

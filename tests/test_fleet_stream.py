@@ -1,23 +1,28 @@
-"""Fleet stream v2: the batch-native fleet and its chunk invariance.
+"""Fleet streams: the batch-native fleets and their chunk invariance.
 
-The Syrian fleet filters requests a chunk at a time and consumes
-exactly ten uniforms of the fleet rng per request, so:
+Every fleet filters requests a chunk at a time and consumes a fixed
+number of uniforms of the fleet rng per request — the Syrian fleet
+ten (fleet stream v2), the Pakistan and Turkmenistan gateway six
+(gateway stream 3) — so:
 
 * any split of a request stream into chunks — one request at a time
   included — emits the same records and the same ``--metrics``
   counters (Hypothesis-driven, over the user-slice days, the July
-  SG-42-only days, Tor components, and the stateful LRU cache);
+  SG-42-only days, Tor components, and the stateful LRU cache, and
+  through both gateways);
 * ``PolicyEngine.evaluate_many`` equals evaluating each view, for
   every rule type the repository ships, and so do the column verdicts
   of every shipped engine over random views and random chunkings;
-* the regimes without a batch fleet (Pakistan, Turkmenistan) write
-  the pinned bytes of workload stream v2;
+* the Pakistan and Turkmenistan regimes write the pinned bytes of
+  gateway stream 3 at every batch size and worker count;
 * a ledger written without the ``fleet_stream`` or the
-  ``workload_stream`` facet refuses to resume, naming the facet.
+  ``workload_stream`` facet, or under another regime's fleet stream,
+  refuses to resume, naming the facet.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -31,11 +36,12 @@ from repro.catalog.facebook import (
     PAGE_HOSTS,
 )
 from repro.cli import main
-from repro.engine import simulate_to_logs
+from repro.engine import simulate_fingerprint, simulate_to_logs
 from repro.engine.simulate import scenario_context
 from repro.frame.batch import concat_batches
 from repro.metrics import MetricsRegistry, use_registry
 from repro.net.ip import parse_network
+from repro.net.url import registered_domain
 from repro.pipeline import FleetStage, Pipeline, RecordListSink
 from repro.policy import PolicyEngine, RequestView
 from repro.policy.cache import LruProxyCache
@@ -58,6 +64,8 @@ from repro.policy.rules import (
 )
 from repro.proxy import ProxyFleet
 from repro.proxy.sg9000 import DRAW_COLUMNS
+from repro.regimes import PAKISTAN, TURKMENISTAN
+from repro.regimes.gateway import DRAW_COLUMNS as GATEWAY_DRAW_COLUMNS
 from repro.regimes.pakistan import (
     BlockpageRule,
     DnsInjectionRule,
@@ -105,6 +113,38 @@ def _fleet(lru: bool) -> ProxyFleet:
     return ProxyFleet(policy)
 
 
+#: The regimes that deploy a gateway, by name.
+GATEWAY_REGIMES = {"pakistan": PAKISTAN, "turkmenistan": TURKMENISTAN}
+
+
+def _gateway(regime: str):
+    """The gateway *regime* deploys over TINY's universe, built through
+    its profile."""
+    profile = GATEWAY_REGIMES[regime]
+    return profile.build_fleet(
+        profile.build_policy(scenario_context(TINY).generator)
+    )
+
+
+@pytest.fixture(scope="module")
+def gateway_stream(stream):
+    """The stream with every 50th request re-aimed by a plain-HTTP GET
+    at a Pakistani block-page host outside the DNS blacklist, so every
+    censor signature of every gateway shows up."""
+    policy = PAKISTAN.build_policy(scenario_context(TINY).generator)
+    host = min(
+        host for host in policy.blockpage_hosts
+        if registered_domain(host) not in policy.dns_blocked_domains
+    )
+    return RequestBatch.from_requests([
+        dataclasses.replace(
+            request, host=host, path="/", query="", scheme="http",
+            port=80, method="GET", content_type="text/html",
+        ) if index % 50 == 0 else request
+        for index, request in enumerate(stream)
+    ])
+
+
 def _run(fleet, requests, cuts, seed):
     """Filter *requests* chunked at *cuts*; returns (batch, counters)."""
     rng = np.random.default_rng(seed)
@@ -134,6 +174,25 @@ class TestChunkInvariance:
         assert chunked_counters == whole_counters
         assert whole_counters["fleet.requests"] == len(stream)
 
+    @pytest.mark.parametrize("regime", sorted(GATEWAY_REGIMES))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(0, 450), max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_chunking_gives_the_same_gateway_records_and_counters(
+        self, gateway_stream, regime, cuts, seed
+    ):
+        whole, whole_counters = _run(
+            _gateway(regime), gateway_stream, [], seed
+        )
+        chunked, chunked_counters = _run(
+            _gateway(regime), gateway_stream, cuts, seed
+        )
+        assert chunked == whole
+        assert chunked_counters == whole_counters
+        assert whole_counters["fleet.requests"] == len(gateway_stream)
+
     @pytest.mark.parametrize("lru", [False, True])
     def test_one_request_at_a_time_matches_the_batch(self, stream, lru):
         whole, whole_counters = _run(_fleet(lru), stream, [], 7)
@@ -151,6 +210,27 @@ class TestChunkInvariance:
         reference = np.random.default_rng(3)
         reference.random(37 * len(DRAW_COLUMNS))
         assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("regime", sorted(GATEWAY_REGIMES))
+    def test_every_gateway_request_consumes_six_uniforms(
+        self, gateway_stream, regime
+    ):
+        rng = np.random.default_rng(3)
+        _gateway(regime).process_batch(gateway_stream[:37], rng)
+        reference = np.random.default_rng(3)
+        reference.random(37 * len(GATEWAY_DRAW_COLUMNS))
+        assert len(GATEWAY_DRAW_COLUMNS) == 6
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("regime", sorted(GATEWAY_REGIMES))
+    def test_gateway_stream_covers_every_branch(
+        self, gateway_stream, regime
+    ):
+        whole, counters = _run(_gateway(regime), gateway_stream, [], 11)
+        exceptions = set(whole.col("x_exception_id"))
+        assert {"-", "tcp_error"} <= exceptions
+        assert GATEWAY_REGIMES[regime].censor_exceptions <= exceptions
+        assert counters["fleet.verdict.DENIED"] > 0
 
     def test_stream_covers_every_branch(self, stream):
         whole, counters = _run(_fleet(False), stream, [], 11)
@@ -364,18 +444,18 @@ class TestColumnVerdicts:
         ]
 
 
-# -- regimes without a batch fleet, and versioning -------------------------------
+# -- the gateway regimes' bytes, and versioning --------------------------------
 
 
 #: SHA-256 of ``simulate --requests 4000 --seed 3 --regime NAME``'s
-#: proxies.log under workload stream v2.  These regimes keep their
-#: per-record fleets, so their bytes move only with the workload
-#: stream (``WORKLOAD_STREAM``), never with the Syrian fleet's.
+#: proxies.log under workload stream v2 and gateway stream 3.  The
+#: bytes move with the workload stream (``WORKLOAD_STREAM``) and the
+#: gateway's (``GATEWAY_STREAM``), never with the Syrian fleet's.
 GOLDEN = {
     "pakistan":
-        "8ae72c16d39c377a102aade9c6c9ba94b78321aa54cadfbc46507b861b1b0934",
+        "feb5f9242aa842e0e4b2292600d82d10f9d59db81454da6d7b2e79d237b6fcd5",
     "turkmenistan":
-        "387401b83f6f83532c17ba213ff41dc4c6b942cd71669d878722561e3c0f6f02",
+        "f9530e60a4df316fae2378df694baa06b0b33106ab749706cf1b27f110550972",
 }
 
 
@@ -388,7 +468,8 @@ class TestUnchangedRegimes:
         ]) == 0
         config = ScenarioConfig(total_requests=4000, seed=3, regime=regime)
         simulate_to_logs(config, tmp_path / "batch1", batch_size=1)
-        for out in ("cli", "batch1"):
+        simulate_to_logs(config, tmp_path / "workers2", workers=2)
+        for out in ("cli", "batch1", "workers2"):
             data = (tmp_path / out / "proxies.log").read_bytes()
             assert hashlib.sha256(data).hexdigest() == GOLDEN[regime], out
 
@@ -409,6 +490,31 @@ class TestFleetStreamFingerprint:
                 "--out", str(tmp_path / "out"),
                 "--checkpoint-dir", str(tmp_path / "ledger"), "--resume",
             ])
+
+    def test_fleet_stream_2_gateway_ledger_refuses_resume(self, tmp_path):
+        """A Pakistan ledger fingerprinted before the gateway (fleet
+        stream 2) refuses; Syria's fingerprint did not move."""
+        config = ScenarioConfig(total_requests=2000, seed=3, regime="pakistan")
+        before = run_fingerprint(
+            "simulate", config=config_digest(config), regime="pakistan",
+            per_proxy=False, per_day=False, compress=False, fleet_stream=2,
+            workload_stream=2,
+        )
+        ledger = RunCheckpoint(tmp_path / "ledger", before)
+        ledger.begin([f"day:{day}" for day in config.days])
+        ledger.close()
+        with pytest.raises(SystemExit, match="fleet_stream"):
+            main([
+                "simulate", "--requests", "2000", "--seed", "3",
+                "--regime", "pakistan", "--out", str(tmp_path / "out"),
+                "--checkpoint-dir", str(tmp_path / "ledger"), "--resume",
+            ])
+        syria = ScenarioConfig(total_requests=2000, seed=3)
+        assert simulate_fingerprint(syria) == run_fingerprint(
+            "simulate", config=config_digest(syria), regime="syria",
+            per_proxy=False, per_day=False, compress=False, fleet_stream=2,
+            workload_stream=2,
+        )
 
     def test_workload_v1_ledger_refuses_resume_naming_the_facet(
         self, tmp_path
@@ -446,7 +552,6 @@ class TestFleetStreamFingerprint:
 
     def test_simulate_and_distributed_fingerprints_agree(self, tmp_path):
         from repro.dispatch import simulate_job_for
-        from repro.engine import simulate_fingerprint
 
         config = ScenarioConfig(total_requests=2000, seed=3)
         job = simulate_job_for(config, tmp_path, per_day=True)

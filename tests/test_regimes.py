@@ -48,6 +48,7 @@ from repro.regimes.turkmenistan import (
     recover_blocked_prefixes,
     widen_to_prefixes,
 )
+from repro.traffic import Request, RequestBatch
 from repro.workload.config import small_config
 
 #: Same tiny scenario as test_engine/test_chaos_engine, so the cached
@@ -61,6 +62,17 @@ def view(**kw) -> RequestView:
     defaults = dict(host="example.com", path="/")
     defaults.update(kw)
     return RequestView(**defaults)
+
+
+def _one_record(fleet, host: str):
+    """The record *fleet* logs for one plain-HTTP GET of *host*."""
+    requests = RequestBatch.from_requests([
+        Request(epoch=1312329600, c_ip="10.0.0.1", user_agent="UA",
+                host=host),
+    ])
+    return fleet.process_batch(
+        requests, np.random.default_rng(0)
+    ).to_records()[0]
 
 
 # -- registry ----------------------------------------------------------------
@@ -243,17 +255,9 @@ class TestPakistanEndToEnd:
     def test_blockpage_record_names_the_supplier(self, pakistan_datasets):
         """Record-level fields the frame doesn't materialize: the 302
         is served by the notice host, with an HTML body."""
-        from repro.regimes.pakistan import DnsInjectorFleet
-        from repro.traffic import Request
-
         policy = pakistan_datasets.policy
-        fleet = DnsInjectorFleet(policy)
         host = sorted(policy.blockpage_hosts)[0]
-        record = fleet.process(
-            Request(epoch=1312329600, c_ip="10.0.0.1", user_agent="UA",
-                    host=host),
-            np.random.default_rng(0),
-        )
+        record = _one_record(PAKISTAN.build_fleet(policy), host)
         assert record.x_exception_id == BLOCKPAGE
         assert record.s_supplier_name == BLOCKPAGE_HOST
         assert record.rs_content_type == "text/html"
@@ -288,15 +292,8 @@ class TestTurkmenistanEndToEnd:
         assert set(frame.col("s_action")[mask]) == {"TCP_RST_INJECT"}
 
     def test_rst_record_serves_zero_bytes(self, turkmenistan_datasets):
-        from repro.regimes.turkmenistan import DpiFleet
-        from repro.traffic import Request
-
-        fleet = DpiFleet(turkmenistan_datasets.policy)
-        record = fleet.process(
-            Request(epoch=1312329600, c_ip="10.0.0.1", user_agent="UA",
-                    host="ultrasurf.example.com"),
-            np.random.default_rng(0),
-        )
+        fleet = TURKMENISTAN.build_fleet(turkmenistan_datasets.policy)
+        record = _one_record(fleet, "ultrasurf.example.com")
         assert record.x_exception_id == RST_TEARDOWN
         assert record.sc_bytes == 0
         assert record.sc_status == 0
