@@ -68,7 +68,7 @@ def test_sec74_google_cache(benchmark, bench_scenario):
 def test_full_report_build(benchmark, bench_scenario):
     """The end-to-end pipeline cost: every analysis in one pass."""
     result = benchmark.pedantic(
-        lambda: build_report(bench_scenario, recover_keywords=False),
+        lambda: build_report(bench_scenario),
         rounds=1,
     )
     print(f"\nFull report built: {len(result.table8)} suspected domains, "

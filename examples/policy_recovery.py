@@ -13,12 +13,7 @@ Run:  python examples/policy_recovery.py
 
 from __future__ import annotations
 
-from repro.analysis.stringfilter import (
-    keyword_stats,
-    recover_censored_domains,
-    recover_censored_hosts,
-    recover_keywords,
-)
+from repro.analysis.stringfilter import keyword_stats, recover_policy
 from repro.datasets import build_scenario
 from repro.reporting import render_table
 from repro.workload.config import small_config
@@ -29,11 +24,13 @@ def main() -> None:
     datasets = build_scenario(small_config(60_000, seed=3))
     frame = datasets.full
     truth = datasets.policy
+    # One pass recovers all three rule kinds; the steps below show them.
+    recovery = recover_policy(frame)
 
     # ------------------------------------------------------------------
     print("\nStep 1 — recover always-blocked domains "
           "(bare-URL evidence, Table 8):")
-    suspected = recover_censored_domains(frame)
+    suspected = recovery.suspected_domains()
     print(render_table(
         ["Domain", "Censored", "% of censored", "In true policy?"],
         [
@@ -56,14 +53,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nStep 2 — recover individually-blocked hosts "
           "(finer than Table 8):")
-    exclusion = {
-        row.domain for row in recover_censored_domains(frame, min_censored=1)
-    }
     from repro.policy.syria import REDIRECT_HOSTS
 
-    hosts = recover_censored_hosts(frame, exclude_domains=exclusion,
-                                   min_censored=1)
-    for row in hosts:
+    for row in recovery.hosts:
         if row.host in truth.blocked_hosts:
             marker = "yes (host rule)"
         elif row.host in REDIRECT_HOSTS:
@@ -76,11 +68,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nStep 3 — recover the keyword blacklist "
           "(greedy max-coverage, Table 10):")
-    keywords = recover_keywords(
-        frame,
-        exclude_domains=exclusion,
-        exclude_hosts={row.host for row in hosts},
-    )
+    keywords = recovery.keywords
     print(render_table(
         ["Recovered keyword", "Coverage", "In true blacklist?"],
         [[k.keyword, k.coverage,

@@ -5,6 +5,10 @@ cached column codes (:meth:`~repro.frame.LogFrame.factorize`) or on
 :func:`domain_codes`, never with ``np.unique``/``np.isin`` over a frame
 string column, a masked slice of one, or :func:`domain_column`.  Each
 such call sorts every row again with a Python comparison per step.
+Values derived from several columns and read by several tables (the
+domain codes here, the matchable texts of
+:mod:`repro.analysis.stringfilter`) are built once per frame
+(:meth:`~repro.frame.LogFrame.derived`).
 """
 
 from __future__ import annotations
@@ -25,6 +29,13 @@ def isin_column(frame: LogFrame, name: str, values) -> np.ndarray:
     return np.isin(uniques, values)[codes]
 
 
+def equals_column(frame: LogFrame, name: str, value) -> np.ndarray:
+    """``frame.col(name) == value``, compared once per distinct value
+    of the column and broadcast through its codes."""
+    uniques, codes = frame.factorize(name)
+    return (uniques == value)[codes]
+
+
 def censored_mask(frame: LogFrame) -> np.ndarray:
     """Requests denied by policy (policy_denied / policy_redirect)."""
     return isin_column(frame, "x_exception_id", _CENSOR_LIST)
@@ -32,12 +43,12 @@ def censored_mask(frame: LogFrame) -> np.ndarray:
 
 def allowed_mask(frame: LogFrame) -> np.ndarray:
     """Requests with no exception."""
-    return frame.col("x_exception_id") == NO_EXCEPTION
+    return equals_column(frame, "x_exception_id", NO_EXCEPTION)
 
 
 def denied_mask(frame: LogFrame) -> np.ndarray:
     """Requests with any exception (censored or error)."""
-    return frame.col("x_exception_id") != NO_EXCEPTION
+    return ~allowed_mask(frame)
 
 
 def error_mask(frame: LogFrame) -> np.ndarray:
@@ -47,28 +58,36 @@ def error_mask(frame: LogFrame) -> np.ndarray:
 
 def proxied_mask(frame: LogFrame) -> np.ndarray:
     """Requests answered from the proxy cache."""
-    return frame.col("sc_filter_result") == "PROXIED"
+    return equals_column(frame, "sc_filter_result", "PROXIED")
 
 
 def observed_allowed_mask(frame: LogFrame) -> np.ndarray:
     """Allowed *and* OBSERVED — the conservative allowed set the
     paper's string-recovery uses (PROXIED rows are excluded because a
     missing exception there does not prove the URL is allowed)."""
-    return allowed_mask(frame) & (frame.col("sc_filter_result") == "OBSERVED")
+    return allowed_mask(frame) & equals_column(
+        frame, "sc_filter_result", "OBSERVED"
+    )
 
 
 def domain_codes(frame: LogFrame) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(domain_column(frame), return_inverse=True)``.
+    """``np.unique(domain_column(frame), return_inverse=True)``, built
+    once per frame; both arrays are read-only."""
+    return frame.derived(_domain_codes)
 
-    Built from the host factorization: one :func:`registered_domain`
+
+def _domain_codes(frame: LogFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Built from the host factorization: one :func:`registered_domain`
     call per distinct host, then the distinct hosts' domains are
-    factorized and every row's host code is remapped.
-    """
+    factorized and every row's host code is remapped."""
     hosts, host_codes = frame.factorize("cs_host")
     domains, domain_of_host = factorize(np.array(
         [registered_domain(host) for host in hosts.tolist()], dtype=object
     ))
-    return domains, domain_of_host[host_codes]
+    codes = domain_of_host[host_codes]
+    domains.flags.writeable = False
+    codes.flags.writeable = False
+    return domains, codes
 
 
 def domain_column(frame: LogFrame) -> np.ndarray:

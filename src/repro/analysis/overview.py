@@ -45,7 +45,13 @@ def dataset_inventory(datasets: dict[str, LogFrame]) -> list[DatasetInventory]:
         if len(frame) == 0:
             rows.append(DatasetInventory(name, 0, (), 0))
             continue
-        days = tuple(sorted({epoch_day(e) for e in np.unique(frame.col("epoch") // 86400 * 86400)}))
+        day_keys = frame.col("epoch") // 86400
+        first_day = int(day_keys.min())
+        # Distinct days by bincount: a plain np.unique imports numpy.ma.
+        days = tuple(sorted({
+            epoch_day((first_day + offset) * 86400)
+            for offset in np.flatnonzero(np.bincount(day_keys - first_day)).tolist()
+        }))
         proxies = frame.nunique("s_ip")
         rows.append(DatasetInventory(name, len(frame), days, proxies))
     return rows

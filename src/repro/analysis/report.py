@@ -79,15 +79,8 @@ class CensorshipReport:
     software_agents: list[users.SoftwareAgentRow] = field(default_factory=list)
 
 
-def build_report(
-    datasets: ScenarioDatasets,
-    recover_keywords: bool = True,
-) -> CensorshipReport:
-    """Run the complete pipeline.
-
-    ``recover_keywords=False`` skips the (slower) keyword-recovery
-    search and reports Table 10 for the known keyword list only.
-    """
+def build_report(datasets: ScenarioDatasets) -> CensorshipReport:
+    """Run the complete pipeline."""
     full = datasets.full
     geoip = builtin_registry()
     categorizer = datasets.categorizer
@@ -95,7 +88,8 @@ def build_report(
     aug_start = day_epoch("2011-08-01")
     aug_end = day_epoch("2011-08-06") + 86400
 
-    table8 = stringfilter.recover_censored_domains(full)
+    recovery = stringfilter.recover_policy(full)
+    table8 = recovery.suspected_domains()
     suspected_set = {row.domain for row in table8}
     breakdown_full = overview.traffic_breakdown(full)
     total_censored = breakdown_full.censored
@@ -103,30 +97,6 @@ def build_report(
     tor = toranalysis.identify_tor_traffic(full, datasets.generator.tor_directory)
     titledb = TitleDatabase(datasets.generator.torrent_catalog)
     ip_frame = ipfilter.ipv4_subset(full)
-
-    recovered: list[stringfilter.RecoveredKeyword] = []
-    if recover_keywords:
-        # For keyword recovery, exclude every domain/host with
-        # domain-level blocking evidence regardless of volume
-        # (min_censored=1): a rarely-visited blocked domain would
-        # otherwise leak its name tokens into the candidate pool.
-        exclusion_set = {
-            row.domain
-            for row in stringfilter.recover_censored_domains(
-                full, min_censored=1
-            )
-        }
-        suspected_hosts = {
-            row.host
-            for row in stringfilter.recover_censored_hosts(
-                full, exclude_domains=exclusion_set, min_censored=1
-            )
-        }
-        recovered = stringfilter.recover_keywords(
-            full,
-            exclude_domains=exclusion_set,
-            exclude_hosts=suspected_hosts,
-        )
 
     return CensorshipReport(
         table1=overview.dataset_inventory({
@@ -183,7 +153,7 @@ def build_report(
         google_cache=googlecache.google_cache_analysis(
             full, suspected_set | {"panet.co.il", "free-syria.com"}
         ),
-        recovered_keywords=recovered,
+        recovered_keywords=recovery.keywords,
         mitm=https_mitm.https_mitm_check(full),
         proxied_consistency=consistency.proxied_consistency_by_domain(full),
         keyword_weather=weather.keyword_weather(full, KEYWORDS),

@@ -8,18 +8,28 @@ URL/domain rules and the remaining high-coverage strings as keywords.
 
 This module automates that process:
 
+* :func:`recover_policy` — the whole recovery, run once: the suspected
+  domains, the individually blocked hosts and the keywords, over one
+  :class:`AllowedTokens` index;
 * :func:`recover_censored_domains` — the 105-domain list (Table 8);
 * :func:`recover_keywords` — the five keywords (Table 10), via greedy
   maximum-coverage selection over candidate tokens that never occur in
   allowed traffic;
 * :func:`keyword_stats` / :func:`categorize_suspected` — the
   corresponding tables.
+
+A string "occurs in a request" when it is a substring of the request's
+lowered *matchable text*, ``f"{host}{path}?{query}".lower()``.  A
+frame's matchable texts are built once (:func:`matchable_texts`), and
+each keyword is one ``str.find`` pass over them.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,15 +46,189 @@ from repro.frame import LogFrame
 from repro.net.url import is_ip_like, registered_domain
 
 _TOKEN_RE = re.compile(r"[a-z0-9]{4,24}")
+_RUN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+#: A lowered value that starts with a run, after the first of the
+#: values joined one per line.
+_LEADING_RUN = re.compile(r"\n[a-z0-9]")
+#: Maps every byte but ``[a-z0-9]`` to a space, so ``split()`` yields
+#: the maximal ``[a-z0-9]`` runs.
+_RUN_BYTES = bytes(
+    byte if chr(byte) in _RUN_CHARS else 0x20 for byte in range(256)
+)
 
 
-def _matchable_texts(frame: LogFrame, mask: np.ndarray) -> list[str]:
-    hosts = frame.col("cs_host")[mask]
-    paths = frame.col("cs_uri_path")[mask]
-    queries = frame.col("cs_uri_query")[mask]
-    return [
+class MatchableTexts:
+    """Rows' lowered matchable texts, joined by NULs: row *i* is
+    ``text[starts[i]:ends[i]]``."""
+
+    def __init__(self, text: str, starts: np.ndarray, ends: np.ndarray):
+        self.text = text
+        self.starts = starts
+        self.ends = ends
+
+    @classmethod
+    def of(cls, texts: Sequence[str]) -> "MatchableTexts":
+        ends = np.fromiter(
+            accumulate(len(text) + 1 for text in texts), np.intp, len(texts)
+        ) - 1
+        starts = ends - np.fromiter(map(len, texts), np.intp, len(texts))
+        return cls("\0".join(texts), starts, ends)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, row: int) -> str:
+        return self.text[self.starts[row]:self.ends[row]]
+
+    def take(self, rows: Sequence[int]) -> "MatchableTexts":
+        """The texts of *rows*, in that order."""
+        return MatchableTexts.of([self[row] for row in rows])
+
+    def rows_containing(self, needle: str) -> list[int]:
+        """The rows whose text contains *needle*, ascending: one
+        ``str.find`` scan that skips to the next row after a hit."""
+        text, starts, ends = self.text, self.starts, self.ends
+        last = len(starts) - 1
+        rows: list[int] = []
+        position = text.find(needle) if last >= 0 else -1
+        while position >= 0:
+            row = int(starts.searchsorted(position, side="right")) - 1
+            if position + len(needle) > ends[row]:
+                # Runs past the row's text: look further on.
+                position = text.find(needle, position + 1)
+                continue
+            rows.append(row)
+            if row == last:
+                break
+            position = text.find(needle, starts[row + 1])
+        return rows
+
+    def first_match(self, needles: Sequence[str]) -> np.ndarray:
+        """Per row, the index of the first of *needles* its text
+        contains, or -1."""
+        first = np.full(len(self), -1, dtype=np.intp)
+        for index, needle in enumerate(needles):
+            rows = np.array(self.rows_containing(needle), dtype=np.intp)
+            first[rows[first[rows] < 0]] = index
+        return first
+
+
+def matchable_texts(frame: LogFrame) -> MatchableTexts:
+    """Every row's matchable text, built once per frame."""
+    return frame.derived(_build_matchable_texts)
+
+
+def _build_matchable_texts(frame: LogFrame) -> MatchableTexts:
+    hosts = frame.col("cs_host")
+    paths = frame.col("cs_uri_path")
+    queries = frame.col("cs_uri_query")
+    cells = np.empty((len(frame), 5), dtype=object)
+    cells[:, 0] = hosts
+    cells[:, 1] = paths
+    cells[:, 2] = "?"
+    cells[:, 3] = queries
+    cells[:, 4] = "\0"
+    text = "".join(cells.ravel().tolist())
+    del cells
+    if text.isascii():
+        # ASCII lowers character by character, so the rows keep their
+        # offsets, and the NULs end the rows unless a value holds one.
+        text = text.lower()
+        ends = np.flatnonzero(
+            np.frombuffer(text.encode("ascii"), dtype=np.uint8) == 0
+        )
+        if len(ends) == len(frame):
+            starts = np.empty_like(ends)
+            starts[:1] = 0
+            starts[1:] = ends[:-1] + 1
+            return MatchableTexts(text, starts, ends)
+    # Lowering may lengthen a row (U+0130 lowers to two characters).
+    return MatchableTexts.of([
         f"{h}{p}?{q}".lower() for h, p, q in zip(hosts, paths, queries)
-    ]
+    ])
+
+
+class AllowedTokens:
+    """Whether a ``[a-z0-9]+`` token occurs in allowed traffic: exactly
+    ``token in "\\n".join(<lowered matchable texts of the
+    OBSERVED-allowed rows>)``, without building or scanning that corpus.
+
+    Such a token can only occur inside one maximal ``[a-z0-9]`` run of
+    a lowered text, so the distinct runs of the distinct allowed host,
+    path and query values answer it.  The ``?`` and the row separator
+    end every run; only a host's last run and its path's first run can
+    join, when the lowered path starts with ``[a-z0-9]``, so those rows
+    add the runs of ``host + path``.  ``str.lower`` maps each character
+    on its own except the Greek final sigma, which never lowers into
+    ``[a-z0-9]``, so lowering distinct values gives the runs that
+    lowering whole texts gives.  Values are lowered before the ASCII
+    encoding: U+212A KELVIN SIGN lowers to ``k``.
+
+    A token equal to a run is a set lookup; any other occurrence is a
+    proper substring of a longer run, searched among the runs longer
+    than the token.  The index is built on first use.
+    """
+
+    def __init__(self, frame: LogFrame):
+        self._frame = frame
+        self._runs: set[bytes] | None = None
+        self._answers: dict[str, bool] = {}
+
+    def __contains__(self, token: str) -> bool:
+        answer = self._answers.get(token)
+        if answer is None:
+            if self._runs is None:
+                self._build()
+            key = token.encode("ascii")
+            answer = key in self._runs or self._longer.find(
+                key, 0, self._longer_end(len(key))
+            ) >= 0
+            self._answers[token] = answer
+        return answer
+
+    def _build(self) -> None:
+        frame = self._frame
+        allowed = observed_allowed_mask(frame)
+        hosts, host_codes = frame.factorize("cs_host")
+        paths = frame.col("cs_uri_path")[allowed].tolist()
+        # The lowered distinct values, one per line.
+        values = [
+            "\n".join(hosts[np.bincount(
+                host_codes[allowed], minlength=len(hosts)
+            ) > 0]).lower(),
+            "\n".join(dict.fromkeys(paths)).lower(),
+            "\n".join(dict.fromkeys(
+                frame.col("cs_uri_query")[allowed].tolist()
+            )).lower(),
+        ]
+        if values[1][:1] in _RUN_CHARS or _LEADING_RUN.search(values[1]):
+            joining = {
+                path for path in dict.fromkeys(paths)
+                if path[:1].lower()[:1] in _RUN_CHARS
+            }
+            allowed_hosts = frame.col("cs_host")[allowed].tolist()
+            values.append("\n".join(dict.fromkeys(
+                host + path for host, path in zip(allowed_hosts, paths)
+                if path in joining
+            )).lower())
+        runs: set[bytes] = set()
+        for lines in values:
+            runs.update(
+                lines.encode("ascii", "replace").translate(_RUN_BYTES).split()
+            )
+        longer = sorted(runs, key=len, reverse=True)
+        lengths = np.fromiter(map(len, longer), np.intp, len(longer))
+        self._runs = runs
+        self._longer = b"\n".join(longer)
+        self._ascending_lengths = lengths[::-1]
+        self._offsets = np.cumsum(lengths + 1)
+
+    def _longer_end(self, size: int) -> int:
+        """End of the runs longer than *size*; they come first."""
+        count = len(self._ascending_lengths) - int(
+            self._ascending_lengths.searchsorted(size, side="right")
+        )
+        return int(self._offsets[count - 1]) if count else 0
 
 
 @dataclass(frozen=True)
@@ -81,65 +265,57 @@ def recover_censored_domains(
     it.  ``min_censored`` suppresses domains with too little traffic
     to judge.
     """
+    return _suspected_domains(frame, AllowedTokens(frame), min_censored)
+
+
+def _suspected_domains(
+    frame: LogFrame, allowed_tokens: AllowedTokens, min_censored: int
+) -> list[SuspectedDomain]:
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
     proxied = proxied_mask(frame)
-    paths = frame.col("cs_uri_path")
-    queries = frame.col("cs_uri_query")
-    # Bare request: nothing beyond the hostname to blame.  CONNECT
-    # rows log path/query as '-'.
-    path_strings = paths.astype(str)
-    no_query = (queries == "") | (queries == "-")
-    bare = (
-        ((paths == "/") | (paths == "") | (paths == "-")) & no_query
-    ) | (no_query & (np.char.count(path_strings, "/") <= 1))
-
     unique_domains, inverse = domain_codes(frame)
     n = len(unique_domains)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n).astype(int)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n).astype(int)
     proxied_counts = np.bincount(inverse, weights=proxied, minlength=n).astype(int)
-    bare_censored = np.bincount(
-        inverse, weights=censored & bare, minlength=n
-    ).astype(int)
 
-    # Lazy fallback evidence for domains with no bare censored request:
-    # an allowed-traffic corpus for substring checks, memoized per token.
-    allowed_corpus: str | None = None
-    token_seen: dict[str, bool] = {}
-
-    def token_in_allowed(token: str) -> bool:
-        nonlocal allowed_corpus
-        if token not in token_seen:
-            if allowed_corpus is None:
-                allowed_corpus = "\n".join(
-                    _matchable_texts(frame, observed_allowed_mask(frame))
-                )
-            token_seen[token] = token in allowed_corpus
-        return token_seen[token]
+    # Bare request: no query and at most one '/', so nothing beyond
+    # the hostname to blame.  CONNECT rows log path/query as '-'.
+    censored_rows = np.flatnonzero(censored)
+    paths = frame.col("cs_uri_path")[censored_rows].tolist()
+    queries = frame.col("cs_uri_query")[censored_rows].tolist()
+    bare = np.fromiter(
+        (q in ("", "-") and p.count("/") <= 1 for p, q in zip(paths, queries)),
+        dtype=bool, count=len(censored_rows),
+    )
+    bare_censored = np.bincount(inverse[censored_rows[bare]], minlength=n)
+    censored_domains = inverse[censored_rows]
 
     def domain_attributable(domain_index: int) -> bool:
-        rows = np.flatnonzero((inverse == domain_index) & censored)
-        for row in rows[:50]:  # a handful of requests decide it
+        # Fallback evidence for a domain with no bare censored request.
+        rows = np.flatnonzero(censored_domains == domain_index)
+        for row in rows[:50].tolist():  # a handful of requests decide it
             text = f"{paths[row]}?{queries[row]}".lower()
             tokens = [
                 t for t in set(_TOKEN_RE.findall(text))
                 if not _looks_like_identifier(t)
             ]
-            if all(token_in_allowed(t) for t in tokens):
+            if all(t in allowed_tokens for t in tokens):
                 return True
         return False
 
     total_censored = int(censored.sum())
+    # A domain with no censored request never qualifies.
+    qualified = (censored_counts >= max(min_censored, 1)) & (allowed_counts == 0)
     suspected = []
-    for i, domain in enumerate(unique_domains):
-        if is_ip_like(str(domain)):
+    for i in np.flatnonzero(qualified).tolist():
+        domain = str(unique_domains[i])
+        if is_ip_like(domain):
             continue  # IP-based filtering is analyzed separately
-        if censored_counts[i] < min_censored or allowed_counts[i] != 0:
-            continue
         if bare_censored[i] >= 1 or domain_attributable(i):
             suspected.append(SuspectedDomain(
-                domain=str(domain),
+                domain=domain,
                 censored=int(censored_counts[i]),
                 censored_share_pct=percent(int(censored_counts[i]), total_censored),
                 allowed=0,
@@ -172,29 +348,34 @@ def recover_censored_hosts(
     """
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
-    paths = frame.col("cs_uri_path")
-    queries = frame.col("cs_uri_query")
-    no_query = (queries == "") | (queries == "-")
-    bare = ((paths == "/") | (paths == "") | (paths == "-")) & no_query
-
     unique_hosts, inverse = frame.factorize("cs_host")
     n = len(unique_hosts)
     censored_counts = np.bincount(inverse, weights=censored, minlength=n).astype(int)
     allowed_counts = np.bincount(inverse, weights=allowed, minlength=n).astype(int)
-    bare_censored = np.bincount(inverse, weights=censored & bare, minlength=n).astype(int)
+    censored_rows = np.flatnonzero(censored)
+    bare = np.fromiter(
+        (
+            p in ("/", "", "-") and q in ("", "-")
+            for p, q in zip(
+                frame.col("cs_uri_path")[censored_rows].tolist(),
+                frame.col("cs_uri_query")[censored_rows].tolist(),
+            )
+        ),
+        dtype=bool, count=len(censored_rows),
+    )
+    bare_censored = np.bincount(inverse[censored_rows[bare]], minlength=n)
 
+    qualified = (
+        (censored_counts >= min_censored)
+        & (allowed_counts == 0)
+        & (bare_censored >= 1)
+    )
     results = []
-    for i, host in enumerate(unique_hosts):
-        if is_ip_like(str(host)):
+    for i in np.flatnonzero(qualified).tolist():
+        host = str(unique_hosts[i])
+        if is_ip_like(host) or registered_domain(host) in exclude_domains:
             continue
-        if registered_domain(host) in exclude_domains:
-            continue
-        if (
-            censored_counts[i] >= min_censored
-            and allowed_counts[i] == 0
-            and bare_censored[i] >= 1
-        ):
-            results.append(SuspectedHost(str(host), int(censored_counts[i])))
+        results.append(SuspectedHost(host, int(censored_counts[i])))
     results.sort(key=lambda s: (-s.censored, s.host))
     return results
 
@@ -267,6 +448,22 @@ def recover_keywords(
     must come from mixed domains, where the contrast between censored
     and allowed URLs isolates the trigger string.
     """
+    return _recover_keywords(
+        frame, AllowedTokens(frame), exclude_domains, exclude_hosts,
+        min_coverage, max_keywords, candidate_pool, exclude_ambiguous,
+    )
+
+
+def _recover_keywords(
+    frame: LogFrame,
+    allowed_tokens: AllowedTokens,
+    exclude_domains: set[str] | frozenset[str],
+    exclude_hosts: set[str] | frozenset[str],
+    min_coverage: int,
+    max_keywords: int,
+    candidate_pool: int,
+    exclude_ambiguous: bool,
+) -> list[RecoveredKeyword]:
     censored = censored_mask(frame)
     exclude_domains = set(exclude_domains)
     exclude_hosts = set(exclude_hosts)
@@ -280,38 +477,37 @@ def recover_keywords(
         censored = censored & ~isin_column(
             frame, "cs_host", sorted(exclude_hosts)
         )
-    censored_texts = _matchable_texts(frame, censored)
-    if not censored_texts:
+    rows = np.flatnonzero(censored).tolist()
+    if not rows:
         return []
-    censored_hosts = frame.col("cs_host")[censored].tolist()
-    allowed_corpus = "\n".join(
-        _matchable_texts(frame, observed_allowed_mask(frame))
-    )
+    texts = matchable_texts(frame).take(rows)
+    hosts = frame.col("cs_host")[rows].tolist()
 
     token_counts: dict[str, int] = {}
-    for text in censored_texts:
-        for token in set(_TOKEN_RE.findall(text)):
+    for row in range(len(texts)):
+        for token in set(_TOKEN_RE.findall(texts[row])):
             token_counts[token] = token_counts.get(token, 0) + 1
     candidates = sorted(
         token_counts, key=lambda t: (-token_counts[t], t)
     )[:candidate_pool]
     # A blacklist string must never appear in allowed traffic.
-    candidates = [c for c in candidates if c not in allowed_corpus]
+    candidates = [c for c in candidates if c not in allowed_tokens]
 
-    remaining = list(zip(censored_texts, censored_hosts))
+    covers = {token: set(texts.rows_containing(token)) for token in candidates}
+    remaining = set(range(len(texts)))
     keywords: list[RecoveredKeyword] = []
     for _ in range(max_keywords):
         best_token = None
         best_score = (0, 0)
         for token in candidates:
-            cover = sum(1 for text, _ in remaining if token in text)
-            if cover == 0:
+            covered = covers[token] & remaining
+            if not covered:
                 continue
             # Tie-break on host diversity: a genuine policy string cuts
             # across hosts (toolbar + plugins + ads), whereas a merely
             # correlated token (e.g. 'plugins') is host-local.
-            diversity = len({host for text, host in remaining if token in text})
-            score = (cover, diversity)
+            diversity = len({hosts[row] for row in covered})
+            score = (len(covered), diversity)
             if score > best_score or (
                 score == best_score
                 and best_token is not None
@@ -321,11 +517,49 @@ def recover_keywords(
         if best_token is None or best_score[0] < min_coverage:
             break
         keywords.append(RecoveredKeyword(best_token, best_score[0]))
-        remaining = [
-            (text, host) for text, host in remaining if best_token not in text
-        ]
+        remaining -= covers[best_token]
         candidates.remove(best_token)
     return keywords
+
+
+@dataclass(frozen=True)
+class PolicyRecovery:
+    """Section 5.4's recovery of one frame: every suspected domain
+    (at least one censored request), the hosts blocked individually
+    under the other domains, and the keywords found outside both."""
+
+    domains: list[SuspectedDomain]
+    hosts: list[SuspectedHost]
+    keywords: list[RecoveredKeyword]
+
+    def suspected_domains(self, min_censored: int = 3) -> list[SuspectedDomain]:
+        """:func:`recover_censored_domains` at *min_censored*: the
+        threshold is the only thing that differs."""
+        floor = max(min_censored, 1)
+        return [row for row in self.domains if row.censored >= floor]
+
+
+def recover_policy(frame: LogFrame) -> PolicyRecovery:
+    """Run the Section 5.4 recovery once.
+
+    Keyword recovery excludes every domain and host with domain-level
+    blocking evidence regardless of volume (``min_censored=1``): a
+    rarely-visited blocked domain would otherwise leak its name tokens
+    into the candidate pool.  One :class:`AllowedTokens` index serves
+    the domains' fallback evidence and the keyword candidates.
+    """
+    allowed_tokens = AllowedTokens(frame)
+    domains = _suspected_domains(frame, allowed_tokens, min_censored=1)
+    exclusion = {row.domain for row in domains}
+    hosts = recover_censored_hosts(
+        frame, exclude_domains=exclusion, min_censored=1
+    )
+    keywords = _recover_keywords(
+        frame, allowed_tokens, exclusion, {row.host for row in hosts},
+        min_coverage=5, max_keywords=10, candidate_pool=400,
+        exclude_ambiguous=True,
+    )
+    return PolicyRecovery(domains, hosts, keywords)
 
 
 @dataclass(frozen=True)
@@ -350,21 +584,15 @@ def keyword_stats(
     censored = censored_mask(frame)
     allowed = observed_allowed_mask(frame)
     proxied = proxied_mask(frame)
-    hosts = frame.col("cs_host")
-    paths = frame.col("cs_uri_path")
-    queries = frame.col("cs_uri_query")
+    first = matchable_texts(frame).first_match(keywords)
     counts = {k: [0, 0, 0] for k in keywords}  # censored, allowed, proxied
-    for i in range(len(frame)):
-        text = f"{hosts[i]}{paths[i]}?{queries[i]}".lower()
-        for keyword in keywords:
-            if keyword in text:
-                if censored[i]:
-                    counts[keyword][0] += 1
-                elif proxied[i]:
-                    counts[keyword][2] += 1
-                elif allowed[i]:
-                    counts[keyword][1] += 1
-                break
+    for index, keyword in enumerate(keywords):
+        matched = first == index
+        # A row counts once: as censored, else proxied, else allowed.
+        uncensored = matched & ~censored
+        counts[keyword][0] += int(np.count_nonzero(matched & censored))
+        counts[keyword][1] += int(np.count_nonzero(uncensored & ~proxied & allowed))
+        counts[keyword][2] += int(np.count_nonzero(uncensored & proxied))
     total_censored = int(censored.sum())
     rows = [
         KeywordStats(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.common import censored_mask
+from repro.analysis.stringfilter import matchable_texts
 from repro.frame import LogFrame
 from repro.timeline import epoch_day
 
@@ -73,26 +74,19 @@ def keyword_weather(
 ) -> KeywordWeather:
     """Build the per-day keyword report over one dataset."""
     censored = censored_mask(frame)
-    epochs = frame.col("epoch")
-    day_keys = epochs // 86400
-    unique_days = np.unique(day_keys)
+    unique_days, day_of_row = np.unique(
+        frame.col("epoch") // 86400, return_inverse=True
+    )
     day_labels = tuple(epoch_day(int(d * 86400)) for d in unique_days)
-    day_index = {d: i for i, d in enumerate(unique_days)}
 
-    counts = np.zeros((len(keywords), len(unique_days)), dtype=np.int64)
+    rows = np.flatnonzero(censored)
     censored_totals = np.zeros(len(unique_days), dtype=np.int64)
-
-    hosts = frame.col("cs_host")
-    paths = frame.col("cs_uri_path")
-    queries = frame.col("cs_uri_query")
-    for i in np.flatnonzero(censored):
-        j = day_index[day_keys[i]]
-        censored_totals[j] += 1
-        text = f"{hosts[i]}{paths[i]}?{queries[i]}".lower()
-        for k, keyword in enumerate(keywords):
-            if keyword in text:
-                counts[k][j] += 1
-                break
+    np.add.at(censored_totals, day_of_row[rows], 1)
+    # A request counts for the first keyword it matches.
+    first = matchable_texts(frame).take(rows.tolist()).first_match(keywords)
+    matched = first >= 0
+    counts = np.zeros((len(keywords), len(unique_days)), dtype=np.int64)
+    np.add.at(counts, (first[matched], day_of_row[rows[matched]]), 1)
     return KeywordWeather(
         keywords=tuple(keywords),
         days=day_labels,

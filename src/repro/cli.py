@@ -669,40 +669,26 @@ def _analyze_streaming(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.analysis.stringfilter import (
-        recover_censored_domains,
-        recover_censored_hosts,
-        recover_keywords,
-    )
+    from repro.analysis.stringfilter import recover_policy
     from repro.reporting import render_table
 
-    frame = _load_frames(args.logs)
-    suspected = recover_censored_domains(frame, min_censored=args.min_censored)
+    recovery = recover_policy(_load_frames(args.logs))
+    suspected = recovery.suspected_domains(args.min_censored)
     print(render_table(
         ["Suspected domain", "Censored", "% of censored"],
         [[row.domain, row.censored, f"{row.censored_share_pct:.2f}"]
          for row in suspected[:20]],
         title=f"URL-blocked domains ({len(suspected)} recovered)",
     ))
-    exclusion = {
-        row.domain for row in recover_censored_domains(frame, min_censored=1)
-    }
-    hosts = recover_censored_hosts(frame, exclude_domains=exclusion,
-                                   min_censored=1)
-    if hosts:
+    if recovery.hosts:
         print(render_table(
             ["Blocked host", "Censored"],
-            [[row.host, row.censored] for row in hosts[:10]],
+            [[row.host, row.censored] for row in recovery.hosts[:10]],
             title="\nIndividually blocked hosts",
         ))
-    keywords = recover_keywords(
-        frame,
-        exclude_domains=exclusion,
-        exclude_hosts={row.host for row in hosts},
-    )
     print(render_table(
         ["Keyword", "Coverage"],
-        [[k.keyword, k.coverage] for k in keywords],
+        [[k.keyword, k.coverage] for k in recovery.keywords],
         title="\nRecovered keyword blacklist",
     ))
     return 0

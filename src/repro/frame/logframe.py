@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
 
 
 def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +63,8 @@ class LogFrame:
     frame.
 
     Each column is factorized at most once per frame
-    (:meth:`factorize`).
+    (:meth:`factorize`), and each value derived from several columns
+    is built at most once per frame (:meth:`derived`).
     """
 
     #: Column name -> dtype of a fixed-schema table; ``None`` for a
@@ -88,8 +92,9 @@ class LogFrame:
             raise ValueError(f"column lengths differ: {lengths}")
         self._columns: dict[str, np.ndarray] = dict(columns)
         self._length = distinct.pop()
-        # Column name -> (uniques, codes), exactly np.unique's result.
-        self._factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # Column name -> (uniques, codes), exactly np.unique's result;
+        # a derived value's build function -> that value.
+        self._cache: dict[object, object] = {}
 
     # -- basic protocol ------------------------------------------------
 
@@ -187,14 +192,30 @@ class LogFrame:
         row subsets included, factorizes its own columns.  Both arrays
         are read-only: they are shared by every later caller.
         """
-        entry = self._factors.get(name)
+        entry = self._cache.get(name)
         if entry is not None:
             return entry
         uniques, codes = factorize(self.col(name))
         uniques.flags.writeable = False
         codes.flags.writeable = False
-        self._factors[name] = uniques, codes
+        self._cache[name] = uniques, codes
         return uniques, codes
+
+    def derived(self, build: Callable[["LogFrame"], _T]) -> _T:
+        """``build(self)``, cached: computed at most once per frame.
+
+        For values an analysis derives from several columns and reads
+        many times (the registered-domain codes, the matchable texts).
+        *build* itself is the cache key, so pass a module-level
+        function.  Like :meth:`factorize`'s, the cache belongs to this
+        frame: a row subset starts empty.  Every later caller shares the
+        value, so no caller may modify it.
+        """
+        try:
+            return self._cache[build]
+        except KeyError:
+            value = self._cache[build] = build(self)
+            return value
 
     def value_counts(self, name: str) -> list[tuple[object, int]]:
         """Distinct values of a column with counts, most frequent first.

@@ -11,11 +11,7 @@ order here as an output-breaking change.
 
 from __future__ import annotations
 
-from repro.analysis.stringfilter import (
-    recover_censored_domains,
-    recover_censored_hosts,
-    recover_keywords,
-)
+from repro.analysis.stringfilter import recover_policy
 from repro.frame import LogFrame
 from repro.policy.syria import SyrianPolicy, build_syrian_policy
 from repro.proxy import ProxyFleet
@@ -34,32 +30,23 @@ def _build_policy(generator: TrafficGenerator) -> SyrianPolicy:
 
 def _recover(frame: LogFrame, policy: SyrianPolicy) -> tuple[RuleRecovery, ...]:
     """The paper's Section 5.4 recovery, scored against ground truth."""
-    suspected = recover_censored_domains(frame, min_censored=3)
-    exclusion = {
-        row.domain for row in recover_censored_domains(frame, min_censored=1)
-    }
-    hosts = recover_censored_hosts(
-        frame, exclude_domains=exclusion, min_censored=1
-    )
-    keywords = recover_keywords(
-        frame,
-        exclude_domains=exclusion,
-        exclude_hosts={row.host for row in hosts},
-    )
+    recovery = recover_policy(frame)
     return (
         RuleRecovery(
             kind="url-domains",
-            recovered=tuple(sorted(row.domain for row in suspected)),
+            recovered=tuple(sorted(
+                row.domain for row in recovery.suspected_domains()
+            )),
             truth=tuple(sorted(policy.blocked_domains)),
         ),
         RuleRecovery(
             kind="hosts",
-            recovered=tuple(sorted(row.host for row in hosts)),
+            recovered=tuple(sorted(row.host for row in recovery.hosts)),
             truth=tuple(sorted(policy.blocked_hosts)),
         ),
         RuleRecovery(
             kind="keywords",
-            recovered=tuple(sorted(k.keyword for k in keywords)),
+            recovered=tuple(sorted(k.keyword for k in recovery.keywords)),
             truth=tuple(sorted(policy.keywords)),
         ),
     )

@@ -5,21 +5,40 @@ scenario is ground truth, and the recovery must re-derive it from the
 logs alone.
 """
 
-import pytest
+import re
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.common import (
+    censored_mask,
+    observed_allowed_mask,
+    proxied_mask,
+)
 from repro.analysis.stringfilter import (
+    AllowedTokens,
     categorize_suspected,
     keyword_stats,
     recover_censored_domains,
     recover_censored_hosts,
     recover_keywords,
+    recover_policy,
 )
+from repro.analysis.weather import keyword_weather
 from repro.catalog.categories import Category as C
 from repro.categorizer import TrustedSourceCategorizer
 from repro.datasets import build_scenario
 from repro.policy.syria import KEYWORDS
 from repro.workload.config import small_config
-from tests.helpers import allowed_row, censored_row, make_frame, proxied_row
+from tests.helpers import (
+    DEFAULT_EPOCH,
+    allowed_row,
+    censored_row,
+    error_row,
+    make_frame,
+    proxied_row,
+)
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +295,170 @@ class TestTable9:
         )
         by_category = {row.category: row.domain_count for row in rows}
         assert by_category.get(C.GENERAL_NEWS, 0) >= 3
+
+
+# -- the fast passes against naive references -------------------------
+#
+# Small frames over a small alphabet, so tokens repeat and runs join:
+# upper case, '-', '/', empty cells, paths that start with [a-z0-9],
+# U+212A KELVIN SIGN (lowers to ASCII 'k'), U+0130 (lowers to two
+# characters, 'i' and a combining dot) and the Greek capital sigma
+# (whose lowercase depends on its neighbours).
+_CHARS = "abkpAK01-/.=\u212a\u0130\u03a3"
+_cells = st.text(alphabet=_CHARS, max_size=9)
+_ROW_KINDS = {
+    "censored": censored_row,
+    "allowed": allowed_row,
+    "proxied": proxied_row,
+    "error": error_row,
+}
+_rows = st.lists(
+    st.builds(
+        lambda kind, host, path, query, day: _ROW_KINDS[kind](
+            cs_host=host, cs_uri_path=path, cs_uri_query=query,
+            epoch=DEFAULT_EPOCH + day * 86400,
+        ),
+        st.sampled_from(sorted(_ROW_KINDS)),
+        st.sampled_from(
+            ["ka.com", "m.ka.com", "Ab.K0m", "b.pp", "10.0.0.1", "kk"]
+        ) | _cells,
+        st.sampled_from(["/", "-", "", "/pa/b", "kab1"]) | _cells,
+        st.sampled_from(["", "-", "p=kk"]) | _cells,
+        st.integers(0, 2),
+    ),
+    min_size=1, max_size=12,
+)
+# Rows over a few hosts, two of them under one domain, and a token
+# ('kapp0') that only censored rows carry, so that the recovery finds
+# domains, single hosts and keywords.
+_recovery_rows = st.lists(
+    st.sampled_from(["censored", "censored", "allowed", "proxied"]).flatmap(
+        lambda kind: st.builds(
+            lambda host, path, query: _ROW_KINDS[kind](
+                cs_host=host, cs_uri_path=path, cs_uri_query=query,
+            ),
+            st.sampled_from(["ka.com", "m.ka.com", "b.pp", "x.b.pp",
+                             "10.0.0.1"]),
+            st.sampled_from(["/", "-", "/pa/b"]),
+            st.sampled_from(
+                ["", "-", "q=zz11"]
+                + (["p=kapp0"] * 3 if kind == "censored" else [])
+            ),
+        )
+    ),
+    min_size=3, max_size=40,
+)
+_TOKEN_CHARS = re.compile(r"[a-z0-9]+")
+
+
+def _texts(frame, mask=None):
+    """The lowered matchable texts, built row by row."""
+    rows = range(len(frame)) if mask is None else np.flatnonzero(mask)
+    hosts = frame.col("cs_host")
+    paths = frame.col("cs_uri_path")
+    queries = frame.col("cs_uri_query")
+    return [f"{hosts[i]}{paths[i]}?{queries[i]}".lower() for i in rows]
+
+
+def _every_token(texts):
+    """Every [a-z0-9]{4,24} substring of the texts."""
+    tokens = set()
+    for text in texts:
+        for run in _TOKEN_CHARS.findall(text):
+            for start in range(len(run)):
+                for stop in range(start + 4, min(len(run), start + 24) + 1):
+                    tokens.add(run[start:stop])
+    return tokens
+
+
+def _four_call_recovery(frame):
+    """The recovery spelled out as four calls of the public functions:
+    the reference :func:`recover_policy` must equal."""
+    table8 = recover_censored_domains(frame, min_censored=3)
+    exclusion = {
+        row.domain for row in recover_censored_domains(frame, min_censored=1)
+    }
+    hosts = recover_censored_hosts(
+        frame, exclude_domains=exclusion, min_censored=1
+    )
+    keywords = recover_keywords(
+        frame,
+        exclude_domains=exclusion,
+        exclude_hosts={row.host for row in hosts},
+    )
+    return table8, hosts, keywords
+
+
+class TestAgainstNaiveReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=_rows,
+        drawn=st.lists(st.from_regex(r"[a-z0-9]{4,24}", fullmatch=True),
+                       max_size=4),
+    )
+    def test_allowed_tokens_equal_a_corpus_scan(self, rows, drawn):
+        frame = make_frame(rows)
+        corpus = "\n".join(_texts(frame, observed_allowed_mask(frame)))
+        index = AllowedTokens(frame)
+        for token in sorted(_every_token(_texts(frame)) | set(drawn)):
+            assert (token in index) == (token in corpus), token
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=_rows,
+        keywords=st.lists(
+            st.text(alphabet="abkp01/?.=\u03c3\u03c2", max_size=4),
+            max_size=4,
+        ).map(tuple),
+    )
+    def test_keyword_tables_equal_a_row_loop(self, rows, keywords):
+        frame = make_frame(rows)
+        censored = censored_mask(frame)
+        allowed = observed_allowed_mask(frame)
+        proxied = proxied_mask(frame)
+        days = frame.col("epoch") // 86400
+        day_index = {day: j for j, day in enumerate(sorted(set(days)))}
+        counts = {k: [0, 0, 0] for k in keywords}
+        weather = np.zeros((len(keywords), len(day_index)), dtype=np.int64)
+        for i, text in enumerate(_texts(frame)):
+            for k, keyword in enumerate(keywords):
+                if keyword in text:
+                    if censored[i]:
+                        counts[keyword][0] += 1
+                        weather[k][day_index[days[i]]] += 1
+                    elif proxied[i]:
+                        counts[keyword][2] += 1
+                    elif allowed[i]:
+                        counts[keyword][1] += 1
+                    break
+        stats = keyword_stats(frame, keywords)
+        assert {row.keyword: [row.censored, row.allowed, row.proxied]
+                for row in stats} == counts
+        assert len(stats) == len(counts)
+        result = keyword_weather(frame, keywords)
+        assert result.counts.tolist() == weather.tolist()
+        assert result.censored_totals.tolist() == [
+            int((censored & (days == day)).sum()) for day in day_index
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.tuples(_recovery_rows, _rows).map(
+        lambda parts: parts[0] * 2 + parts[1]
+    ))
+    def test_recover_policy_equals_the_four_calls(self, rows):
+        frame = make_frame(rows)
+        recovery = recover_policy(frame)
+        assert (
+            recovery.suspected_domains(), recovery.hosts, recovery.keywords
+        ) == _four_call_recovery(frame)
+        for min_censored in (-1, 0, 1, 2, 4):
+            assert recovery.suspected_domains(min_censored) == (
+                recover_censored_domains(frame, min_censored=min_censored)
+            )
+
+    def test_scenario_recovery_equals_the_four_calls(self, scenario):
+        recovery = recover_policy(scenario.full)
+        assert (
+            recovery.suspected_domains(), recovery.hosts, recovery.keywords
+        ) == _four_call_recovery(scenario.full)
+        assert recovery.keywords

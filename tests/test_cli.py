@@ -96,6 +96,59 @@ class TestRecover:
         assert "URL-blocked domains" in output
         assert "proxy" in output  # the keyword is always recoverable
 
+    @pytest.fixture(scope="class")
+    def recover_logs(self, tmp_path_factory):
+        """Logs whose recovery has a row in every table (seed 2 at 8k
+        requests recovers the messenger.live.com gateway)."""
+        out = tmp_path_factory.mktemp("recover-logs")
+        assert main([
+            "simulate", "--requests", "8000", "--seed", "2",
+            "--out", str(out), "--boosts",
+        ]) == 0
+        return sorted(out.glob("*.log"))
+
+    @pytest.mark.parametrize("min_censored", [None, 2])
+    def test_prints_the_library_recovery(
+        self, recover_logs, capsys, min_censored
+    ):
+        """Every printed row is the recovery's own, at the default
+        threshold and at ``--min-censored 2``."""
+        from repro.analysis.stringfilter import recover_policy
+        from repro.engine import load_frames
+
+        paths = recover_logs
+        argv = [] if min_censored is None else [
+            "--min-censored", str(min_censored)
+        ]
+        assert main(["recover", *[str(p) for p in paths], *argv]) == 0
+        # One block per table: title, header, rule, then the rows.
+        blocks = capsys.readouterr().out.strip().split("\n\n")
+        tables = {
+            block.splitlines()[0]: [
+                line.split() for line in block.splitlines()[3:]
+            ]
+            for block in blocks
+        }
+        recovery = recover_policy(load_frames(paths))
+        domains = recovery.suspected_domains(
+            3 if min_censored is None else min_censored
+        )
+        assert tables == {
+            f"URL-blocked domains ({len(domains)} recovered)": [
+                [row.domain, str(row.censored),
+                 f"{row.censored_share_pct:.2f}"]
+                for row in domains[:20]
+            ],
+            "Individually blocked hosts": [
+                [row.host, str(row.censored)] for row in recovery.hosts[:10]
+            ],
+            "Recovered keyword blacklist": [
+                [k.keyword, str(k.coverage)] for k in recovery.keywords
+            ],
+        }
+        assert domains and recovery.hosts
+        assert recovery.keywords[0].keyword == "proxy"
+
 
 class TestReport:
     def test_report_with_markdown(self, tmp_path, capsys):

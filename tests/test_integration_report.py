@@ -119,13 +119,6 @@ class TestReportEndToEnd:
             + report.economics.precision_index_pct
         ) == 100.0 or report.economics.censored_total == 0
 
-    def test_report_without_keyword_recovery(self, scenario):
-        from repro.analysis.report import build_report
-
-        quick = build_report(scenario, recover_keywords=False)
-        assert quick.recovered_keywords == []
-        assert quick.table10  # Table 10 still computed from known list
-
 
 def _canonical(value):
     """A JSON-ready form of a report value that keeps types and order.
