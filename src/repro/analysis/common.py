@@ -21,6 +21,11 @@ from repro.net.url import is_ip_like, registered_domain
 
 _CENSOR_LIST = sorted(CENSOR_EXCEPTIONS)
 
+#: Rows, or distinct values, per piece of a pass that builds its
+#: result a piece at a time, so that its short-lived memory is a
+#: piece's rather than the frame's.
+PIECE_ROWS = 1 << 12
+
 
 def isin_column(frame: LogFrame, name: str, values) -> np.ndarray:
     """``np.isin(frame.col(name), values)``, tested once per distinct

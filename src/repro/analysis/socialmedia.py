@@ -101,7 +101,6 @@ def facebook_pages(frame: LogFrame, min_requests: int = 1) -> list[FacebookPageR
     allowed = observed_allowed_mask(frame)
     proxied = proxied_mask(frame)
     categories = frame.col("cs_categories")
-    custom = np.char.startswith(categories.astype(str), "Blocked sites")
 
     page_rows: dict[str, list[int]] = {}
     for i in np.flatnonzero(of_facebook):
@@ -115,7 +114,7 @@ def facebook_pages(frame: LogFrame, min_requests: int = 1) -> list[FacebookPageR
             stats[2] += 1
         elif allowed[i]:
             stats[1] += 1
-        if custom[i]:
+        if categories[i].startswith("Blocked sites"):
             stats[3] += 1
     rows = [
         FacebookPageRow(page, c, a, p, hits)

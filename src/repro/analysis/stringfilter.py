@@ -27,13 +27,14 @@ each keyword is one ``str.find`` pass over them.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from repro.analysis.common import (
+    PIECE_ROWS,
     censored_mask,
     domain_codes,
     isin_column,
@@ -47,9 +48,6 @@ from repro.net.url import is_ip_like, registered_domain
 
 _TOKEN_RE = re.compile(r"[a-z0-9]{4,24}")
 _RUN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
-#: A lowered value that starts with a run, after the first of the
-#: values joined one per line.
-_LEADING_RUN = re.compile(r"\n[a-z0-9]")
 #: Maps every byte but ``[a-z0-9]`` to a space, so ``split()`` yields
 #: the maximal ``[a-z0-9]`` runs.
 _RUN_BYTES = bytes(
@@ -58,27 +56,39 @@ _RUN_BYTES = bytes(
 
 
 class MatchableTexts:
-    """Rows' lowered matchable texts, joined by NULs: row *i* is
-    ``text[starts[i]:ends[i]]``."""
+    """Rows' lowered matchable texts, held as pieces of whole rows.
 
-    def __init__(self, text: str, starts: np.ndarray, ends: np.ndarray):
-        self.text = text
-        self.starts = starts
-        self.ends = ends
+    A piece is its rows' texts joined by NULs.  Row *i* is
+    ``[bounds[i], bounds[i + 1] - 1)`` of the pieces' concatenation
+    with a NUL after each piece, so every row ends at a NUL or at the
+    end of its piece.
+    """
+
+    def __init__(self, pieces: list[str], bounds: np.ndarray):
+        self.pieces = pieces
+        self.bounds = bounds
+        #: Where each piece starts in the concatenation.
+        self.offsets = np.fromiter(
+            accumulate((len(piece) + 1 for piece in pieces[:-1]), initial=0),
+            np.intp, len(pieces),
+        )
 
     @classmethod
     def of(cls, texts: Sequence[str]) -> "MatchableTexts":
-        ends = np.fromiter(
-            accumulate(len(text) + 1 for text in texts), np.intp, len(texts)
-        ) - 1
-        starts = ends - np.fromiter(map(len, texts), np.intp, len(texts))
-        return cls("\0".join(texts), starts, ends)
+        bounds = np.fromiter(
+            accumulate((len(text) + 1 for text in texts), initial=0),
+            np.intp, len(texts) + 1,
+        )
+        return cls(["\0".join(texts)] if texts else [], bounds)
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.bounds) - 1
 
     def __getitem__(self, row: int) -> str:
-        return self.text[self.starts[row]:self.ends[row]]
+        start, stop = int(self.bounds[row]), int(self.bounds[row + 1]) - 1
+        piece = int(self.offsets.searchsorted(start, side="right")) - 1
+        offset = int(self.offsets[piece])
+        return self.pieces[piece][start - offset:stop - offset]
 
     def take(self, rows: Sequence[int]) -> "MatchableTexts":
         """The texts of *rows*, in that order."""
@@ -86,21 +96,23 @@ class MatchableTexts:
 
     def rows_containing(self, needle: str) -> list[int]:
         """The rows whose text contains *needle*, ascending: one
-        ``str.find`` scan that skips to the next row after a hit."""
-        text, starts, ends = self.text, self.starts, self.ends
-        last = len(starts) - 1
+        ``str.find`` scan per piece that skips to the next row after a
+        hit."""
+        bounds = self.bounds
         rows: list[int] = []
-        position = text.find(needle) if last >= 0 else -1
-        while position >= 0:
-            row = int(starts.searchsorted(position, side="right")) - 1
-            if position + len(needle) > ends[row]:
-                # Runs past the row's text: look further on.
-                position = text.find(needle, position + 1)
-                continue
-            rows.append(row)
-            if row == last:
-                break
-            position = text.find(needle, starts[row + 1])
+        for text, offset in zip(self.pieces, self.offsets.tolist()):
+            position = text.find(needle)
+            while position >= 0:
+                row = int(
+                    bounds.searchsorted(offset + position, side="right")
+                ) - 1
+                end = int(bounds[row + 1]) - 1 - offset
+                if position + len(needle) > end:
+                    # Runs past the row's text: look further on.
+                    position = text.find(needle, position + 1)
+                    continue
+                rows.append(row)
+                position = text.find(needle, end + 1)
         return rows
 
     def first_match(self, needles: Sequence[str]) -> np.ndarray:
@@ -122,30 +134,46 @@ def _build_matchable_texts(frame: LogFrame) -> MatchableTexts:
     hosts = frame.col("cs_host")
     paths = frame.col("cs_uri_path")
     queries = frame.col("cs_uri_query")
-    cells = np.empty((len(frame), 5), dtype=object)
-    cells[:, 0] = hosts
-    cells[:, 1] = paths
-    cells[:, 2] = "?"
-    cells[:, 3] = queries
-    cells[:, 4] = "\0"
-    text = "".join(cells.ravel().tolist())
-    del cells
-    if text.isascii():
-        # ASCII lowers character by character, so the rows keep their
-        # offsets, and the NULs end the rows unless a value holds one.
-        text = text.lower()
+    texts = _lowered_ascii_texts(hosts, paths, queries)
+    if texts is None:
+        # Lowering may lengthen a row (U+0130 lowers to two characters).
+        texts = MatchableTexts.of([
+            f"{h}{p}?{q}".lower() for h, p, q in zip(hosts, paths, queries)
+        ])
+    return texts
+
+
+def _lowered_ascii_texts(
+    hosts: np.ndarray, paths: np.ndarray, queries: np.ndarray
+) -> MatchableTexts | None:
+    """The texts built a piece of rows at a time, or None unless every
+    value is ASCII and NUL-free.  ASCII lowers character by character,
+    so a piece's NULs end its rows."""
+    rows = len(hosts)
+    bounds = np.zeros(rows + 1, dtype=np.intp)
+    pieces = []
+    for start in range(0, rows, PIECE_ROWS):
+        stop = min(start + PIECE_ROWS, rows)
+        cells = np.empty((stop - start, 5), dtype=object)
+        cells[:, 0] = hosts[start:stop]
+        cells[:, 1] = paths[start:stop]
+        cells[:, 2] = "?"
+        cells[:, 3] = queries[start:stop]
+        cells[:, 4] = "\0"
+        piece = "".join(cells.ravel().tolist())
+        del cells
+        if not piece.isascii():
+            return None
+        piece = piece.lower()
         ends = np.flatnonzero(
-            np.frombuffer(text.encode("ascii"), dtype=np.uint8) == 0
+            np.frombuffer(piece.encode("ascii"), dtype=np.uint8) == 0
         )
-        if len(ends) == len(frame):
-            starts = np.empty_like(ends)
-            starts[:1] = 0
-            starts[1:] = ends[:-1] + 1
-            return MatchableTexts(text, starts, ends)
-    # Lowering may lengthen a row (U+0130 lowers to two characters).
-    return MatchableTexts.of([
-        f"{h}{p}?{q}".lower() for h, p, q in zip(hosts, paths, queries)
-    ])
+        if len(ends) != stop - start:  # a value holds a NUL
+            return None
+        bounds[start + 1:stop + 1] = bounds[start] + ends + 1
+        # The piece's last NUL is implied.
+        pieces.append(piece[:-1])
+    return MatchableTexts(pieces, bounds)
 
 
 class AllowedTokens:
@@ -160,18 +188,22 @@ class AllowedTokens:
     join, when the lowered path starts with ``[a-z0-9]``, so those rows
     add the runs of ``host + path``.  ``str.lower`` maps each character
     on its own except the Greek final sigma, which never lowers into
-    ``[a-z0-9]``, so lowering distinct values gives the runs that
-    lowering whole texts gives.  Values are lowered before the ASCII
-    encoding: U+212A KELVIN SIGN lowers to ``k``.
+    ``[a-z0-9]``, so lowering distinct values, a piece at a time, gives
+    the runs that lowering whole texts gives.  Values are lowered
+    before the ASCII encoding: U+212A KELVIN SIGN lowers to ``k``.
 
-    A token equal to a run is a set lookup; any other occurrence is a
-    proper substring of a longer run, searched among the runs longer
+    The index is one bytes object: every distinct run followed by a
+    newline, longest runs first and runs of one length in sorted
+    order, so the runs of each length are a fixed-width sorted array.
+    A token equal to a run is found by binary search among the runs of
+    its length; any other occurrence is a proper substring of a longer
+    run, searched in the part of the index that holds the runs longer
     than the token.  The index is built on first use.
     """
 
     def __init__(self, frame: LogFrame):
         self._frame = frame
-        self._runs: set[bytes] | None = None
+        self._runs: bytes | None = None
         self._answers: dict[str, bool] = {}
 
     def __contains__(self, token: str) -> bool:
@@ -179,56 +211,86 @@ class AllowedTokens:
         if answer is None:
             if self._runs is None:
                 self._build()
-            key = token.encode("ascii")
-            answer = key in self._runs or self._longer.find(
-                key, 0, self._longer_end(len(key))
-            ) >= 0
-            self._answers[token] = answer
+            answer = self._answers[token] = self._occurs(token.encode("ascii"))
         return answer
 
-    def _build(self) -> None:
-        frame = self._frame
-        allowed = observed_allowed_mask(frame)
-        hosts, host_codes = frame.factorize("cs_host")
-        paths = frame.col("cs_uri_path")[allowed].tolist()
-        # The lowered distinct values, one per line.
-        values = [
-            "\n".join(hosts[np.bincount(
-                host_codes[allowed], minlength=len(hosts)
-            ) > 0]).lower(),
-            "\n".join(dict.fromkeys(paths)).lower(),
-            "\n".join(dict.fromkeys(
-                frame.col("cs_uri_query")[allowed].tolist()
-            )).lower(),
-        ]
-        if values[1][:1] in _RUN_CHARS or _LEADING_RUN.search(values[1]):
-            joining = {
-                path for path in dict.fromkeys(paths)
-                if path[:1].lower()[:1] in _RUN_CHARS
-            }
-            allowed_hosts = frame.col("cs_host")[allowed].tolist()
-            values.append("\n".join(dict.fromkeys(
-                host + path for host, path in zip(allowed_hosts, paths)
-                if path in joining
-            )).lower())
-        runs: set[bytes] = set()
-        for lines in values:
-            runs.update(
-                lines.encode("ascii", "replace").translate(_RUN_BYTES).split()
+    def _occurs(self, key: bytes) -> bool:
+        size = len(key)
+        longer, same = self._end_of_longer(size), self._end_of_longer(size - 1)
+        if same > longer:
+            exact = np.frombuffer(
+                self._runs, dtype=f"S{size + 1}",
+                count=(same - longer) // (size + 1), offset=longer,
             )
-        longer = sorted(runs, key=len, reverse=True)
-        lengths = np.fromiter(map(len, longer), np.intp, len(longer))
-        self._runs = runs
-        self._longer = b"\n".join(longer)
-        self._ascending_lengths = lengths[::-1]
-        self._offsets = np.cumsum(lengths + 1)
+            probe = key + b"\n"
+            index = int(exact.searchsorted(probe))
+            if index < len(exact) and exact[index] == probe:
+                return True
+        return self._runs.find(key, 0, longer) >= 0
 
-    def _longer_end(self, size: int) -> int:
+    def _end_of_longer(self, size: int) -> int:
         """End of the runs longer than *size*; they come first."""
-        count = len(self._ascending_lengths) - int(
-            self._ascending_lengths.searchsorted(size, side="right")
-        )
-        return int(self._offsets[count - 1]) if count else 0
+        through = self._through
+        return int(through[size + 1]) if size + 1 < len(through) else 0
+
+    def _build(self) -> None:
+        # Run length -> sorted distinct runs of that length, per piece.
+        found: dict[int, list[np.ndarray]] = {}
+        for values in _allowed_values(self._frame):
+            runs = sorted(set(
+                "\n".join(values).lower().encode("ascii", "replace")
+                .translate(_RUN_BYTES).split()
+            ), key=len)
+            for size, group in groupby(runs, key=len):
+                found.setdefault(size, []).append(
+                    np.array(list(group), dtype=f"S{size}")
+                )
+        # through[size]: bytes of the runs at least *size* long.
+        through = np.zeros(max(found, default=0) + 2, dtype=np.intp)
+        groups = []
+        for size in sorted(found, reverse=True):
+            runs = np.concatenate(found.pop(size))
+            runs.sort()
+            # np.unique would import numpy.ma for a bytes array.
+            runs = runs[np.concatenate(([True], runs[1:] != runs[:-1]))]
+            # Widened by one NUL byte, which becomes the newline.
+            lines = runs.astype(f"S{size + 1}")
+            lines.view(np.uint8)[size::size + 1] = ord("\n")
+            groups.append(lines.tobytes())
+            through[size] = len(runs) * (size + 1)
+        self._runs = b"".join(groups)
+        self._through = np.cumsum(through[::-1])[::-1]
+
+
+def _allowed_values(frame: LogFrame) -> Iterator[Iterable[str]]:
+    """The values whose runs answer :class:`AllowedTokens`, in pieces:
+    the distinct hosts of the OBSERVED-allowed rows, then per piece of
+    rows the distinct paths and queries of those rows, plus ``host +
+    path`` where the lowered path starts with ``[a-z0-9]``."""
+    allowed = observed_allowed_mask(frame)
+    distinct_hosts, host_codes = frame.factorize("cs_host")
+    yield distinct_hosts[
+        np.bincount(host_codes[allowed], minlength=len(distinct_hosts)) > 0
+    ].tolist()
+    hosts = frame.col("cs_host")
+    paths = frame.col("cs_uri_path")
+    queries = frame.col("cs_uri_query")
+    for start in range(0, len(frame), PIECE_ROWS):
+        rows = slice(start, start + PIECE_ROWS)
+        mask = allowed[rows]
+        piece_paths = paths[rows][mask].tolist()
+        values = set(piece_paths)
+        joining = {
+            path for path in values if path[:1].lower()[:1] in _RUN_CHARS
+        }
+        values.update(queries[rows][mask].tolist())
+        if joining:
+            values.update(
+                host + path
+                for host, path in zip(hosts[rows][mask].tolist(), piece_paths)
+                if path in joining
+            )
+        yield values
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.common import censored_mask
+from repro.analysis.common import PIECE_ROWS, censored_mask
 from repro.analysis.stringfilter import matchable_texts
 from repro.frame import LogFrame
 from repro.timeline import epoch_day
@@ -73,20 +73,24 @@ def keyword_weather(
     frame: LogFrame, keywords: tuple[str, ...]
 ) -> KeywordWeather:
     """Build the per-day keyword report over one dataset."""
-    censored = censored_mask(frame)
-    unique_days, day_of_row = np.unique(
-        frame.col("epoch") // 86400, return_inverse=True
-    )
+    epochs = frame.col("epoch")
+    # Every day of the frame, a piece of rows at a time.
+    days: set[int] = set()
+    for start in range(0, len(epochs), PIECE_ROWS):
+        days.update((epochs[start:start + PIECE_ROWS] // 86400).tolist())
+    unique_days = np.array(sorted(days), dtype=np.int64)
     day_labels = tuple(epoch_day(int(d * 86400)) for d in unique_days)
 
-    rows = np.flatnonzero(censored)
-    censored_totals = np.zeros(len(unique_days), dtype=np.int64)
-    np.add.at(censored_totals, day_of_row[rows], 1)
+    rows = np.flatnonzero(censored_mask(frame))
+    day_of_row = unique_days.searchsorted(epochs[rows] // 86400)
+    censored_totals = np.bincount(
+        day_of_row, minlength=len(unique_days)
+    ).astype(np.int64)
     # A request counts for the first keyword it matches.
     first = matchable_texts(frame).take(rows.tolist()).first_match(keywords)
     matched = first >= 0
     counts = np.zeros((len(keywords), len(unique_days)), dtype=np.int64)
-    np.add.at(counts, (first[matched], day_of_row[rows[matched]]), 1)
+    np.add.at(counts, (first[matched], day_of_row[matched]), 1)
     return KeywordWeather(
         keywords=tuple(keywords),
         days=day_labels,

@@ -59,16 +59,20 @@ def append_record(buffers: dict[str, list], record: LogRecord) -> None:
     buffers["s_action"].append(intern(record.s_action))
 
 
+def buffers_to_columns(buffers: dict[str, list]) -> dict[str, np.ndarray]:
+    """Append buffers as arrays of the frame dtypes; an int outside its
+    column's dtype raises ``OverflowError``."""
+    return {
+        name: np.asarray(values, dtype=FRAME_COLUMNS[name])
+        for name, values in buffers.items()
+    }
+
+
 def buffers_to_frame(buffers: dict[str, list]) -> LogFrame:
     """Materialize append buffers into a :class:`LogFrame`."""
     if not buffers["epoch"]:
         return empty_frame()
-    return LogFrame(
-        {
-            name: np.asarray(values, dtype=FRAME_COLUMNS[name])
-            for name, values in buffers.items()
-        }
-    )
+    return LogFrame(buffers_to_columns(buffers))
 
 
 def frame_from_records(records: Iterable[LogRecord]) -> LogFrame:

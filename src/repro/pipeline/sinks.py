@@ -23,7 +23,12 @@ import numpy as np
 from repro.analysis.streaming import StreamingAnalysis
 from repro.atomicio import PartWriter, read_part
 from repro.frame.batch import RecordBatch
-from repro.frame.io import FRAME_COLUMNS, buffers_to_frame, new_record_buffers
+from repro.frame.io import (
+    FRAME_COLUMNS,
+    buffers_to_columns,
+    empty_frame,
+    new_record_buffers,
+)
 from repro.frame.logframe import LogFrame
 from repro.logmodel.elff import (
     DEFAULT_SOFTWARE,
@@ -120,18 +125,31 @@ class StreamingAnalysisSink(Sink):
 
 
 class FrameSink(Sink):
-    """Fold the stream straight into columnar buffers.
+    """Fold the stream straight into columnar chunks.
 
-    The fused alternative to "collect a record list, then
-    ``frame_from_records``": per-column Python lists grow as batches
-    flow, and :meth:`frame` materializes the arrays.  Merging re-interns
-    string cells, because pickling across the process boundary breaks
-    interning — without it a sharded build would hold one string object
-    per shard per distinct value instead of one overall.
+    Within a pass (one ``consume_batches``, which ``Pipeline.run``
+    calls) per-column Python lists grow as batches flow; the end of the
+    pass seals them into one chunk of :data:`~repro.frame.io.
+    FRAME_COLUMNS` arrays and drops them, so a shard's Python ints and
+    list pointers live only while the shard runs.  ``merge`` appends
+    the other sink's chunks without copying a cell, and :meth:`frame`
+    concatenates one column at a time, releasing that column's chunks
+    before it builds the next.  (A frame per batch folds faster but
+    costs an array header per column per batch, which at small batch
+    sizes outweighs the rows.)
+
+    String cells are interned as they fold.  Pickling breaks interning,
+    so a sink unpickled from another process (a pool result, a ledger
+    artifact) re-interns its string cells — without it a sharded build
+    would hold one string object per shard per distinct value instead
+    of one overall.
     """
 
     def __init__(self) -> None:
         self._buffers = new_record_buffers()
+        self._chunks: dict[str, list[np.ndarray]] = {
+            name: [] for name in FRAME_COLUMNS
+        }
 
     def add_batch(self, batch: RecordBatch) -> None:
         intern = sys.intern
@@ -142,29 +160,85 @@ class FrameSink(Sink):
             else:
                 buffer.extend(values)
 
+    def consume_batches(self, batches: Iterable[RecordBatch]) -> "FrameSink":
+        super().consume_batches(batches)
+        self.seal()
+        return self
+
+    def seal(self) -> None:
+        """Turn the open pass's lists into one chunk (idempotent)."""
+        if not self._buffers["epoch"]:
+            return
+        chunk = buffers_to_columns(self._buffers)
+        self._buffers = new_record_buffers()
+        for name, array in chunk.items():
+            self._chunks[name].append(array)
+
     def fresh(self) -> "FrameSink":
         return FrameSink()
 
     def merge(self, other: "FrameSink") -> "FrameSink":
-        intern = sys.intern
-        for name, buffer in self._buffers.items():
-            if FRAME_COLUMNS[name] == "object":
-                buffer.extend(map(intern, other._buffers[name]))
-            else:
-                buffer.extend(other._buffers[name])
+        self.seal()
+        other.seal()
+        for name, chunks in self._chunks.items():
+            chunks.extend(other._chunks[name])
         return self
 
     def frame(self) -> LogFrame:
         """Materialize the accumulated columns as a :class:`LogFrame`."""
-        return buffers_to_frame(self._buffers)
+        self.seal()
+        if not len(self):
+            return empty_frame()
+        return LogFrame({name: self._column(name) for name in FRAME_COLUMNS})
+
+    def _column(self, name: str) -> np.ndarray:
+        """Column *name* as one array, which replaces its chunks."""
+        chunks = self._chunks[name]
+        if not chunks:
+            return np.empty(0, dtype=FRAME_COLUMNS[name])
+        if len(chunks) > 1:
+            chunks[:] = [np.concatenate(chunks)]
+        return chunks[0]
 
     def __len__(self) -> int:
-        return len(self._buffers["epoch"])
+        return sum(map(len, self._chunks["epoch"])) + len(
+            self._buffers["epoch"]
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameSink):
             return NotImplemented
-        return self._buffers == other._buffers
+        self.seal()
+        other.seal()
+        for name in FRAME_COLUMNS:
+            mine, theirs = self._column(name), other._column(name)
+            if mine.dtype != theirs.dtype or not np.array_equal(mine, theirs):
+                return False
+        return True
+
+    # -- pickling: sealed chunks, re-interned on arrival --------------------
+
+    def __getstate__(self) -> dict:
+        self.seal()
+        return {"chunks": self._chunks}
+
+    def __setstate__(self, state: dict) -> None:
+        # Ledgers written before the chunks hold the open lists instead.
+        self._buffers = state.get("_buffers", new_record_buffers())
+        self._chunks = state.get(
+            "chunks", {name: [] for name in FRAME_COLUMNS}
+        )
+        self.seal()
+        intern = sys.intern
+        for name, chunks in self._chunks.items():
+            if FRAME_COLUMNS[name] == "object":
+                chunks[:] = [
+                    np.fromiter(
+                        map(intern, chunk.tolist()), dtype=object,
+                        count=len(chunk),
+                    )
+                    for chunk in chunks
+                ]
 
 
 class TeeSink(Sink):

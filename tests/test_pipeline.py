@@ -8,6 +8,7 @@ import io
 import os
 import pickle
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -366,6 +367,58 @@ class TestBatchedSinkLaws:
             _fold_batched(prototype, records[cut:], 7)
         )
         assert merged == _fold(prototype, records)
+
+
+# -- the frame sink's chunks -------------------------------------------------
+
+
+def _varied_records(count: int) -> list:
+    return [
+        make_record(
+            cs_host=f"h{i % 3}.example.com", cs_uri_path=f"/p{i % 7}",
+            sc_status=200 + i % 2, epoch=1_311_292_800 + i,
+        )
+        for i in range(count)
+    ]
+
+
+class TestFrameSinkChunks:
+    """A pass folds into lists and seals one chunk of arrays; merging
+    and materializing move arrays, never cells."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 1024])
+    def test_one_pass_leaves_one_chunk(self, batch_size):
+        records = _varied_records(50)
+        sink = Pipeline(RecordsSource(records)).run(FrameSink(), batch_size)
+        assert [len(chunks) for chunks in sink._chunks.values()] == \
+            [1] * len(sink._chunks)
+        assert not any(sink._buffers.values())
+        frame = sink.frame()
+        reference = frame_from_records(records)
+        assert frame.column_names == reference.column_names
+        for name in reference.column_names:
+            assert frame.col(name).dtype == reference.col(name).dtype
+            assert frame.col(name).tolist() == reference.col(name).tolist()
+
+    def test_merge_and_frame_move_arrays(self):
+        records = _varied_records(30)
+        head = FrameSink().consume(records[:10])
+        tail = FrameSink().consume(records[10:])
+        tail_epochs = tail._chunks["epoch"][0]
+        merged = head.merge(tail)
+        assert merged._chunks["epoch"][1] is tail_epochs
+        frame = merged.frame()
+        # The concatenated column replaces the chunks it was built from.
+        [chunk] = merged._chunks["epoch"]
+        assert chunk is frame.col("epoch")
+        assert merged.frame().col("epoch") is frame.col("epoch")
+        assert len(merged) == 30
+
+    def test_unpickled_strings_are_interned(self):
+        records = _varied_records(20)
+        shipped = pickle.loads(pickle.dumps(FrameSink().consume(records)))
+        hosts = shipped.frame().col("cs_host")
+        assert all(host is sys.intern(host) for host in hosts)
 
 
 # -- ELFF sinks --------------------------------------------------------------

@@ -565,6 +565,48 @@ class TestKillResumeCli:
         assert document["totals"]["resumed_shards"] == len(logs)
 
 
+class TestListFormFrameLedger:
+    def test_report_resumes_list_form_artifacts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Ledgers written before ``FrameSink`` sealed its passes into
+        array chunks pickle each shard's sink as its open cell lists.
+        ``report --resume`` loads those artifacts, re-runs nothing and
+        prints the bytes of a run without a ledger."""
+        from repro.cli import main
+        from repro.pipeline import FrameSink
+
+        markdown = tmp_path / "report.md"
+        argv = ["report", "--requests", "3000", "--seed", "7",
+                "--markdown", str(markdown)]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out, markdown.read_bytes()
+
+        def list_form(self):
+            frame = self.frame()
+            return {"_buffers": {
+                name: frame.col(name).tolist() for name in frame.column_names
+            }}
+
+        ledger = tmp_path / "ledger"
+        with monkeypatch.context() as patched:
+            patched.setattr(FrameSink, "__getstate__", list_form)
+            assert main([*argv, "--checkpoint-dir", str(ledger)]) == 0
+        capsys.readouterr()
+        journal = read_journal(ledger / "journal.jsonl")
+        assert journal and all(
+            b"_buffers" in (ledger / entry["artifact"]).read_bytes()
+            for entry in journal.values()
+        )
+        markdown.unlink()
+        assert main([
+            *argv, "--checkpoint-dir", str(ledger), "--resume",
+        ]) == 0
+        assert (capsys.readouterr().out, markdown.read_bytes()) == clean
+        # No shard re-ran: a re-run would have journaled a new artifact.
+        assert read_journal(ledger / "journal.jsonl") == journal
+
+
 class TestPartTamperResume:
     def test_resume_reruns_only_the_damaged_shard(self, tmp_path):
         """Flip one byte of one spooled part: ``--resume`` re-runs that
