@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.common import percent
-from repro.frame.batch import RecordBatch
+from repro.frame.logframe import LogFrame
 from repro.logmodel.classify import CENSOR_EXCEPTIONS, NO_EXCEPTION, censor_mask
 from repro.logmodel.record import LogRecord
 from repro.metrics import current_registry
@@ -62,6 +62,10 @@ class StreamingAnalysis:
     count.
     """
 
+    #: The batch columns :meth:`add_batch` reads: a batch source may
+    #: project its reads to these (``ElffSource(columns=...)``).
+    COLUMNS = ("epoch", "sc_filter_result", "x_exception_id", "cs_host")
+
     def __init__(self) -> None:
         self.total = 0
         self.allowed = 0
@@ -92,9 +96,10 @@ class StreamingAnalysis:
         else:
             self.errors += 1
 
-    def add_batch(self, batch: RecordBatch) -> None:
+    def add_batch(self, batch: LogFrame) -> None:
         """Fold one column batch in — state-identical to calling
-        :meth:`add` on every record of the batch, in order.
+        :meth:`add` on every record of the batch, in order.  The batch
+        needs only the :attr:`COLUMNS`.
 
         Counter updates run once per *distinct* key via ``np.unique``,
         and new keys are inserted in first-seen stream order (the
@@ -128,7 +133,7 @@ class StreamingAnalysis:
         self.errors += int(denied.sum()) - int(censored.sum())
 
     def consume_batches(
-        self, batches: Iterable[RecordBatch]
+        self, batches: Iterable[LogFrame]
     ) -> "StreamingAnalysis":
         """Fold a stream of batches (timed like :meth:`consume`)."""
         registry = current_registry()

@@ -160,6 +160,18 @@ def _resolve_regime(name: str):
         raise SystemExit(f"error: {error}") from None
 
 
+#: The regimes ``repro.regimes`` registers when it is imported.
+_BUILTIN_REGIMES = ("pakistan", "syria", "turkmenistan")
+
+
+def _check_regime(name: str) -> None:
+    """Validate --regime for a command that only labels its run with
+    it: a built-in name needs no profile, so the regime packages load
+    only for another name (a clean usage error if it is unknown)."""
+    if name not in _BUILTIN_REGIMES:
+        _resolve_regime(name)
+
+
 def _add_resilience_flags(command) -> None:
     """The shared --max-shard-retries / --allow-partial surface."""
     command.add_argument("--max-shard-retries", type=_nonnegative_int,
@@ -582,7 +594,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for path in args.logs:
         if not path.exists():
             raise SystemExit(f"error: no such log file: {path}")
-    _resolve_regime(args.regime)
+    _check_regime(args.regime)
     checkpoint = _checkpoint_for(
         args, _analyze_fingerprint("frames", args.logs, args.regime)
     )
@@ -634,7 +646,7 @@ def _analyze_streaming(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: no such log file: {path}")
     metrics, started = _start_metrics(args)
     retry, allow_partial, failures = _fault_args(args)
-    _resolve_regime(args.regime)
+    _check_regime(args.regime)
     checkpoint = _checkpoint_for(
         args, _analyze_fingerprint("streaming", args.logs, args.regime)
     )
@@ -932,6 +944,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 def _cmd_run_distributed(args: argparse.Namespace) -> int:
     from repro.dispatch import (
+        DispatchError,
         lease_ttl_from_env,
         run_distributed,
         simulate_job_for,
@@ -971,6 +984,10 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
             metrics=metrics, poll_interval=args.poll_interval,
             wait_timeout=args.wait_timeout,
         )
+    except DispatchError as error:
+        # Queue mismatch, stalled distributed run: refuse cleanly with
+        # the explanation instead of a traceback.
+        raise SystemExit(f"error: {error}") from error
     finally:
         if server is not None:
             server.stop()
@@ -992,17 +1009,22 @@ def _cmd_run_distributed(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    from repro.dispatch import run_worker
+    from repro.dispatch import DispatchError, run_worker
 
     metrics, started = _start_metrics(args)
-    summary = run_worker(
-        args.directory,
-        worker_id=args.worker_id,
-        metrics=metrics,
-        poll_interval=args.poll_interval,
-        startup_timeout=args.startup_timeout,
-        max_idle=args.max_idle,
-    )
+    try:
+        summary = run_worker(
+            args.directory,
+            worker_id=args.worker_id,
+            metrics=metrics,
+            poll_interval=args.poll_interval,
+            startup_timeout=args.startup_timeout,
+            max_idle=args.max_idle,
+        )
+    except DispatchError as error:
+        # A queue no coordinator seeded, a manifest from another build:
+        # refuse cleanly with the explanation instead of a traceback.
+        raise SystemExit(f"error: {error}") from error
     extra = f", {summary.lost} lease(s) lost" if summary.lost else ""
     print(f"worker {summary.worker_id}: {summary.executed} shard(s), "
           f"{summary.records:,} records, "
@@ -1028,15 +1050,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    from repro.dispatch.queue import DispatchError
     from repro.runstate import RunStateError
 
     try:
         return _COMMANDS[args.command](args)
-    except (RunStateError, DispatchError) as error:
-        # Fingerprint mismatch, foreign ledger, live lock, queue
-        # mismatch, stalled distributed run: refuse cleanly with the
-        # explanation instead of a traceback.
+    except RunStateError as error:
+        # Fingerprint mismatch, foreign ledger, live lock: refuse
+        # cleanly with the explanation instead of a traceback.
         raise SystemExit(f"error: {error}") from error
 
 

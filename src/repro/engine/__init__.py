@@ -34,6 +34,8 @@ journals every completed shard to a durable run ledger and, on
 resume, loads verified completed shards instead of re-running them.
 """
 
+from importlib import import_module
+
 from repro.engine.analyze import (
     analyze_logs,
     analyze_shard,
@@ -47,21 +49,35 @@ from repro.engine.pool import (
     ShardTimeout,
     run_sharded,
 )
-from repro.engine.shards import (
-    ShardPlan,
-    SimShard,
-    child_seed,
-    plan_shards,
-)
-from repro.engine.simulate import (
-    build_scenario,
-    day_pipeline,
-    scenario_context,
-    simulate_fingerprint,
-    simulate_into,
-    simulate_sink_shard,
-    simulate_to_logs,
-)
+
+#: The simulate side, imported on first use: a process that only
+#: analyzes logs never loads the workload, policy and fleet packages.
+_LAZY = {
+    **dict.fromkeys(
+        ("ShardPlan", "SimShard", "child_seed", "plan_shards"),
+        "repro.engine.shards",
+    ),
+    **dict.fromkeys(
+        (
+            "build_scenario",
+            "day_pipeline",
+            "scenario_context",
+            "simulate_fingerprint",
+            "simulate_into",
+            "simulate_sink_shard",
+            "simulate_to_logs",
+        ),
+        "repro.engine.simulate",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(module), name)
+
 
 __all__ = [
     "EngineFallbackWarning",

@@ -19,6 +19,7 @@ from repro.analysis.streaming import StreamingAnalysis
 from repro.engine.pool import RetryPolicy, run_sharded
 from repro.faults import FaultPlan, ShardFailureReport
 from repro.frame import LogFrame, concat, empty_frame
+from repro.frame.io import FRAME_COLUMNS
 from repro.logmodel.elff import ReadStats
 from repro.metrics import MetricsRegistry, current_registry
 from repro.runstate import RunCheckpoint
@@ -41,9 +42,9 @@ def analyze_shard(
     batch size.
     """
     stats = ReadStats()
-    sink = Pipeline(ElffSource(path, lenient=True, stats=stats)).run(
-        StreamingAnalysisSink(), batch_size
-    )
+    source = ElffSource(path, lenient=True, stats=stats,
+                        columns=StreamingAnalysis.COLUMNS)
+    sink = Pipeline(source).run(StreamingAnalysisSink(), batch_size)
     registry = current_registry()
     if registry is not None:
         registry.inc("shard.records", stats.records)
@@ -102,8 +103,10 @@ def analyze_logs(
 
 
 def load_frame_shard(path: str, batch_size: int = BATCH_SIZE) -> LogFrame:
-    """Load one log file into a columnar frame (strict read)."""
-    frame = Pipeline(ElffSource(path)).run(FrameSink(), batch_size).frame()
+    """Load one log file into a columnar frame (strict read of the
+    frame's columns only)."""
+    source = ElffSource(path, columns=tuple(FRAME_COLUMNS))
+    frame = Pipeline(source).run(FrameSink(), batch_size).frame()
     registry = current_registry()
     if registry is not None:
         registry.inc("shard.records", len(frame))

@@ -21,6 +21,7 @@ import re
 import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.frame.batch import (
     _time_strings,
     concat_batches,
 )
+from repro.frame.logframe import LogFrame
 from repro.logmodel.fields import FIELDS
 from repro.logmodel.record import INT_FIELD_BITS, LogRecord, date_time_to_epoch
 from repro.metrics import current_registry
@@ -271,13 +273,13 @@ def _stream_offset(handle) -> int | None:
 
 def _settle_corruption(
     path: Path,
-    handle,
+    offset: int | None,
     error: BaseException,
     lenient: bool,
     stats: ReadStats | None,
 ) -> None:
-    """A log stream died mid-read: raise (strict) or count (lenient)."""
-    offset = _stream_offset(handle)
+    """A log stream died mid-read at byte *offset* (see
+    :func:`_stream_offset`): raise (strict) or count (lenient)."""
     where = "unknown offset" if offset is None else f"byte {offset}"
     registry = current_registry()
     if registry is not None:
@@ -302,12 +304,11 @@ class _TailSentry:
     :meth:`resume_offset` reports the byte offset where the line
     starts, which is where a tailer must resume reading.
 
-    With ``count_bytes=True`` the offset is maintained as a running
-    sum over the encoded lines actually yielded — exact even when the
-    stream dies mid-read, which is what the tail poller needs.  The
-    default derives it from the underlying binary layer's position at
-    clean end-of-stream instead, costing nothing per line on the batch
-    analyze hot path.
+    With ``count_bytes=True`` the offset is a running sum over the
+    encoded lines :meth:`fill` hands out, less those rewound — exact
+    even when the stream dies mid-read, which is what the tail poller
+    needs.  The default derives it from the underlying binary layer's
+    position at clean end-of-stream instead, costing nothing per line.
     """
 
     def __init__(self, handle, *, count_bytes: bool = False,
@@ -323,8 +324,6 @@ class _TailSentry:
             # With newline="" every line keeps its terminator; only the
             # physically-last line of the stream can lack one.
             if line.endswith(("\n", "\r")):
-                if self._count_bytes:
-                    self.consumed += len(line.encode(self._encoding))
                 yield line
             else:
                 self.torn = line
@@ -333,10 +332,28 @@ class _TailSentry:
         """Hand back yielded *lines* as the unread tail: they join the
         torn line, if there is one, and the resume offset moves to
         their start."""
-        text = "".join(lines)
-        self.torn = text + (self.torn or "")
-        if self._count_bytes:
-            self.consumed -= len(text.encode(self._encoding))
+        self.rewind(lines)
+        self.torn = "".join(lines) + (self.torn or "")
+
+    def fill(self, chunk: list[str], count: int) -> None:
+        """Extend *chunk* by up to *count* lines, as iteration yields
+        them: the batch reader's form of :meth:`__iter__`."""
+        before = len(chunk)
+        try:
+            chunk.extend(islice(self._handle, count))
+        finally:
+            if len(chunk) > before and not chunk[-1].endswith(("\n", "\r")):
+                self.torn = chunk.pop()
+            if self._count_bytes:
+                self.consumed += len(
+                    "".join(chunk[before:]).encode(self._encoding)
+                )
+
+    def rewind(self, lines: list[str]) -> None:
+        """Hand back yielded *lines* that the reader never consumed:
+        the resume offset moves to their start."""
+        if self._count_bytes and lines:
+            self.consumed -= len("".join(lines).encode(self._encoding))
 
     def resume_offset(self) -> int | None:
         """Byte offset a tailer should continue from: the start of the
@@ -424,7 +441,8 @@ def read_log(
             try:
                 yield from read_log(lines, lenient=lenient, stats=stats)
             except _STREAM_CORRUPTION as error:
-                _settle_corruption(path, handle, error, lenient, stats)
+                _settle_corruption(path, _stream_offset(handle), error,
+                                   lenient, stats)
             if sentry is not None and sentry.torn is not None:
                 _settle_incomplete_tail(sentry, stats)
         return
@@ -461,8 +479,42 @@ def read_log(
             registry.inc("elff.read.skipped", skipped)
 
 
-#: Position of every wire field in a 26-column row.
-_FIELD_INDEX = {name: index for index, name in enumerate(FIELDS)}
+#: Lines the tokenizer proves in one pass: about a quarter megabyte of
+#: the simulated logs.  Twice as many read about 10% faster but hold
+#: 3 MB more at the peak.
+_CHUNK_LINES = 1024
+
+#: Wire-field positions the tokenizer checks in every row, and the
+#: position of each batch column's field.
+_DATE, _TIME = FIELDS.index("date"), FIELDS.index("time")
+_INT_CELLS = [FIELDS.index(field) for field in INT_FIELD_BITS]
+_INT_SLOT = {
+    field.replace("-", "_"): slot for slot, field in enumerate(INT_FIELD_BITS)
+}
+_INT_MAX = np.array(
+    [(1 << (bits - 1)) - 1 for bits in INT_FIELD_BITS.values()],
+    dtype=np.int64,
+)
+_TEXT_FIELD = {
+    name: FIELDS.index(name.replace("_", "-"))
+    for name, dtype in BATCH_COLUMNS.items() if dtype == "object"
+}
+
+_NUL, _LF, _CR, _QUOTE, _COMMA = 0, 10, 13, 34, 44
+
+#: An integer cell proves when it is 1 to 18 digits: every such value
+#: fits int64, so only the narrower columns need a range check.
+_INT_DIGITS = 18
+_DIGIT_WEIGHTS = 10 ** np.arange(_INT_DIGITS - 1, -1, -1, dtype=np.int64)
+#: False, True, False, ...: which runs of a chunk :func:`_strings`
+#: keeps, with room for every cell of a chunk.
+_ALTERNATE = np.arange(2 * len(FIELDS) * _CHUNK_LINES + 1) % 2 == 1
+_DATE_FORM = re.compile(rb"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_COLON = ord(":") - 48
+_CLOCK_DIGITS = [0, 1, 3, 4, 6, 7]
+_CLOCK_COLONS = [2, 5]
+_CLOCK_LIMITS = np.array([24, 60, 60], dtype=np.uint8)
+_CLOCK_SECONDS = np.array([3600, 60, 1], dtype=np.int64)
 
 
 def read_log_batches(
@@ -471,20 +523,28 @@ def read_log_batches(
     *,
     lenient: bool = False,
     stats: ReadStats | None = None,
-) -> Iterator[RecordBatch]:
-    """Stream an ELFF/CSV log as :class:`RecordBatch` columns.
+    columns: Iterable[str] | None = None,
+) -> Iterator[LogFrame]:
+    """Stream an ELFF/CSV log as column batches.
 
-    The batched counterpart of :func:`read_log`: whole chunks of lines
-    are split straight into column arrays — the epoch derives from the
-    distinct date strings plus a vectorized time-of-day parse, numeric
-    columns convert wholesale — instead of building one
-    :class:`LogRecord` per line.  Any *suspect* row (wrong column
-    count, a cell the vectorized parse cannot prove well-formed) is
-    re-parsed through ``LogRecord.from_row``, so malformed rows raise
-    or skip-and-count with exactly the scalar reader's errors and
-    :class:`ReadStats` bookkeeping.  The record stream recovered from
-    the yielded batches is identical to :func:`read_log`'s, which the
-    differential suite pins.
+    The batched counterpart of :func:`read_log`.  Chunks of lines are
+    proven well-formed with array passes (:func:`_prove`) and sliced
+    straight into columns, instead of building one :class:`LogRecord`
+    per line.  A line the tokenizer cannot prove goes through the
+    per-line path — the csv referee, then ``LogRecord.from_row`` — in
+    stream order, so malformed rows raise or skip-and-count with
+    exactly the scalar reader's errors and :class:`ReadStats`
+    bookkeeping.  The record stream recovered from the yielded batches
+    is identical to :func:`read_log`'s, which the differential suite
+    pins.
+
+    With ``columns=None`` every batch is a full-width
+    :class:`RecordBatch`.  Otherwise each batch is a :class:`LogFrame`
+    holding exactly the named :data:`BATCH_COLUMNS`, at their batch
+    dtypes, and only those columns are built: a consumer that reads
+    four of the 26 fields pays for four.  Every row is validated in
+    full either way, so the rows kept, the skip decisions and the
+    errors do not depend on the projection.
 
     Semantics mirror :func:`read_log`: ``lenient`` skips malformed
     rows, path reads survive corrupted streams (records batched before
@@ -492,169 +552,228 @@ def read_log_batches(
     counters and fault sites (``elff.read``, ``gzip.open``) fire, and
     a foreign ``#Fields`` directive raises only after the rows before
     it are yielded.  The one intended difference: in strict mode a
-    malformed row aborts the read before its chunk-mates are yielded,
+    malformed row aborts the read before its batch-mates are yielded,
     rather than after the rows preceding it — strict errors abort the
     whole read either way.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if columns is not None:
+        columns = tuple(columns)
+        unknown = [name for name in columns if name not in BATCH_COLUMNS]
+        if not columns or unknown or len(set(columns)) != len(columns):
+            raise ValueError(
+                f"columns must name distinct batch columns, got {columns}"
+            )
     if isinstance(source, (str, Path)):
         path = Path(source)
         fault_point("elff.read")
         with open_log_reader(path) as handle:
             sentry = _TailSentry(handle) if lenient else None
-            lines = iter(sentry) if sentry is not None else handle
-            yield from _read_batches(lines, batch_size, lenient, stats,
-                                     path, offset_handle=handle)
+            yield from _read_batches(handle, batch_size, lenient, stats,
+                                     path, sentry=sentry, columns=columns)
             if sentry is not None and sentry.torn is not None:
                 _settle_incomplete_tail(sentry, stats)
         return
-    yield from _read_batches(source, batch_size, lenient, stats, None)
+    yield from _read_batches(source, batch_size, lenient, stats, None,
+                             columns=columns)
 
 
 def _read_batches(
-    handle,
+    lines: Iterable[str],
     batch_size: int,
     lenient: bool,
     stats: ReadStats | None,
     path: Path | None,
-    offset_handle=None,
-    tail: _TailSentry | None = None,
-) -> Iterator[RecordBatch]:
+    *,
+    sentry: _TailSentry | None = None,
+    tail: bool = False,
+    columns: tuple[str, ...] | None = None,
+) -> Iterator[LogFrame]:
     """The chunking loop behind :func:`read_log_batches`.
 
-    Lines with no quoting in play split with a plain ``str.split(',')``
-    — about twice as fast as the csv tokenizer.  A line carrying one
-    quoted field (the common shape: a user-agent with embedded commas)
-    goes through :func:`_split_quoted_line`, which handles exactly the
-    cases it can prove equivalent to csv semantics.  Everything else —
-    multiple quoted fields, quoted fields spanning physical lines,
-    stray quotes, NULs, bare carriage returns, lines longer than csv's
-    field size limit — is handed to
-    :func:`_referee_rows`, which gathers exactly the continuation
-    lines the csv tokenizer would pull and lets a real ``csv.reader``
-    rule on the region, so malformed input raises the same
-    ``csv.Error`` and one physical line may yield several rows (or a
-    row span several lines) exactly as in the scalar reader.
+    Lines arrive in chunks through a :class:`_LineFeed`.  Each chunk is
+    proven by :func:`_prove`, and its proven rows pass to the batches
+    as array slices.  Every other line takes :func:`_line_rows`, in
+    stream order: a line with a quote, a NUL or more than csv's field
+    size limit goes to :func:`_referee_rows`, which pulls exactly
+    the continuation lines the csv tokenizer would pull and lets a
+    real ``csv.reader`` rule on them, so malformed input raises
+    the same ``csv.Error`` and one physical line may yield several
+    rows (or a row span several lines) exactly as in the scalar
+    reader.  Proofs are per line, but a line is taken as a row start
+    only once the line before it is consumed: the referee may swallow
+    lines that would prove on their own, because a quoted field it
+    follows is still open there.
 
-    *tail* is the sentry of a :func:`tail_batches` poll: a quoted
+    *lines* are read through *sentry*, a :class:`_TailSentry` over
+    them, when one is given.  With *tail* it is a
+    :func:`tail_batches` poll's sentry: a quoted
     field still open when the poll's input runs out is handed back to
     it unread rather than parsed short (see :func:`_referee_rows`).
     """
     registry = current_registry()
-    kept_total = skipped_total = 0
+    feed = _LineFeed(lines, sentry)
+    builder = _BatchBuilder(batch_size, lenient, stats, columns)
+    referee_tail = sentry if tail else None
     failure: BaseException | None = None
-    rows: list[list[str]] = []
     # A line this long may hold a field csv refuses: let csv rule.
     field_limit = csv.field_size_limit()
     try:
         try:
-            for line in handle:
-                if "\x00" in line or len(line) > field_limit:
-                    emitted = _referee_rows(line, handle, tail)
-                elif '"' in line:
-                    parsed = _split_quoted_line(line.rstrip("\r\n"))
-                    emitted = (
-                        (parsed,)
-                        if parsed is not None
-                        else _referee_rows(line, handle, tail)
+            while feed.refill():
+                chunk, start = feed.chunk, feed.cursor
+                ranks, proof = _prove(
+                    chunk[start:] if start else chunk, field_limit,
+                    builder.names,
+                )
+                for index in np.flatnonzero(np.diff(ranks) == 0).tolist():
+                    index += start
+                    if index < feed.cursor:
+                        continue  # swallowed by an open quoted field
+                    yield from builder.add_proven(
+                        proof, ranks[feed.cursor - start],
+                        ranks[index - start],
                     )
+                    feed.cursor = index + 1
+                    for row in _line_rows(chunk[index], feed, referee_tail,
+                                          field_limit):
+                        if not row:
+                            continue
+                        if row[0].startswith(_DIRECTIVE_PREFIX):
+                            _check_directive(row)
+                            continue
+                        yield from builder.add_row(row)
+                    if feed.chunk is not chunk:
+                        break  # the referee read on into the next chunk
                 else:
-                    stripped = line.rstrip("\r\n")
-                    if not stripped:
-                        continue
-                    if stripped[0] == "#":
-                        _check_directive(stripped.split(","))
-                        continue
-                    if "\r" in stripped:
-                        # An interior CR (a StringIO source; file
-                        # handles pre-split these) may terminate a row
-                        # mid-line for the csv tokenizer: let it rule.
-                        emitted = _referee_rows(line, handle, tail)
-                    else:
-                        rows.append(stripped.split(","))
-                        if len(rows) >= batch_size:
-                            chunk, rows = rows, []
-                            batch, kept, skipped = _rows_to_batch(
-                                chunk, lenient, stats
-                            )
-                            kept_total += kept
-                            skipped_total += skipped
-                            if len(batch):
-                                yield batch
-                        continue
-                for row in emitted:
-                    if not row:
-                        continue
-                    if row[0].startswith(_DIRECTIVE_PREFIX):
-                        _check_directive(row)
-                        continue
-                    rows.append(row)
-                    if len(rows) >= batch_size:
-                        chunk, rows = rows, []
-                        batch, kept, skipped = _rows_to_batch(
-                            chunk, lenient, stats
-                        )
-                        kept_total += kept
-                        skipped_total += skipped
-                        if len(batch):
-                            yield batch
+                    yield from builder.add_proven(
+                        proof, ranks[feed.cursor - start], ranks[-1]
+                    )
+                    feed.cursor = len(chunk)
         except (LogFormatError, *_STREAM_CORRUPTION) as error:
             failure = error
+            feed.rewind()
         # The rows read before a failure are still yielded, as read_log
-        # yields the records before the line it stops at.  Full chunks
-        # leave ``rows`` before they convert, so a chunk whose
-        # conversion raised is not converted again here.
-        if rows:
-            batch, kept, skipped = _rows_to_batch(rows, lenient, stats)
-            kept_total += kept
-            skipped_total += skipped
-            if len(batch):
-                yield batch
+        # yields the records before the line it stops at.
+        yield from builder.flush()
         if failure is not None:
             if path is None or isinstance(failure, LogFormatError):
                 raise failure
-            _settle_corruption(
-                path, offset_handle if offset_handle is not None else handle,
-                failure, lenient, stats,
-            )
+            offset = _stream_offset(lines)
+            if isinstance(failure, csv.Error) and not lenient:
+                # csv refused a line: name the offset a line-by-line
+                # read reaches there, as read_log does, not the
+                # read-ahead's.
+                offset = _line_read_offset(path, feed.pulled())
+            _settle_corruption(path, offset, failure, lenient, stats)
     finally:
         # Flushed on exhaustion *and* early close, matching read_log.
-        if registry is not None and (kept_total or skipped_total):
-            registry.inc("elff.read.records", kept_total)
-            registry.inc("elff.read.skipped", skipped_total)
+        if registry is not None and (builder.kept or builder.skipped):
+            registry.inc("elff.read.records", builder.kept)
+            registry.inc("elff.read.skipped", builder.skipped)
 
 
-def _split_quoted_line(stripped: str) -> list[str] | None:
-    """Split a physical line containing exactly one quoted field.
+class _LineFeed:
+    """A line stream read ahead in chunks and consumed at one cursor.
 
-    Returns the row when the line provably parses the way the csv
-    module would — one field that starts with ``"`` at a field
-    boundary, ends with ``"`` before a delimiter (or end of line), and
-    contains no quotes other than doubled ``\"\"`` escapes — or
-    ``None`` for anything it cannot prove (several quoted fields,
-    unterminated quotes, junk after the closing quote), which the
-    caller hands to a real ``csv.reader``.  About 3x faster than
-    spinning up a csv reader per line, and quoted lines are ~a quarter
-    of real traffic: user-agent strings carry commas.
+    The tokenizer proves ``chunk`` whole, while the per-line path takes
+    lines one at a time: the referee pulls the continuation lines of an
+    open quoted field with ``next()``.  Both advance :attr:`cursor`, so
+    every line is consumed once and in stream order, and the read-ahead
+    stays invisible.  An error the source raised while a chunk was
+    gathered is raised when the cursor reaches it, a sentry's torn line
+    shows only once the cursor runs past the last whole line, and
+    :meth:`rewind` hands the lines gathered but not consumed back to
+    the sentry's byte count.
     """
-    first = stripped.find('"')
-    last = stripped.rfind('"')
-    if last == first:
-        return None  # a lone quote: opener without closer, or vice versa
-    if first > 0 and stripped[first - 1] != ",":
-        return None  # not at a field start: csv treats it as a literal
-    cleaned = stripped[first + 1:last].replace('""', "\x00")
-    if '"' in cleaned:
-        return None  # stray quotes: several fields, or malformed
-    tail = stripped[last + 1:]
-    if tail and tail[0] != ",":
-        return None  # junk between the closing quote and the delimiter
-    row = stripped[: first - 1].split(",") if first else []
-    row.append(cleaned.replace("\x00", '"'))
-    if tail:
-        row.extend(tail[1:].split(","))
-    return row
+
+    def __init__(self, lines: Iterable[str],
+                 sentry: _TailSentry | None = None):
+        self._source = iter(lines) if sentry is None else None
+        self._sentry = sentry
+        self._failure: Exception | None = None
+        self._ended = False
+        self._torn: str | None = None
+        self._before = 0  # lines in the chunks before this one
+        self.chunk: list[str] = []
+        self.cursor = 0
+
+    def refill(self) -> bool:
+        """Make ``chunk[cursor]`` the next line, gathering a new chunk
+        once the current one is consumed; False at the end of input."""
+        while self.cursor == len(self.chunk):
+            if self._failure is not None:
+                failure, self._failure = self._failure, None
+                raise failure
+            if self._ended:
+                if self._sentry is not None and self._torn is not None:
+                    self._sentry.torn, self._torn = self._torn, None
+                return False
+            chunk: list[str] = []
+            try:
+                if self._sentry is not None:
+                    self._sentry.fill(chunk, _CHUNK_LINES)
+                else:
+                    chunk.extend(islice(self._source, _CHUNK_LINES))
+            except Exception as error:  # raised when the cursor gets here
+                self._failure = error
+            else:
+                if len(chunk) < _CHUNK_LINES:
+                    self._ended = True
+                    if self._sentry is not None:
+                        self._torn, self._sentry.torn = self._sentry.torn, None
+            self._before += len(self.chunk)
+            self.chunk, self.cursor = chunk, 0
+        return True
+
+    def __next__(self) -> str:
+        if not self.refill():
+            raise StopIteration
+        line = self.chunk[self.cursor]
+        self.cursor += 1
+        return line
+
+    def pulled(self) -> int:
+        """How many lines a line-by-line reader would have pulled from
+        the source so far: the lines consumed."""
+        return self._before + self.cursor
+
+    def rewind(self) -> None:
+        """Return the unconsumed rest of the chunk to the sentry."""
+        if self._sentry is not None:
+            self._sentry.rewind(self.chunk[self.cursor:])
+
+
+def _line_read_offset(path: Path, lines: int) -> int | None:
+    """The :func:`_stream_offset` of a reader of *path* that has pulled
+    its first *lines* lines one at a time, as :func:`read_log`'s csv
+    reader pulls them: a fresh handle replays the pulls."""
+    with open_log_reader(path) as handle:
+        for _ in islice(handle, lines):
+            pass
+        return _stream_offset(handle)
+
+
+def _line_rows(
+    line: str, feed: _LineFeed, tail: _TailSentry | None, field_limit: int
+) -> Iterable[list[str]]:
+    """The rows of a line the tokenizer did not prove, as csv derives
+    them: none for a blank line or a directive (checked here), the
+    cells of a plain line, or the referee's rows."""
+    if '"' in line or "\x00" in line or len(line) > field_limit:
+        return _referee_rows(line, feed, tail)
+    stripped = line.rstrip("\r\n")
+    if not stripped:
+        return ()
+    if stripped[0] == "#":
+        _check_directive(stripped.split(","))
+        return ()
+    if "\r" in stripped:
+        # An interior CR (a StringIO source; file handles pre-split
+        # these) may terminate a row mid-line for the csv tokenizer.
+        return _referee_rows(line, feed, tail)
+    return (stripped.split(","),)
 
 
 def _referee_rows(
@@ -662,40 +781,56 @@ def _referee_rows(
 ) -> Iterator[list[str]]:
     """All rows the csv tokenizer derives from *line*, letting csv rule.
 
-    A physical line the fast paths cannot prove safe may map to
-    anything: one row, several rows (a bare ``\\r`` acts as a row
-    terminator inside a ``StringIO`` source), or the *start* of a row
-    whose quoted field spans further physical lines.  :func:`_quote_open`
-    tracks the tokenizer's quoting state, so continuation lines are
-    pulled from the live *handle* exactly while a quoted field is open
-    — never further — and the gathered region is then drained through
-    a real ``csv.reader``, preserving scalar row-splitting, quoting
-    and error semantics.  A generator so that rows parsed before a
-    mid-region ``csv.Error`` still reach the caller, as they would
-    from the scalar reader's stream tokenizer.
+    A physical line the tokenizer cannot prove may map to anything:
+    one row, several rows (a bare ``\\r`` acts as a row terminator
+    inside a ``StringIO`` source), or the *start* of a row whose quoted
+    field spans further physical lines.  :func:`_quote_open` tracks the
+    tokenizer's quoting state, so continuation lines are pulled from
+    the live *handle* exactly while a quoted field is open — never
+    further — and a real ``csv.reader`` parses them, preserving scalar
+    row-splitting, quoting and error semantics.  The reader pulls each
+    line as it gets to it, as :func:`read_log`'s does: rows parsed
+    before a mid-region ``csv.Error`` still reach the caller, and the
+    lines after the one csv refuses are never read (nor, so, a torn
+    line at the end of the file).
 
-    When *handle* runs out with the field still open, a tail poll
-    (*tail* given) may have caught the record half written: if *tail*
-    holds a torn last line, or the region is no longer than csv's
-    field size limit, the region goes back to *tail* unread and no row
-    is derived from it.  A longer region is parsed as it stands, as a
-    batch read does, so a stopped file never stalls the tail.
+    A tail poll (*tail* given) gathers the region before parsing it:
+    when *handle* runs out with the field still open, the poll may
+    have caught the record half written.  If *tail* holds a torn last
+    line, or the region is no longer than csv's field size limit, the
+    region goes back to *tail* unread and no row is derived from it.
+    A longer region is parsed as it stands, as a batch read does, so a
+    stopped file never stalls the tail.
     """
+    if tail is None:
+        yield from csv.reader(_continued(line, handle))
+        return
     region = [line]
     open_field = _quote_open(line, False)
     while open_field:
         more = next(handle, None)
         if more is None:
-            if tail is not None and (
-                tail.torn is not None
-                or sum(map(len, region)) <= csv.field_size_limit()
-            ):
+            if tail.torn is not None \
+                    or sum(map(len, region)) <= csv.field_size_limit():
                 tail.unread(region)
                 return
             break
         region.append(more)
         open_field = _quote_open(more, open_field)
     yield from csv.reader(region)
+
+
+def _continued(line: str, handle) -> Iterator[str]:
+    """*line*, then the lines of *handle* that a quoted field it opens
+    runs on to, each pulled only when it is asked for."""
+    open_field = _quote_open(line, False)
+    yield line
+    while open_field:
+        more = next(handle, None)
+        if more is None:
+            return
+        yield more
+        open_field = _quote_open(more, open_field)
 
 
 def _quote_open(text: str, open_field: bool) -> bool:
@@ -727,201 +862,341 @@ def _quote_open(text: str, open_field: bool) -> bool:
     return open_field
 
 
-def _rows_to_batch(
-    rows: list[list[str]],
-    lenient: bool,
-    stats: ReadStats | None,
-) -> tuple[RecordBatch, int, int]:
-    """Convert one chunk of data rows into a batch.
+def _prove(
+    lines: list[str], field_limit: int, names: tuple[str, ...]
+) -> tuple[list[int], dict[str, np.ndarray]]:
+    """Prove a chunk of lines well-formed with array passes.
 
-    Returns ``(batch, kept, skipped)``.  The vectorized path handles
-    every row it can *prove* parses like ``LogRecord.from_row``; rows
-    it cannot (wrong width, a numeric cell that is no integer or does
-    not fit its column, a date or time outside the canonical
-    zero-padded in-range form) fall back to
-    ``from_row`` itself, in stream order, so values, error messages,
-    and skip decisions are identical to the scalar reader — including
-    oddities the fast path refuses but ``strptime`` accepts.
+    Returns each line's rank and the *names* columns of the proven
+    rows, in order.  ``ranks[i]`` proven lines come before line ``i``
+    (``ranks[-1]`` is the total), so line ``i`` is proven when
+    ``ranks[i + 1] > ranks[i]``, and then it is row ``ranks[i]`` of the
+    columns.  A line is proven when it parses exactly as
+    ``csv.reader`` then ``LogRecord.from_row`` parse it, which holds
+    when all of these do:
+
+    * it ends in ``\\n`` or ``\\r\\n``, holds no other CR and no NUL,
+      and is no longer than csv's field size limit;
+    * it holds no quote, or exactly one quoted field, which opens at a
+      field start and closes before a delimiter or the line end (so a
+      ``\"\"`` escape is left to the referee);
+    * it has exactly 25 delimiters outside that field;
+    * its five integer cells are ``[0-9]{1,18}`` and fit their
+      :data:`INT_FIELD_BITS` width;
+    * its date is ``YYYY-MM-DD`` and :func:`date_time_to_epoch` accepts
+      it (checked once per distinct date), and its time is
+      ``HH:MM:SS`` in range — each cell measured on its own.
+
+    A proven row's first cell is a date, so blank lines and directives
+    are never proven.  The chunk is scanned as one byte per character
+    (``encode("ascii", "replace")`` turns each non-ASCII character
+    into ``?``), so offsets into the bytes are offsets into the text,
+    which :func:`_strings` cuts the string cells from.
     """
-    total = len(rows)
-    if not total:
-        return RecordBatch.empty(), 0, 0
-    width = len(FIELDS)
-    suspects = {index for index, row in enumerate(rows) if len(row) != width}
+    count = len(lines)
+    # One byte per character, then a "0" that _integers reads as a
+    # leading zero.
+    text = "".join([*lines, "0"])
+    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    lengths = np.fromiter(map(len, lines), dtype=np.intp, count=count)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    crlf = (lengths > 1) & (codes[np.maximum(ends - 2, 0)] == _CR)
+    stops = ends - 1 - crlf  # where the content ends, before \r\n
+    ok = (codes[ends - 1] == _LF) & (lengths <= field_limit)
 
-    if len(suspects) < total:
-        if suspects:
-            candidate_index: list[int] | range = [
-                index for index in range(total) if index not in suspects
-            ]
-            grid = np.array(
-                [rows[index] for index in candidate_index], dtype=object
+    # The only CR a proven line holds is its terminator's.
+    if np.count_nonzero(codes == _CR) != np.count_nonzero(crlf):
+        ok &= _per_line(np.flatnonzero(codes == _CR), starts, ends)[1] \
+            == crlf
+    if np.count_nonzero(codes == _NUL):
+        ok &= _per_line(np.flatnonzero(codes == _NUL), starts, ends)[1] == 0
+
+    # No quote, or one quoted field from opens[i] to closes[i].
+    quotes = np.flatnonzero(codes == _QUOTE)
+    first, per_line = _per_line(quotes, starts, ends)
+    ok &= (per_line == 0) | (per_line == 2)
+    quoted = np.flatnonzero(per_line == 2)
+    opens = quotes[first[quoted]]
+    closes = quotes[first[quoted] + 1]
+    ok[quoted] &= (
+        (opens == starts[quoted]) | (codes[opens - 1] == _COMMA)
+    ) & ((closes + 1 == stops[quoted]) | (codes[closes + 1] == _COMMA))
+
+    # 25 delimiters outside the quoted field: a line's delimiters are
+    # its run of commas, less the run between its quotes.
+    commas = np.flatnonzero(codes == _COMMA)
+    first, per_line = _per_line(commas, starts, ends)
+    held_at = np.full(count, len(commas))
+    held = np.zeros(count, dtype=np.intp)
+    held_at[quoted] = np.searchsorted(commas, opens)
+    held[quoted] = np.searchsorted(commas, closes) - held_at[quoted]
+    ok &= per_line - held == len(FIELDS) - 1
+
+    rows = np.flatnonzero(ok)
+    if not len(rows):
+        return [0] * (count + 1), {}
+    # Cell k of row r lies between edges[r, k] and edges[r, k + 1].
+    edges = np.empty((len(rows), len(FIELDS) + 1), dtype=np.intp)
+    edges[:, 0] = starts[rows] - 1
+    edges[:, -1] = stops[rows]
+    delimiters = edges[:, 1:-1]
+    delimiters[:] = first[rows, None] + np.arange(len(FIELDS) - 1)
+    is_quoted = np.zeros(count, dtype=bool)
+    is_quoted[quoted] = True
+    inner = np.flatnonzero(is_quoted[rows])  # rows with a quoted cell
+    if len(inner):
+        lines_in = rows[inner]
+        delimiters[inner] += (delimiters[inner] >= held_at[lines_in, None]) \
+            * held[lines_in, None]
+        inner_cell = held_at[lines_in] - first[lines_in]
+    delimiters[:] = commas[delimiters]
+    del commas, quotes, delimiters
+
+    def cells(fields: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's ``text[lo:hi]`` bounds of *fields*, unquoted."""
+        lo = edges[:, fields] + 1
+        hi = edges[:, [field + 1 for field in fields]]
+        if len(inner):
+            held_row, held_cell = np.nonzero(
+                inner_cell[:, None] == np.asarray(fields)
             )
-        else:
-            candidate_index = range(total)
-            grid = np.array(rows, dtype=object)
+            lo[inner[held_row], held_cell] += 1
+            hi[inner[held_row], held_cell] -= 1
+        return lo, hi
 
-        bad_positions: set[int] = set()
-        numeric: dict[str, np.ndarray] = {}
-        for field, bits in INT_FIELD_BITS.items():
-            column = grid[:, _FIELD_INDEX[field]]
-            try:
-                values = column.astype(np.int64)
-            except (ValueError, TypeError, OverflowError):
-                values, bad = _salvage_ints(column)
-                bad_positions.update(bad)
-            if bits < 64:
-                # A cell beyond the narrower column is malformed too.
-                limit = 1 << (bits - 1)
-                bad_positions.update(np.flatnonzero(
-                    (values < -limit) | (values >= limit)
-                ).tolist())
-            numeric[field.replace("-", "_")] = values
+    epochs, proven = _timestamps(codes, *cells([_DATE, _TIME]))
+    ints, fits = _integers(codes, *cells(_INT_CELLS))
+    proven &= fits
+    ok[rows[~proven]] = False
 
-        dates = grid[:, _FIELD_INDEX["date"]].tolist()
-        distinct_dates = set(dates)
-        day_base: dict[str, int] = {}
-        for date in distinct_dates:
-            try:
-                day_base[date] = date_time_to_epoch(date, "00:00:00")
-            except ValueError:
-                bad_positions.update(
-                    position for position, cell in enumerate(dates)
-                    if cell == date
-                )
-        seconds, time_ok = _parse_times(grid[:, _FIELD_INDEX["time"]])
-        bad_positions.update(np.nonzero(~time_ok)[0].tolist())
-        if len(distinct_dates) == 1 and day_base:
-            # One log-day per chunk is the overwhelmingly common case.
-            epochs = seconds + next(iter(day_base.values()))
-        else:
-            epochs = np.fromiter(
-                (day_base.get(date, 0) for date in dates),
-                dtype=np.int64, count=len(dates),
-            ) + seconds
-        suspects.update(candidate_index[position] for position in bad_positions)
-    else:
-        candidate_index, bad_positions = [], set()
-        grid = np.empty((0, width), dtype=object)
-        numeric = {
-            field.replace("-", "_"): np.empty(0, dtype=np.int64)
-            for field in INT_FIELD_BITS
-        }
-        epochs = np.empty(0, dtype=np.int64)
-
-    # Resolve every suspect through the scalar parser, in stream order.
-    fixed: dict[int, LogRecord] = {}
-    dropped: set[int] = set()
-    for index in sorted(suspects):
-        try:
-            fixed[index] = LogRecord.from_row(rows[index])
-        except (ValueError, IndexError) as error:
-            if not lenient:
-                raise LogFormatError(f"malformed row: {error}") from error
-            dropped.add(index)
-            if stats is not None:
-                stats.skipped += 1
-                if stats.first_error is None:
-                    stats.first_error = str(error)
-
-    kept = total - len(dropped)
-    if stats is not None:
-        stats.records += kept
-    if not kept:
-        return RecordBatch.empty(), 0, len(dropped)
-
-    if not fixed and not bad_positions:
-        # Fast common path: every kept row came through vectorized.
-        # Object columns stay views into the row grid — downstream
-        # consumers never mutate batch columns in place.
-        columns: dict[str, np.ndarray] = {"epoch": epochs}
-        for attr, dtype in BATCH_COLUMNS.items():
-            if attr == "epoch":
-                continue
-            if dtype == "int64":
-                columns[attr] = numeric[attr]
-            else:
-                columns[attr] = grid[:, _FIELD_INDEX[attr.replace("_", "-")]]
-        return RecordBatch(columns), kept, len(dropped)
-
-    # Interleave vectorized rows with scalar-fixed rows in stream order.
-    vector_positions = np.asarray(
-        [
-            position for position in range(len(candidate_index))
-            if position not in bad_positions
-        ],
-        dtype=np.intp,
+    epochs, ints = epochs[proven], ints[proven]
+    text_names = sorted(
+        (name for name in names if name in _TEXT_FIELD),
+        key=_TEXT_FIELD.__getitem__,
     )
-    kept_index = [index for index in range(total) if index not in dropped]
-    slot_of = {index: slot for slot, index in enumerate(kept_index)}
-    vector_slots = np.asarray(
-        [slot_of[candidate_index[position]] for position in vector_positions],
-        dtype=np.intp,
-    )
-    fixed_order = sorted(fixed)
-    fixed_slots = np.asarray(
-        [slot_of[index] for index in fixed_order], dtype=np.intp
-    )
-    fixed_records = [fixed[index] for index in fixed_order]
+    strings = {}
+    if text_names:
+        lo, hi = cells([_TEXT_FIELD[name] for name in text_names])
+        strings = dict(zip(text_names, _strings(text, codes, lo[proven],
+                                                 hi[proven])))
     columns = {}
-    for attr, dtype in BATCH_COLUMNS.items():
-        out = np.empty(kept, dtype=dtype)
-        if attr == "epoch":
-            out[vector_slots] = epochs[vector_positions]
-        elif dtype == "int64":
-            out[vector_slots] = numeric[attr][vector_positions]
+    for name in names:
+        if name == "epoch":
+            columns[name] = epochs
+        elif name in _INT_SLOT:
+            columns[name] = ints[:, _INT_SLOT[name]]
         else:
-            column = grid[:, _FIELD_INDEX[attr.replace("_", "-")]]
-            out[vector_slots] = column[vector_positions]
-        out[fixed_slots] = [
-            getattr(record, attr) for record in fixed_records
-        ]
-        columns[attr] = out
-    return RecordBatch(columns), kept, len(dropped)
+            columns[name] = strings[name]
+    ranks = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(ok, out=ranks[1:])
+    return ranks.tolist(), columns
 
 
-def _salvage_ints(column: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Per-cell retry after a wholesale int64 conversion failed:
-    returns the values (0 placeholders at failures) and the failing
-    positions — a cell that is no integer, or one beyond int64."""
-    values: list[int] = []
-    bad: list[int] = []
-    for position, cell in enumerate(column):
-        try:
-            value = int(cell)
-            if -(1 << 63) <= value < 1 << 63:
-                values.append(value)
-                continue
-        except ValueError:
-            pass
-        values.append(0)
-        bad.append(position)
-    return np.asarray(values, dtype=np.int64), bad
+def _strings(
+    text: str, codes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> list[np.ndarray]:
+    """The cells ``text[lo:hi]``, one object column per column of *lo*
+    and *hi*, whose cells must lie in text order row by row.
 
-
-def _parse_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``HH:MM:SS`` → seconds-of-day.
-
-    Returns ``(seconds, ok)``; rows where ``ok`` is False (anything
-    but the canonical zero-padded in-range form) carry garbage seconds
-    and must go through the scalar parser instead.
+    The cells are cut out of the chunk with one mask, each with the
+    byte after it turned into a NUL (a proven line holds none), and a
+    single ``split`` makes the strings: per cell that costs a fraction
+    of a slice call.  *codes* are the chunk's bytes when the text is
+    ASCII; otherwise the cells come from the text's UTF-32 code units,
+    which index like the text too.
     """
-    arr = np.asarray(times, dtype="<U16")
-    count = len(arr)
-    ok = np.char.str_len(arr) == 8
-    codes = arr.astype("<U8").view(np.uint32).reshape(count, 8)
-    digits = codes.astype(np.int64) - ord("0")
-    digit_ok = (
-        ((digits >= 0) & (digits <= 9))[:, (0, 1, 3, 4, 6, 7)].all(axis=1)
+    rows, count = lo.shape
+    if not text.isascii():
+        codes = np.frombuffer(
+            text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+        )
+    # Runs to drop and runs to keep alternate: each cell with the
+    # byte after it, and everything between cells.
+    bounds = np.empty(2 * lo.size + 2, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, len(codes)
+    bounds[1:-1:2] = lo.ravel()
+    bounds[2:-1:2] = hi.ravel() + 1
+    keep = np.repeat(_ALTERNATE[:len(bounds) - 1], np.diff(bounds))
+    units = codes[keep]
+    units[np.cumsum(hi - lo + 1) - 1] = 0
+    cells = units.tobytes().decode(
+        "ascii" if units.itemsize == 1 else "utf-32-le", "surrogatepass"
+    ).split("\x00")
+    return [
+        np.array(cells[column:rows * count:count], dtype=object)
+        for column in range(count)
+    ]
+
+
+def _per_line(
+    positions: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted *positions*: the index of each line's first one, and
+    how many each line holds."""
+    first = np.searchsorted(positions, starts)
+    return first, np.searchsorted(positions, ends) - first
+
+
+def _integers(
+    codes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The integers in the cells ``codes[lo:hi]`` of each row (one
+    column per integer field), and whether every cell of the row is 1
+    to 18 ASCII digits that fit its field's :data:`INT_FIELD_BITS`
+    width (the values are garbage where not).
+
+    Each field's cells are read right-aligned at the field's widest
+    width.  The last byte of *codes* must be a ``0``: a narrower cell
+    reads it in place of its missing leading digits.
+    """
+    width = hi - lo
+    fits = ((width >= 1) & (width <= _INT_DIGITS)).all(axis=1)
+    spans = np.clip(width.max(axis=0, initial=1), 1, _INT_DIGITS)
+    # Gather column j reads digit 10**power[j] of field cell[j].
+    cell = np.repeat(np.arange(len(spans)), spans)
+    power = np.concatenate([np.arange(span - 1, -1, -1) for span in spans])
+    positions = hi[:, cell] - 1 - power
+    positions[positions < lo[:, cell]] = len(codes) - 1
+    digits = codes[positions] - np.uint8(48)  # non-digits wrap past 9
+    if digits.max(initial=0) > 9:
+        fits &= (digits <= 9).all(axis=1)
+    values = np.add.reduceat(
+        digits * _DIGIT_WEIGHTS[_INT_DIGITS - 1 - power],
+        np.cumsum(spans) - spans, axis=1,
     )
-    colon_ok = (codes[:, (2, 5)] == ord(":")).all(axis=1)
-    hours = digits[:, 0] * 10 + digits[:, 1]
-    minutes = digits[:, 3] * 10 + digits[:, 4]
-    seconds = digits[:, 6] * 10 + digits[:, 7]
-    ok &= (
-        digit_ok & colon_ok & (hours < 24) & (minutes < 60) & (seconds < 60)
-    )
-    return hours * 3600 + minutes * 60 + seconds, ok
+    if (values.max(axis=0, initial=0) > _INT_MAX).any():
+        fits &= (values <= _INT_MAX).all(axis=1)
+    return values, fits
+
+
+def _timestamps(
+    codes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's epoch from its date and time cells (columns 0 and 1
+    of *lo* and *hi*), and whether they are ``YYYY-MM-DD`` and
+    ``HH:MM:SS``, in range and accepted by :func:`date_time_to_epoch`
+    (the epoch is garbage where not).
+
+    Every row holds 24 delimiters after its time, so the ten bytes
+    from a date's start and the eight from a time's start lie within
+    *codes* whatever the cells' widths."""
+    width = hi - lo
+    fits = (width[:, 0] == 10) & (width[:, 1] == 8)
+    dates = codes[lo[:, :1] + np.arange(10)].view("S10").ravel()
+    days = np.zeros(len(dates), dtype=np.int64)
+    # A chunk seldom spans more than one log day.
+    single = (dates == dates[0]).all()
+    for date in [dates[0]] if single else set(dates.tolist()):
+        rows = slice(None) if single else dates == date
+        try:
+            if not _DATE_FORM.fullmatch(date):
+                raise ValueError(date)
+            days[rows] = date_time_to_epoch(date.decode(), "00:00:00")
+        except ValueError:
+            fits[rows] = False
+
+    clock = codes[lo[:, 1:] + np.arange(8)] - np.uint8(48)
+    if clock[:, _CLOCK_DIGITS].max(initial=0) > 9 \
+            or (clock[:, _CLOCK_COLONS] != _COLON).any():
+        fits &= (clock[:, _CLOCK_DIGITS] <= 9).all(axis=1) \
+            & (clock[:, _CLOCK_COLONS] == _COLON).all(axis=1)
+    pairs = clock[:, 0::3] * np.uint8(10) + clock[:, 1::3]
+    fits &= (pairs < _CLOCK_LIMITS).all(axis=1)
+    return days + pairs @ _CLOCK_SECONDS, fits
+
+
+class _BatchBuilder:
+    """Rows in stream order, cut into batches of *batch_size* data rows.
+
+    A batch counts its data rows whether they are kept or skipped, as
+    the scalar reader's chunks did, and settles its :class:`ReadStats`
+    and counters when it is cut.  Its pieces are runs of proven rows
+    (slices of a chunk's proof columns) and runs of records from
+    ``LogRecord.from_row``.
+    """
+
+    def __init__(self, batch_size: int, lenient: bool,
+                 stats: ReadStats | None,
+                 columns: tuple[str, ...] | None):
+        self.names = tuple(BATCH_COLUMNS) if columns is None else columns
+        self._make = RecordBatch if columns is None else LogFrame
+        self._batch_size = batch_size
+        self._lenient = lenient
+        self._stats = stats
+        self._pieces: list = []
+        self._rows = 0
+        self._errors: list[str] = []
+        self.kept = self.skipped = 0
+
+    def add_proven(
+        self, proof: dict[str, np.ndarray], start: int, stop: int
+    ) -> Iterator[LogFrame]:
+        """Add proven rows ``start:stop`` of *proof*."""
+        while start < stop:
+            take = min(stop - start, self._batch_size - self._rows)
+            self._pieces.append((proof, start, start + take))
+            self._rows += take
+            start += take
+            if self._rows == self._batch_size:
+                yield from self._cut()
+
+    def add_row(self, row: list[str]) -> Iterator[LogFrame]:
+        """Add one data row through the scalar parser."""
+        try:
+            record = LogRecord.from_row(row)
+        except (ValueError, IndexError) as error:
+            if not self._lenient:
+                # Its batch-mates are not yielded.
+                self._pieces, self._rows = [], 0
+                raise LogFormatError(f"malformed row: {error}") from error
+            self._errors.append(str(error))
+        else:
+            if self._pieces and isinstance(self._pieces[-1], list):
+                self._pieces[-1].append(record)
+            else:
+                self._pieces.append([record])
+        self._rows += 1
+        if self._rows == self._batch_size:
+            yield from self._cut()
+
+    def flush(self) -> Iterator[LogFrame]:
+        """Cut the last, partial batch."""
+        if self._rows:
+            yield from self._cut()
+
+    def _cut(self) -> Iterator[LogFrame]:
+        pieces, errors = self._pieces, self._errors
+        self._pieces, self._errors, self._rows = [], [], 0
+        kept = sum(
+            len(piece) if isinstance(piece, list) else piece[2] - piece[1]
+            for piece in pieces
+        )
+        self.kept += kept
+        self.skipped += len(errors)
+        stats = self._stats
+        if stats is not None:
+            stats.records += kept
+            stats.skipped += len(errors)
+            if errors and stats.first_error is None:
+                stats.first_error = errors[0]
+        if kept:
+            yield self._make({
+                name: _join_pieces(pieces, name) for name in self.names
+            })
+
+
+def _join_pieces(pieces: list, name: str) -> np.ndarray:
+    """Column *name* over a batch's pieces (a single proven run stays
+    a view of its chunk's column)."""
+    parts = [
+        np.array([getattr(record, name) for record in piece],
+                 dtype=BATCH_COLUMNS[name])
+        if isinstance(piece, list)
+        else piece[0][name][piece[1]:piece[2]]
+        for piece in pieces
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def tail_batches(
@@ -980,12 +1255,12 @@ def tail_batches(
                 buffer.seek(offset)
             # One by one: a refused line raises only after the rows
             # before it are yielded, and those rows stay in the poll.
-            for batch in _read_batches(iter(sentry), BATCH_SIZE, True, stats,
-                                       path, offset_handle=handle,
-                                       tail=sentry):
+            for batch in _read_batches(handle, BATCH_SIZE, True, stats,
+                                       path, sentry=sentry, tail=True):
                 batches.append(batch)
         except _STREAM_CORRUPTION as error:
-            _settle_corruption(path, handle, error, True, stats)
+            _settle_corruption(path, _stream_offset(handle), error, True,
+                               stats)
         except LogFormatError as error:
             refusal = error
         if sentry.torn is not None:

@@ -99,29 +99,45 @@ def registered_domain(host: str) -> str:
     return _registered_domain(host.lower().rstrip("."))
 
 
+#: Entries the memos behind :func:`registered_domain` and
+#: :func:`registered_domains` hold at most.
+_MEMO_SIZE = 65536
+
+
+class _DomainMemo(dict):
+    """Host spelling -> registered domain; a spelling not seen yet is
+    reduced by :func:`registered_domain` and kept."""
+
+    def __missing__(self, host: str) -> str:
+        domain = self[host] = registered_domain(host)
+        return domain
+
+
+_DOMAINS = _DomainMemo()
+
+
 def registered_domains(hosts) -> np.ndarray:
     """Array-in/array-out :func:`registered_domain` for batch columns.
 
     The scalar function's per-call shape — normalize, then an
     ``lru_cache`` lookup — costs a Python call chain per row even on a
     cache hit, which defeats vectorization in the analysis hot path.
-    This fast path reduces the work to one scalar call per *distinct*
-    host in the batch (hostnames repeat massively in log traffic) and
-    broadcasts the results back with a fancy index.  Normalization
-    (lowercase, trailing dot) is identical: each distinct spelling
-    routes through :func:`registered_domain` itself.
+    This fast path looks every row up in a host -> domain map kept
+    across calls, at C speed, so each distinct spelling is normalized
+    once per process rather than once per batch (hostnames repeat
+    massively in log traffic).  The map is cleared once it outgrows
+    the 65,536 entries of the ``lru_cache``.  Normalization
+    (lowercase, trailing dot) is identical: each new spelling routes
+    through :func:`registered_domain` itself.
     """
-    hosts = np.asarray(hosts, dtype=object)
-    if not len(hosts):
-        return np.empty(0, dtype=object)
-    spellings = hosts.tolist()
-    mapping = {
-        host: registered_domain(host) for host in dict.fromkeys(spellings)
-    }
-    return np.array(list(map(mapping.__getitem__, spellings)), dtype=object)
+    spellings = np.asarray(hosts, dtype=object).tolist()
+    domains = list(map(_DOMAINS.__getitem__, spellings))
+    if len(_DOMAINS) > _MEMO_SIZE:
+        _DOMAINS.clear()
+    return np.array(domains, dtype=object)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _registered_domain(host: str) -> str:
     """The memoized core; *host* is already normalized.
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.faults import fault_point
-from repro.frame.batch import RecordBatch
+from repro.frame import LogFrame
 from repro.logmodel.elff import ReadStats, read_log, read_log_batches
 from repro.logmodel.record import LogRecord
 from repro.pipeline.core import Source
@@ -60,6 +60,12 @@ class ElffSource(Source):
     ingestion service builds sources for files that may not exist yet —
     fails at *read* time like every other site, inside whatever fault
     context and error handling surround the actual read.
+
+    *columns* projects :meth:`iter_batches`: ``None`` yields full-width
+    :class:`~repro.frame.RecordBatch` columns, and a tuple of batch
+    column names yields :class:`~repro.frame.LogFrame` batches holding
+    only those (see :func:`~repro.logmodel.elff.read_log_batches`).
+    Record iteration always yields whole records.
     """
 
     def __init__(
@@ -68,17 +74,20 @@ class ElffSource(Source):
         *,
         lenient: bool = False,
         stats: ReadStats | None = None,
+        columns: tuple[str, ...] | None = None,
     ):
         self.path = Path(path)
         self.lenient = lenient
         self.stats = stats
+        self.columns = columns
 
     def __iter__(self) -> Iterator[LogRecord]:
         fault_point("elff.source")
         yield from read_log(self.path, lenient=self.lenient, stats=self.stats)
 
-    def iter_batches(self, batch_size: int) -> Iterator[RecordBatch]:
-        """The same record stream as :class:`RecordBatch` columns.
+    def iter_batches(self, batch_size: int) -> Iterator[LogFrame]:
+        """The same record stream as column batches (the source's
+        *columns*, or every :class:`~repro.frame.RecordBatch` column).
 
         Passes the identical fault sites in the identical order as
         record iteration, so a :class:`~repro.faults.FaultPlan` hits
@@ -86,5 +95,6 @@ class ElffSource(Source):
         """
         fault_point("elff.source")
         yield from read_log_batches(
-            self.path, batch_size, lenient=self.lenient, stats=self.stats
+            self.path, batch_size, lenient=self.lenient, stats=self.stats,
+            columns=self.columns,
         )

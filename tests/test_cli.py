@@ -348,6 +348,23 @@ class TestMainModule:
         assert result.returncode == 2
         assert "usage:" in result.stderr
 
+    def test_streaming_analyze_imports_only_the_read_side(self, log_dir):
+        """An ``analyze`` process loads no simulate-side package: not
+        the workload, policy, fleet, regime or dispatch code."""
+        logs = sorted(str(path) for path in log_dir.glob("*.log"))
+        result = self._run("-c", (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main(['analyze', '--streaming', *{logs!r}]) == 0\n"
+            "packages = ('repro.workload', 'repro.policy', 'repro.proxy',"
+            " 'repro.regimes', 'repro.dispatch')\n"
+            "print(sorted(name for name in sys.modules"
+            " if name.startswith(packages)))\n"
+        ))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_building_the_parser_does_not_import_numpy(self):
         """``repro --help`` stays light: the parser's defaults come
         from modules that import nothing heavy."""
@@ -357,6 +374,27 @@ class TestMainModule:
         ))
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+class TestRefusals:
+    def test_work_refuses_a_queue_no_coordinator_seeds(self, tmp_path):
+        """A dispatch error is a clean usage error, not a traceback."""
+        with pytest.raises(SystemExit, match="error: .*coordinator"):
+            main(["work", str(tmp_path / "queue"),
+                  "--startup-timeout", "0.05", "--poll-interval", "0.01"])
+
+    def test_analyze_takes_a_registered_regime_label(self, log_dir, capsys):
+        logs = [str(path) for path in sorted(log_dir.glob("*.log"))]
+        assert main(["analyze", "--streaming", "--regime", "pakistan",
+                     *logs]) == 0
+        with pytest.raises(SystemExit, match="unknown regime 'atlantis'"):
+            main(["analyze", "--streaming", "--regime", "atlantis", *logs])
+
+    def test_builtin_regimes_are_the_registered_ones(self):
+        from repro.cli import _BUILTIN_REGIMES
+        from repro.regimes import available_regimes
+
+        assert set(_BUILTIN_REGIMES) == set(available_regimes())
 
 
 class TestParser:

@@ -136,6 +136,34 @@ class TestRegisteredDomainsBatch:
         registered_domains(hosts)
         assert _registered_domain.cache_info().currsize == 1
 
+    def test_each_spelling_is_reduced_once_per_process(self, monkeypatch):
+        """The host -> domain map outlives the batch: a spelling seen
+        in an earlier batch is not reduced again."""
+        from repro.net import url
+
+        reduced = []
+        scalar = url.registered_domain
+        monkeypatch.setattr(url, "registered_domain",
+                            lambda host: reduced.append(host) or scalar(host))
+        url._DOMAINS.clear()
+        first = ["www.a.com", "b.a.com", "www.a.com"]
+        assert registered_domains(first).tolist() == ["a.com"] * 3
+        assert registered_domains(["b.a.com", "WWW.A.COM"]).tolist() == [
+            "a.com", "a.com"
+        ]
+        assert reduced == ["www.a.com", "b.a.com", "WWW.A.COM"]
+
+    def test_the_map_stays_within_its_bound(self, monkeypatch):
+        from repro.net import url
+
+        monkeypatch.setattr(url, "_MEMO_SIZE", 4)
+        url._DOMAINS.clear()
+        hosts = [f"h{i}.example.org" for i in range(6)]
+        assert registered_domains(hosts).tolist() == ["example.org"] * 6
+        assert len(url._DOMAINS) <= 4
+        assert registered_domains(hosts[:3]).tolist() == ["example.org"] * 3
+        assert len(url._DOMAINS) == 3
+
     def test_results_are_native_strings(self):
         """Counter keys and their JSON must not become numpy scalars."""
         result = registered_domains(np.array(["www.a.com"], dtype=object))
